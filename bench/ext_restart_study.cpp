@@ -92,12 +92,12 @@ int main(int argc, char** argv) {
         params.prefetch_streams = mode.prefetch ? 4 : 0;
 
         pfs::MemoryBackend backend(false);  // accounting: exact sizes
-        exec::SerialEngine engine(params.nprocs);
+        const auto engine = ctx.make_engine(params.nprocs);
         row_tracer = obs::Tracer();
         const obs::Probe probe = ctx.probe(row_tracer);
-        (void)macsio::run_macsio(engine, params, backend);
+        (void)macsio::run_macsio(*engine, params, backend);
         const auto restart =
-            macsio::run_restart(engine, params, backend, nullptr, probe);
+            macsio::run_restart(*engine, params, backend, nullptr, probe);
 
         if (restart.encoded_bytes > restart.raw_bytes) {
           std::printf("MISMATCH: %d ranks %s %s: fetched > raw\n", ranks,

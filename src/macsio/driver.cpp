@@ -496,17 +496,41 @@ DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
   return stats;
 }
 
+/// The restage plan of a restart from the last written dump. It is a pure
+/// function of the parameters (task_doc_bytes is exact, codec plans are pure
+/// in the raw size), so restart read sizes are predicted byte-exactly the
+/// same way write sizes are, with nothing read yet. run_restart builds it
+/// once per restart and every rank body shares it read-only.
+staging::RestagePlan make_restart_plan(const Params& params) {
+  const auto iface = make_interface(params.interface);
+  const int dump = params.num_dumps - 1;
+  std::optional<staging::AggTopology> topo;
+  if (params.aggregators > 0)
+    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
+  const PartSpec spec =
+      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  std::vector<std::string> files(static_cast<std::size_t>(params.nprocs));
+  std::vector<std::uint64_t> doc_bytes(
+      static_cast<std::size_t>(params.nprocs));
+  for (int r = 0; r < params.nprocs; ++r) {
+    files[static_cast<std::size_t>(r)] =
+        topo ? aggregated_file_path_for(params, *iface, topo->group_of(r), dump)
+             : dump_file_path_for(params, *iface, r, dump);
+    doc_bytes[static_cast<std::size_t>(r)] = iface->task_doc_bytes(
+        spec, r, dump, params.parts_of_rank(r), params.meta_size);
+  }
+  return staging::make_restage_plan(files, doc_bytes,
+                                    *codec::make_codec(params.codec_spec()),
+                                    topo ? &*topo : nullptr);
+}
+
 /// The single SPMD restart body: the dump loop in reverse for the last
-/// written dump. Rank 0 returns the full statistics; other ranks return
-/// empty stats.
+/// written dump, reading along the shared `plan`. Rank 0 returns the full
+/// statistics; other ranks return empty stats.
 RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
+                              const staging::RestagePlan& plan,
                               pfs::StorageBackend& backend,
                               iostats::TraceRecorder* trace, obs::Probe probe) {
-  params.validate();
-  AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
-                    "run_restart: engine ranks " << ctx.nranks()
-                                                 << " != nprocs "
-                                                 << params.nprocs);
   const auto iface = make_interface(params.interface);
   const int rank = ctx.rank();
   constexpr int kRestageTag = 74;
@@ -522,36 +546,11 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
   const bool encoded = params.codec_spec().enabled();
   const int read_tier =
       params.restart_from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
-  const PartSpec spec =
-      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
-
-  // The restage plan is a pure function of the parameters (task_doc_bytes is
-  // exact, codec plans are pure in the raw size), so every rank derives the
-  // same plan locally — restart read sizes are predicted byte-exactly the
-  // same way write sizes are, with nothing read yet.
-  std::vector<std::string> files(static_cast<std::size_t>(params.nprocs));
-  std::vector<std::uint64_t> doc_bytes(
-      static_cast<std::size_t>(params.nprocs));
-  for (int r = 0; r < params.nprocs; ++r) {
-    files[static_cast<std::size_t>(r)] =
-        aggregated
-            ? aggregated_file_path_for(params, *iface, topo->group_of(r), dump)
-            : dump_file_path_for(params, *iface, r, dump);
-    doc_bytes[static_cast<std::size_t>(r)] = iface->task_doc_bytes(
-        spec, r, dump, params.parts_of_rank(r), params.meta_size);
-  }
-  const staging::RestagePlan plan = staging::make_restage_plan(
-      files, doc_bytes, *cdc, aggregated ? &*topo : nullptr);
   const staging::RestageSlice& mine =
       plan.slices[static_cast<std::size_t>(rank)];
+  const staging::RestageExtent& my_extent = plan.extents[mine.extent];
 
   const bool contents = backend.stores_contents();
-  auto find_extent = [&](const std::string& file) {
-    for (const auto& e : plan.extents)
-      if (e.file == file) return &e;
-    AMRIO_ENSURES_MSG(false, "run_restart: no extent for " << file);
-    return static_cast<const staging::RestageExtent*>(nullptr);
-  };
   auto validate_extent = [&](const staging::RestageExtent& e) {
     AMRIO_EXPECTS_MSG(
         backend.exists(e.file),
@@ -581,7 +580,7 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     const auto members = topo->members_of(group);
     std::vector<std::vector<std::byte>> payloads;
     if (rank == agg) {
-      const std::vector<std::byte> subfile = fetch_extent(*find_extent(mine.file));
+      const std::vector<std::byte> subfile = fetch_extent(my_extent);
       payloads.reserve(members.size());
       for (int r : members) {
         const auto& s = plan.slices[static_cast<std::size_t>(r)];
@@ -600,7 +599,7 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     // readers of a shared MIF-group/SIF file need no baton — nothing is
     // mutated, and the ranged read keeps a 128-rank SIF restart from
     // materializing the whole shared image once per rank).
-    validate_extent(*find_extent(mine.file));
+    validate_extent(my_extent);
     doc = contents
               ? backend.read_range(mine.file, mine.offset, mine.raw_bytes)
               : std::vector<std::byte>(mine.raw_bytes);
@@ -626,13 +625,13 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     stats.task_hash = all_hash;
     stats.slices = plan.slices;
     for (int r = 0; r < params.nprocs; ++r) {
+      const staging::RestageSlice& slice =
+          plan.slices[static_cast<std::size_t>(r)];
       AMRIO_ENSURES_MSG(
-          all_bytes[static_cast<std::size_t>(r)] ==
-              doc_bytes[static_cast<std::size_t>(r)],
+          all_bytes[static_cast<std::size_t>(r)] == slice.raw_bytes,
           "run_restart: read-back not byte-conserving on rank " << r);
-      stats.codec.add_decode(
-          dump, -1, cdc->plan(doc_bytes[static_cast<std::size_t>(r)]),
-          plan.slices[static_cast<std::size_t>(r)].decode_seconds);
+      stats.codec.add_decode(dump, -1, cdc->plan(slice.raw_bytes),
+                             slice.decode_seconds);
     }
     stats.raw_bytes = plan.raw_bytes();
     stats.encoded_bytes = plan.encoded_bytes();
@@ -787,9 +786,16 @@ std::uint64_t restart_hash(std::span<const std::byte> data) {
 RestartStats run_restart(exec::Engine& engine, const Params& params,
                          pfs::StorageBackend& backend,
                          iostats::TraceRecorder* trace, obs::Probe probe) {
+  params.validate();
+  AMRIO_EXPECTS_MSG(engine.nranks() == params.nprocs,
+                    "run_restart: engine ranks " << engine.nranks()
+                                                 << " != nprocs "
+                                                 << params.nprocs);
+  const staging::RestagePlan plan = make_restart_plan(params);
   RestartStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    RestartStats local = run_restart_rank(ctx, params, backend, trace, probe);
+    RestartStats local =
+        run_restart_rank(ctx, params, plan, backend, trace, probe);
     if (ctx.rank() == 0) result = std::move(local);
   });
   return result;

@@ -1,6 +1,8 @@
 #include "staging/restage.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -70,19 +72,20 @@ RestagePlan make_restage_plan(const std::vector<std::string>& files,
   RestagePlan plan;
   plan.aggregated_ = topo != nullptr;
   plan.slices.reserve(files.size());
+  // Files that opened an extent; views into `files`, which outlives the loop.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(files.size());
   for (int r = 0; r < static_cast<int>(files.size()); ++r) {
     const std::string& file = files[static_cast<std::size_t>(r)];
     const std::uint64_t raw = raw_bytes[static_cast<std::size_t>(r)];
     const bool continues =
         !plan.extents.empty() && plan.extents.back().file == file;
-    // Ranks sharing a file must be contiguous: a file seen before the
-    // previous rank's cannot reappear.
-    if (!continues)
-      for (const auto& e : plan.extents)
-        AMRIO_EXPECTS_MSG(e.file != file,
-                          "make_restage_plan: ranks of a shared file must be "
-                          "contiguous");
     if (!continues) {
+      // Ranks sharing a file must be contiguous: a file seen before the
+      // previous rank's cannot reappear.
+      AMRIO_EXPECTS_MSG(seen.insert(file).second,
+                        "make_restage_plan: ranks of a shared file must be "
+                        "contiguous");
       RestageExtent extent;
       extent.file = file;
       extent.reader = topo != nullptr ? topo->aggregator_of(r) : r;
@@ -97,6 +100,7 @@ RestagePlan make_restage_plan(const std::vector<std::string>& files,
     RestageSlice slice;
     slice.rank = r;
     slice.file = file;
+    slice.extent = plan.extents.size() - 1;
     slice.offset = extent.raw_bytes;
     slice.raw_bytes = raw;
     slice.encoded_bytes = enc.out_bytes;

@@ -28,6 +28,7 @@
 /// the MACSio driver's restart loop; this module owns the plan and the
 /// timing-request shapes.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@ namespace amrio::staging {
 struct RestageSlice {
   int rank = 0;
   std::string file;             ///< dump file / subfile holding the bytes
+  std::size_t extent = 0;       ///< index of `file`'s RestageExtent
   std::uint64_t offset = 0;     ///< byte offset of the rank's document
   std::uint64_t raw_bytes = 0;  ///< decoded document size
   std::uint64_t encoded_bytes = 0;  ///< modeled PFS/wire size (codec plan)

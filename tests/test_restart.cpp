@@ -3,7 +3,8 @@
 /// reverse ship, the codec decode model and the CodecStats encode/decode
 /// split, the MACSio restart loop (byte-identical read-back across engines
 /// at 32 ranks / 8 aggregators, byte conservation, decode accounting, trace
-/// read/prefetch events), and the plotfile restart read plan.
+/// read/prefetch events, contract failures on every engine), and the
+/// plotfile restart read plan.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,50 @@ TEST(RestagePlan, RejectsNonContiguousSharedFiles) {
                amrio::ContractViolation);
   EXPECT_THROW(st::make_restage_plan({"a"}, {1, 2}, *codec),
                amrio::ContractViolation);
+}
+
+// The shape a large restart plans, built directly (no engine): 100k ranks
+// file-per-rank and over 512 contiguous MIF-group files. Structure only —
+// each slice names its own extent, offsets restart at 0 per file and
+// accumulate within it, and the contiguity contract still holds.
+TEST(RestagePlan, PlanAtScaleShape) {
+  constexpr int kRanks = 100'000;
+  const auto codec = cd::make_codec({});
+  for (const int nfiles : {kRanks, 512}) {
+    SCOPED_TRACE(::testing::Message() << nfiles << " files");
+    std::vector<std::string> files;
+    std::vector<std::uint64_t> sizes;
+    for (int r = 0; r < kRanks; ++r) {
+      files.push_back("d/f" + std::to_string(static_cast<std::int64_t>(r) *
+                                             nfiles / kRanks));
+      sizes.push_back(100u + static_cast<std::uint64_t>(r % 13));
+    }
+    const auto plan = st::make_restage_plan(files, sizes, *codec);
+
+    ASSERT_EQ(plan.slices.size(), static_cast<std::size_t>(kRanks));
+    ASSERT_EQ(plan.extents.size(), static_cast<std::size_t>(nfiles));
+    std::uint64_t expected_offset = 0;
+    for (int r = 0; r < kRanks; ++r) {
+      const auto& slice = plan.slices[static_cast<std::size_t>(r)];
+      const bool first_of_file =
+          r == 0 || files[static_cast<std::size_t>(r - 1)] != slice.file;
+      if (first_of_file) expected_offset = 0;
+      ASSERT_LT(slice.extent, plan.extents.size());
+      const auto& extent = plan.extents[slice.extent];
+      ASSERT_EQ(extent.file, slice.file) << "rank " << r;
+      ASSERT_EQ(slice.offset, expected_offset) << "rank " << r;
+      if (first_of_file) ASSERT_EQ(extent.reader, r);
+      expected_offset += slice.raw_bytes;
+    }
+    EXPECT_EQ(plan.raw_bytes(),
+              std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0}));
+
+    // The first file reappearing after every other one is still rejected.
+    files.push_back(files.front());
+    sizes.push_back(1);
+    EXPECT_THROW(st::make_restage_plan(files, sizes, *codec),
+                 amrio::ContractViolation);
+  }
 }
 
 TEST(RestagePlan, ColdRequestsAreDirectPfsReads) {
@@ -487,12 +532,39 @@ TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
   }
 }
 
-TEST(MacsioRestartCli, MissingDumpFilesAreRejected) {
-  mc::Params params = restart_params(4, 2);
-  p::MemoryBackend be(true);  // nothing written
-  ex::SerialEngine engine(params.nprocs);
-  EXPECT_THROW(mc::run_restart(engine, params, be), amrio::ContractViolation);
+// Contract failures end in ContractViolation on every engine, now that the
+// restage plan is built before any rank runs.
+class MacsioRestartContract
+    : public ::testing::TestWithParam<ex::EngineKind> {};
+
+TEST_P(MacsioRestartContract, MissingDumpFilesAreRejected) {
+  for (const int aggregators : {2, 0}) {
+    mc::Params params = restart_params(4, aggregators);
+    p::MemoryBackend be(true);  // nothing written
+    const auto engine = ex::make_engine(GetParam(), params.nprocs);
+    EXPECT_THROW(mc::run_restart(*engine, params, be),
+                 amrio::ContractViolation)
+        << "aggregators " << aggregators;
+  }
 }
+
+TEST_P(MacsioRestartContract, EngineRankCountMustMatchNprocs) {
+  mc::Params params = restart_params(4, 2);
+  p::MemoryBackend be(true);
+  const auto writer = ex::make_engine(GetParam(), params.nprocs);
+  (void)mc::run_macsio(*writer, params, be);
+  for (const int nranks : {2, 8}) {
+    const auto engine = ex::make_engine(GetParam(), nranks);
+    EXPECT_THROW(mc::run_restart(*engine, params, be),
+                 amrio::ContractViolation)
+        << "engine ranks " << nranks;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestartContract,
+                         ::testing::Values(ex::EngineKind::kSerial,
+                                           ex::EngineKind::kEvent,
+                                           ex::EngineKind::kSpmd));
 
 // ---------------------------------------------- plotfile restart reads
 
