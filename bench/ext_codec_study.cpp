@@ -100,11 +100,11 @@ int main(int argc, char** argv) {
         params.codec_throughput = kCodecThroughput;
 
         pfs::MemoryBackend backend(false);
-        exec::SerialEngine engine(params.nprocs);
+        const auto engine = ctx.make_engine(params.nprocs);
         row_tracer = obs::Tracer();
         const obs::Probe probe = ctx.probe(row_tracer);
         const auto stats =
-            macsio::run_macsio(engine, params, backend, nullptr, probe);
+            macsio::run_macsio(*engine, params, backend, nullptr, probe);
 
         std::uint64_t encoded_bytes = 0;  // what travels/lands (data files)
         for (const auto& req : stats.requests) {

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace amrio::obs {
 namespace {
@@ -25,34 +24,51 @@ CriticalPathReport critical_path(const std::vector<Span>& spans,
                                  const std::vector<SpanEdge>& edges) {
   CriticalPathReport report;
   if (spans.empty()) return report;
+  const std::size_t n = spans.size();
 
-  std::unordered_map<std::uint64_t, const Span*> by_id;
-  by_id.reserve(spans.size());
-  for (const Span& s : spans) by_id.emplace(s.id, &s);
+  std::unordered_map<std::uint64_t, std::size_t> by_id;
+  by_id.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) by_id.emplace(spans[i].id, i);
 
-  std::unordered_map<std::uint64_t, std::vector<const Span*>> incoming;
+  std::vector<std::vector<std::size_t>> incoming(n);
   for (const SpanEdge& e : edges) {
-    auto it = by_id.find(e.from);
-    if (it != by_id.end()) incoming[e.to].push_back(it->second);
+    auto from = by_id.find(e.from);
+    auto to = by_id.find(e.to);
+    if (from != by_id.end() && to != by_id.end())
+      incoming[to->second].push_back(from->second);
   }
+
+  // Every span in chain-preference order: the walk starts at order[0], and
+  // the time-adjacency fallback is always the first unvisited entry of the
+  // suffix ending at or before the coverage frontier.
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return better_candidate(spans[a], spans[b]);
+                   });
 
   report.t0 = spans.front().start;
   report.t1 = spans.front().end;
-  const Span* cur = &spans.front();
   for (const Span& s : spans) {
     report.t0 = std::min(report.t0, s.start);
     report.t1 = std::max(report.t1, s.end);
-    if (better_candidate(s, *cur)) cur = &s;
   }
   report.makespan = report.t1 - report.t0;
 
   std::map<std::string, double> stage_seconds;
   std::map<std::string, double> resource_wait;
-  std::unordered_set<std::uint64_t> visited;
+  std::vector<char> visited(n, 0);
   double upper = report.t1;  // everything in [upper, t1] is attributed
+  // `upper` never increases, so the spans ending at or before it form a
+  // shrinking suffix of `order`; every entry before `cursor` is visited or
+  // ends too late, and stays so for the rest of the walk.
+  auto cursor = order.cbegin();
+  const Span* cur = &spans[order.front()];
 
   while (cur != nullptr) {
-    visited.insert(cur->id);
+    const auto at = static_cast<std::size_t>(cur - spans.data());
+    visited[at] = 1;
     report.chain.push_back(cur->id);
     const double seg_end = std::min(cur->end, upper);
     const double seg_start = std::min(cur->start, seg_end);
@@ -65,18 +81,18 @@ CriticalPathReport critical_path(const std::vector<Span>& spans,
     // happens-before edge, else the latest-ending unvisited span that ends
     // at or before the current coverage frontier (time adjacency).
     const Span* pred = nullptr;
-    auto in_it = incoming.find(cur->id);
-    if (in_it != incoming.end()) {
-      for (const Span* src : in_it->second) {
-        if (visited.count(src->id)) continue;
-        if (pred == nullptr || better_candidate(*src, *pred)) pred = src;
-      }
+    for (std::size_t src : incoming[at]) {
+      if (visited[src]) continue;
+      if (pred == nullptr || better_candidate(spans[src], *pred))
+        pred = &spans[src];
     }
     if (pred == nullptr) {
-      for (const Span& s : spans) {
-        if (s.end > upper + kEps || visited.count(s.id)) continue;
-        if (pred == nullptr || better_candidate(s, *pred)) pred = &s;
-      }
+      const double limit = upper + kEps;
+      cursor = std::partition_point(
+          cursor, order.cend(),
+          [&](std::size_t i) { return spans[i].end > limit; });
+      while (cursor != order.cend() && visited[*cursor]) ++cursor;
+      if (cursor != order.cend()) pred = &spans[*cursor];
     }
     if (pred != nullptr) {
       const double gap = upper - pred->end;

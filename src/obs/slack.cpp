@@ -85,10 +85,14 @@ SpanDag build_span_dag(const std::vector<Span>& spans,
 SlackReport slack_analysis(const std::vector<Span>& spans,
                            const std::vector<SpanEdge>& edges,
                            std::size_t top_k) {
+  return slack_analysis(spans, build_span_dag(spans, edges), top_k);
+}
+
+SlackReport slack_analysis(const std::vector<Span>& spans, const SpanDag& dag,
+                           std::size_t top_k) {
   SlackReport rep;
   const std::size_t n = spans.size();
   if (n == 0) return rep;
-  const SpanDag dag = build_span_dag(spans, edges);
 
   rep.t0 = spans[0].start;
   rep.t1 = spans[0].end;

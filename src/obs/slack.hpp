@@ -84,5 +84,8 @@ struct SlackReport {
 SlackReport slack_analysis(const std::vector<Span>& spans,
                            const std::vector<SpanEdge>& edges,
                            std::size_t top_k = 3);
+/// The `dag` overload shares one dependency build with the what-if replays.
+SlackReport slack_analysis(const std::vector<Span>& spans, const SpanDag& dag,
+                           std::size_t top_k = 3);
 
 }  // namespace amrio::obs

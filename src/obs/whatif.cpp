@@ -205,7 +205,7 @@ ExplainReport explain(const std::vector<Span>& spans,
   if (spans.empty()) return rep;
 
   const SpanDag dag = build_span_dag(spans, edges);
-  const SlackReport slack = slack_analysis(spans, edges);
+  const SlackReport slack = slack_analysis(spans, dag);
   const std::vector<Scenario> at15 = standard_scenarios(1.5, knobs);
   const std::vector<Scenario> at20 = standard_scenarios(2.0, knobs);
 

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -241,6 +246,209 @@ TEST(CriticalPath, EmptyStreamYieldsZeroReport) {
   const obs::CriticalPathReport cp = obs::critical_path({}, {});
   EXPECT_DOUBLE_EQ(cp.makespan, 0.0);
   EXPECT_TRUE(cp.stages.empty());
+}
+
+namespace {
+
+// The original backward walk, kept verbatim as the oracle for the sorted
+// fallback: each step without an unvisited edge predecessor rescans every
+// span for the best one ending at or before the coverage frontier.
+bool reference_better(const obs::Span& a, const obs::Span& b) {
+  if (a.end != b.end) return a.end > b.end;
+  if (a.start != b.start) return a.start > b.start;
+  return a.id < b.id;
+}
+
+obs::CriticalPathReport reference_critical_path(
+    const std::vector<obs::Span>& spans,
+    const std::vector<obs::SpanEdge>& edges) {
+  constexpr double kEps = 1e-9;
+  obs::CriticalPathReport report;
+  if (spans.empty()) return report;
+
+  std::unordered_map<std::uint64_t, const obs::Span*> by_id;
+  for (const obs::Span& s : spans) by_id.emplace(s.id, &s);
+  std::unordered_map<std::uint64_t, std::vector<const obs::Span*>> incoming;
+  for (const obs::SpanEdge& e : edges) {
+    auto it = by_id.find(e.from);
+    if (it != by_id.end()) incoming[e.to].push_back(it->second);
+  }
+
+  report.t0 = spans.front().start;
+  report.t1 = spans.front().end;
+  const obs::Span* cur = &spans.front();
+  for (const obs::Span& s : spans) {
+    report.t0 = std::min(report.t0, s.start);
+    report.t1 = std::max(report.t1, s.end);
+    if (reference_better(s, *cur)) cur = &s;
+  }
+  report.makespan = report.t1 - report.t0;
+
+  std::map<std::string, double> stage_seconds;
+  std::map<std::string, double> resource_wait;
+  std::unordered_set<std::uint64_t> visited;
+  double upper = report.t1;
+  while (cur != nullptr) {
+    visited.insert(cur->id);
+    report.chain.push_back(cur->id);
+    const double seg_end = std::min(cur->end, upper);
+    const double seg_start = std::min(cur->start, seg_end);
+    if (seg_end > seg_start) stage_seconds[cur->stage] += seg_end - seg_start;
+    if (cur->wait > 0 && !cur->resource.empty())
+      resource_wait[cur->resource] += cur->wait;
+    upper = std::min(upper, seg_start);
+
+    const obs::Span* pred = nullptr;
+    auto in_it = incoming.find(cur->id);
+    if (in_it != incoming.end()) {
+      for (const obs::Span* src : in_it->second) {
+        if (visited.count(src->id)) continue;
+        if (pred == nullptr || reference_better(*src, *pred)) pred = src;
+      }
+    }
+    if (pred == nullptr) {
+      for (const obs::Span& s : spans) {
+        if (s.end > upper + kEps || visited.count(s.id)) continue;
+        if (pred == nullptr || reference_better(s, *pred)) pred = &s;
+      }
+    }
+    if (pred != nullptr) {
+      const double gap = upper - pred->end;
+      if (gap > kEps) {
+        stage_seconds["compute"] += gap;
+        upper = pred->end;
+      }
+    } else {
+      const double gap = upper - report.t0;
+      if (gap > kEps) stage_seconds["compute"] += gap;
+    }
+    cur = pred;
+  }
+  std::reverse(report.chain.begin(), report.chain.end());
+
+  for (const auto& [stage, seconds] : stage_seconds) {
+    obs::StageShare share;
+    share.stage = stage;
+    share.seconds = seconds;
+    share.frac = report.makespan > 0 ? seconds / report.makespan : 0.0;
+    report.stages.push_back(std::move(share));
+  }
+  std::sort(report.stages.begin(), report.stages.end(),
+            [](const obs::StageShare& a, const obs::StageShare& b) {
+              if (a.seconds != b.seconds) return a.seconds > b.seconds;
+              return a.stage < b.stage;
+            });
+  if (!report.stages.empty()) {
+    report.critical_stage = report.stages.front().stage;
+    report.critical_frac = report.stages.front().frac;
+  }
+  double best_wait = 0.0;
+  for (const auto& [resource, wait] : resource_wait) {
+    if (report.binding_resource.empty() || wait > best_wait) {
+      report.binding_resource = resource;
+      best_wait = wait;
+    }
+  }
+  if (report.binding_resource.empty())
+    report.binding_resource = report.critical_stage;
+  return report;
+}
+
+// One seeded random stream built to hit every tie the walk breaks: times on
+// a coarse grid (ties in end and start, zero-duration spans) nudged by
+// sub-kEps and near-kEps offsets (ends within 1e-9 of each other and of the
+// frontier), unique ids shuffled against the time order, and edges that
+// overlap their target, point back in time (a source already on the chain),
+// loop onto themselves, or name no span at all.
+struct RandomStream {
+  std::vector<obs::Span> spans;
+  std::vector<obs::SpanEdge> edges;
+};
+
+RandomStream random_stream(std::uint64_t seed) {
+  static const char* const kStages[] = {"write", "drain", "prefetch",
+                                        "bb_read", "open"};
+  static const char* const kResources[] = {"ost[0]", "ost[1]", "bb[0]",
+                                           "drain_stream"};
+  static const double kNudge[] = {0.0, 0.0, 0.0, 4e-10, -4e-10,
+                                  1e-9, -1e-9, 1.5e-9, -1.5e-9};
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto grid = [&] {
+    return 0.25 * static_cast<double>(pick(24)) + kNudge[pick(9)];
+  };
+
+  RandomStream out;
+  const std::size_t n = 1 + pick(seed % 8 == 0 ? 400 : 48);
+  std::vector<std::uint64_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i)
+    ids[i] = (static_cast<std::uint64_t>(pick(8)) + 1) << 32 | (i + 1);
+  std::shuffle(ids.begin(), ids.end(), rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = grid();
+    const double b = pick(4) == 0 ? a : grid();  // zero-duration spans
+    obs::Span s = make_span(static_cast<int>(ids[i] >> 32) - 1,
+                            kStages[pick(5)], std::min(a, b), std::max(a, b));
+    s.id = ids[i];
+    if (pick(3) == 0) {
+      s.wait = 0.125 * static_cast<double>(1 + pick(8));
+      s.resource = kResources[pick(4)];
+    }
+    out.spans.push_back(std::move(s));
+  }
+
+  const std::size_t n_edges = pick(2 * n + 1);
+  for (std::size_t k = 0; k < n_edges; ++k) {
+    const obs::Span& to = out.spans[pick(n)];
+    const obs::Span& from = out.spans[pick(n)];
+    switch (pick(8)) {
+      case 0:  // self-loop
+        out.edges.push_back({to.id, to.id});
+        break;
+      case 1:  // dangling source or target
+        out.edges.push_back({pick(2) ? 0xdeadull : from.id,
+                             pick(2) ? to.id : 0xbeefull});
+        break;
+      default:  // any direction: overlapping, forward, or back in time
+        out.edges.push_back({from.id, to.id});
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(CriticalPath, SortedFallbackMatchesTheQuadraticWalk) {
+  std::size_t long_chains = 0, edge_steps = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    const RandomStream st = random_stream(seed);
+    const obs::CriticalPathReport want =
+        reference_critical_path(st.spans, st.edges);
+    const obs::CriticalPathReport got = obs::critical_path(st.spans, st.edges);
+    ASSERT_EQ(got.chain, want.chain) << "seed " << seed;
+    ASSERT_EQ(got.stages.size(), want.stages.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.stages.size(); ++i) {
+      EXPECT_EQ(got.stages[i].stage, want.stages[i].stage) << "seed " << seed;
+      EXPECT_EQ(std::memcmp(&got.stages[i].seconds, &want.stages[i].seconds,
+                            sizeof(double)),
+                0)
+          << "seed " << seed << " stage " << want.stages[i].stage;
+    }
+    EXPECT_EQ(got.binding_resource, want.binding_resource) << "seed " << seed;
+    EXPECT_EQ(got.critical_stage, want.critical_stage) << "seed " << seed;
+    EXPECT_EQ(got.makespan, want.makespan) << "seed " << seed;
+
+    if (want.chain.size() >= 8) ++long_chains;
+    std::set<std::pair<std::uint64_t, std::uint64_t>> edge_set;
+    for (const obs::SpanEdge& e : st.edges) edge_set.insert({e.from, e.to});
+    for (std::size_t i = 1; i < want.chain.size(); ++i)
+      if (edge_set.count({want.chain[i - 1], want.chain[i]})) ++edge_steps;
+  }
+  // The draws exercise both predecessor rules, over chains of real length.
+  EXPECT_GT(long_chains, 100u);
+  EXPECT_GT(edge_steps, 100u);
 }
 
 // ------------------------------------------------------------ exporters
