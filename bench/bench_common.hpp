@@ -5,12 +5,15 @@
 /// bench from laptop scale toward paper scale.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
+#include "core/run_flags.hpp"
 #include "exec/engine.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -25,37 +28,21 @@
 
 namespace amrio::bench {
 
-struct BenchContext {
+/// The shared run flags (core::RunFlags: --engine, --trace_out,
+/// --metrics_out, --explain/--explain_out, --jobs, --cache) plus the
+/// bench-only knobs. A bench trace covers one study row at a time (so each
+/// row's critical path is clean); by default the *last* row's trace is
+/// written to --trace_out. A `%d` in the path turns it into a per-row
+/// template (`trace_%d.json` → trace_0.json, trace_1.json, ...), and
+/// --trace_row K writes exactly row K (0-based) instead of the last. The
+/// --explain report likewise covers the last study row.
+struct BenchContext : core::RunFlags {
   bool full = false;       ///< --full: run closer to paper scale
   double scale = 0.0;      ///< explicit --scale overrides presets
   std::string out_dir = "bench_results";
-  /// --engine: execution engine for any proxy replays the bench performs
-  /// (serial | spmd | event). Serial matches historical bench behavior;
-  /// event unlocks machine-scale rank counts.
-  exec::EngineKind engine = exec::EngineKind::kSerial;
-  /// --trace_out: Chrome-trace/Perfetto JSON. Benches trace one study row at
-  /// a time (so each row's critical path is clean); by default the *last*
-  /// row's trace is written here. A `%d` in the path turns it into a per-row
-  /// template (`trace_%d.json` → trace_0.json, trace_1.json, ...), and
-  /// --trace_row K writes exactly row K (0-based) instead of the last.
-  std::string trace_out;
   /// --trace_row: which 0-based study row --trace_out captures (-1 = the
   /// default last-row behavior). Ignored when --trace_out has a %d template.
   int trace_row = -1;
-  /// --metrics_out: metrics snapshot accumulated across every row (".csv"
-  /// suffix selects flat CSV, anything else pretty JSON).
-  std::string metrics_out;
-  /// --explain: print the predictive bottleneck report (per-resource
-  /// what-if makespans at 1.5x/2x relief and shadow prices) for the last
-  /// study row, mirroring the --trace_out last-row default.
-  bool explain = false;
-  /// --explain_out: also write that report as JSON (implies --explain).
-  std::string explain_out;
-  /// --jobs: campaign executor worker threads (1 = inline, no threads).
-  int jobs = 1;
-  /// --cache: JSON result-cache path for campaign sweeps — loaded before
-  /// the run, saved after, so a re-run in a later process hits warm.
-  std::string cache_path;
   /// --predict: fit campaign::PredictService over the executed cells and
   /// print a held-out what-if answer with its calibration error.
   bool predict = false;
@@ -120,6 +107,9 @@ struct BenchContext {
   mutable int row_index_ = 0;  ///< rows completed; advanced by row_done()
 };
 
+/// Parse a bench's argv. Bad input (unknown flag, malformed or out-of-range
+/// value, stray positional token) prints `<name>: <message>` on stderr and
+/// exits 2.
 inline BenchContext parse_bench_args(int argc, char** argv,
                                      const std::string& name,
                                      const std::string& what) {
@@ -128,56 +118,43 @@ inline BenchContext parse_bench_args(int argc, char** argv,
   cli.add_option("scale", "explicit mesh scale in (0,1]", 1);
   cli.add_option("out", "output directory for CSV", 1,
                  std::string("bench_results"));
-  cli.add_option("engine", "execution engine: serial | spmd | event", 1,
-                 std::string("serial"));
-  cli.add_option("trace_out",
-                 "Chrome-trace JSON (default: last study row; %d in the "
-                 "path = one file per row)",
-                 1, std::string(""));
+  core::declare_run_flags(cli);
   cli.add_option("trace_row",
                  "0-based study row --trace_out captures (default: last)", 1,
                  std::string("-1"));
-  cli.add_option("metrics_out", "metrics snapshot (JSON, or CSV by suffix)", 1,
-                 std::string(""));
-  cli.add_flag("explain",
-               "print the predictive bottleneck report (what-if makespans "
-               "at 1.5x/2x relief, shadow prices) for the last study row");
-  cli.add_option("explain_out",
-                 "write the last row's explain report as JSON (implies "
-                 "--explain)",
-                 1, std::string(""));
-  cli.add_option("jobs", "campaign worker threads (1 = inline)", 1,
-                 std::string("1"));
-  cli.add_option("cache", "campaign JSON result-cache path", 1,
-                 std::string(""));
   cli.add_flag("predict",
                "fit the campaign predict service and answer a held-out "
                "what-if query (campaign benches)");
   cli.add_flag("help", "show usage");
-  cli.parse(argc, argv);
-  if (cli.flag("help")) {
-    std::printf("%s", cli.usage().c_str());
-    std::exit(0);
-  }
   BenchContext ctx;
-  ctx.full = cli.flag("full");
-  ctx.engine = exec::engine_kind_from_name(cli.get("engine"));
-  ctx.scale = cli.get_double_or("scale", 0.0);
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help")) {
+      std::printf("%s", cli.usage().c_str());
+      std::exit(0);
+    }
+    if (!cli.positional().empty())
+      throw std::invalid_argument("unexpected argument '" +
+                                  cli.positional().front() + "'");
+    static_cast<core::RunFlags&>(ctx) = core::read_run_flags(cli);
+    ctx.full = cli.flag("full");
+    ctx.scale = cli.get_double_or("scale", 0.0);
+    if (cli.has("scale") && !(ctx.scale > 0.0 && ctx.scale <= 1.0))
+      throw std::invalid_argument("--scale: must be in (0,1], got " +
+                                  cli.get("scale"));
+    ctx.out_dir = cli.get("out");
+    ctx.trace_row = cli.get_int<int>("trace_row");
+    ctx.predict = cli.flag("predict");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    std::exit(2);
+  }
   if (ctx.scale == 0.0) {
     if (const char* env = std::getenv("AMRIO_SCALE")) {
       const double v = std::atof(env);
       if (v > 0.0 && v <= 1.0) ctx.scale = v;
     }
   }
-  ctx.out_dir = cli.get("out");
-  ctx.trace_out = cli.get("trace_out");
-  ctx.trace_row = cli.get_int_or("trace_row", -1);
-  ctx.metrics_out = cli.get("metrics_out");
-  ctx.explain_out = cli.get("explain_out");
-  ctx.explain = cli.flag("explain") || !ctx.explain_out.empty();
-  ctx.jobs = cli.get_int_or("jobs", 1);
-  ctx.cache_path = cli.get("cache");
-  ctx.predict = cli.flag("predict");
   util::make_dirs(ctx.out_dir);
   return ctx;
 }

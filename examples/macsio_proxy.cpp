@@ -11,27 +11,18 @@
 ///     --vars_per_part 1 --compute_time 0.5 --meta_size 0 \
 ///     --dataset_growth 1.013075 --nprocs 8 --out macsio_run
 ///
-/// Observability surface: --trace_out (buffered Chrome-trace export, byte
-/// identical across engines), --trace_sample N (streaming bounded-memory
-/// export keeping N representative ranks — the machine-scale path),
-/// --metrics_out, --critical_path, --util_out (per-resource utilization
-/// ledger), --prof_out (host-side self-profiling of the engine itself),
-/// --explain / --explain_out (predictive bottleneck report: span-DAG slack,
-/// per-resource what-if makespans at 1.5x/2x relief, shadow prices).
-///
-/// Campaign surface: --campaign sweeps the configuration through the sharded
-/// campaign executor (--jobs worker threads, --cache persistent result
-/// cache, --campaign_csv canonical CSV) and --predict N answers a
-/// dump/restart-time what-if at a never-simulated rank count from the
-/// calibrated Eq. 3-style fit.
+/// Every flag — the Params table, the run flags shared with the benches, and
+/// the proxy's own observability/campaign extras — is declared in one
+/// util::ArgParser, and `--help` prints it (docs/KNOBS.md adds validation
+/// rules). Bad input prints one `macsio_proxy: <message>` line, exit 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "campaign/predict.hpp"
 #include "campaign/report.hpp"
 #include "core/proxy_study.hpp"
+#include "core/run_flags.hpp"
 #include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
@@ -45,160 +36,77 @@
 #include "obs/whatif.hpp"
 #include "pfs/timeline.hpp"
 #include "staging/aggregator.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace amrio;
-  std::vector<std::string> args;
-  exec::EngineKind engine_kind = exec::EngineKind::kSerial;
-  bool to_disk = false;
-  std::string out_root = "macsio_run";
-  std::string trace_out;
-  std::string metrics_out;
-  std::string util_out;
-  std::string prof_out;
-  std::string explain_out;
+  util::ArgParser cli("macsio_proxy",
+                      "MACSio-compatible proxy I/O application: the paper's "
+                      "Table II argv over virtual ranks.");
+  macsio::Params::declare_cli(cli);
+  core::declare_run_flags(cli);
+  cli.add_flag("disk", "write real files through the POSIX backend");
+  cli.add_option("out", "disk root for --disk", 1, std::string("macsio_run"));
+  cli.add_option("trace_sample",
+                 "with --trace_out: stream the trace in bounded memory, "
+                 "keeping N evenly spaced ranks (plus driver and aggregators) "
+                 "and folding the rest into per-stage envelope spans",
+                 1, std::string("0"));
+  cli.add_flag("critical_path", "print the critical-path summary");
+  cli.add_flag("no_approx_critical_path",
+               "exit 3 rather than report an envelope approximation under "
+               "--trace_sample");
+  cli.add_option("util_out", "per-resource utilization ledger JSON", 1,
+                 std::string(""));
+  cli.add_option("prof_out", "host wall-clock self-profile JSON of the engine",
+                 1, std::string(""));
+  cli.add_flag("campaign", "sweep the codec axis on the campaign executor");
+  cli.add_option("campaign_csv", "canonical campaign CSV (implies --campaign)",
+                 1, std::string(""));
+  cli.add_option("predict",
+                 "answer the what-if at N never-simulated ranks from the "
+                 "campaign fit (implies --campaign)");
+  cli.add_flag("help", "show usage");
+
+  macsio::Params params;
+  core::RunFlags run;
   int trace_sample = 0;
-  bool want_critical = false;
-  bool want_explain = false;
-  bool no_approx_cp = false;
-  bool campaign_mode = false;
-  int jobs = 1;
-  std::string cache_path;
-  std::string campaign_csv;
   int predict_ranks = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--spmd") {  // legacy alias for --engine spmd
-      engine_kind = exec::EngineKind::kSpmd;
-    } else if (a == "--engine" && i + 1 < argc) {
-      try {
-        engine_kind = exec::engine_kind_from_name(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
-        return 2;
-      }
-    } else if (a == "--disk") {
-      to_disk = true;
-    } else if (a == "--out" && i + 1 < argc) {
-      out_root = argv[++i];
-    } else if (a == "--trace_out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (a == "--trace_sample" && i + 1 < argc) {
-      trace_sample = std::atoi(argv[++i]);
-      if (trace_sample < 0) {
-        std::fprintf(stderr, "macsio_proxy: --trace_sample must be >= 0\n");
-        return 2;
-      }
-    } else if (a == "--metrics_out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (a == "--util_out" && i + 1 < argc) {
-      util_out = argv[++i];
-    } else if (a == "--prof_out" && i + 1 < argc) {
-      prof_out = argv[++i];
-    } else if (a == "--critical_path") {
-      want_critical = true;
-    } else if (a == "--no_approx_critical_path") {
-      no_approx_cp = true;
-    } else if (a == "--explain") {
-      want_explain = true;
-    } else if (a == "--explain_out" && i + 1 < argc) {
-      explain_out = argv[++i];
-      want_explain = true;
-    } else if (a == "--campaign") {
-      campaign_mode = true;
-    } else if (a == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "macsio_proxy: --jobs must be >= 1\n");
-        return 2;
-      }
-    } else if (a == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
-    } else if (a == "--campaign_csv" && i + 1 < argc) {
-      campaign_csv = argv[++i];
-      campaign_mode = true;
-    } else if (a == "--predict" && i + 1 < argc) {
-      predict_ranks = std::atoi(argv[++i]);
-      if (predict_ranks < 1) {
-        std::fprintf(stderr, "macsio_proxy: --predict needs a rank count\n");
-        return 2;
-      }
-      campaign_mode = true;
-    } else if (a == "--help") {
-      std::printf(
-          "macsio_proxy: MACSio-compatible proxy I/O application\n"
-          "  Table II arguments: --interface --parallel_file_mode --num_dumps\n"
-          "  --part_size --avg_num_parts --vars_per_part --compute_time\n"
-          "  --meta_size --dataset_growth, plus --nprocs N.\n"
-          "  staging: --aggregators N --agg_link_bw B --staging none|bb\n"
-          "  codec:   --codec identity|lossless|ebl --codec_error_bound E\n"
-          "           --codec_throughput B --codec_decode_throughput B\n"
-          "  restart: --restart (read the last dump back)\n"
-          "           --read_staging none|bb --prefetch N\n"
-          "  extras: --engine serial|spmd|event (execution substrate;\n"
-          "          event scales to 100k+ virtual ranks), --spmd (alias\n"
-          "          for --engine spmd), --disk (write real files),\n"
-          "          --out DIR (disk root)\n"
-          "  observability: --trace_out FILE (Chrome-trace/Perfetto JSON of\n"
-          "          the virtual-time spans; ranks as threads),\n"
-          "          --trace_sample N (with --trace_out: stream the trace\n"
-          "          with bounded memory, keeping N evenly spaced ranks\n"
-          "          verbatim — plus the driver track and aggregators —\n"
-          "          and folding the rest into per-stage envelope spans;\n"
-          "          the machine-scale path for --engine event),\n"
-          "          --metrics_out FILE (metrics snapshot; .csv or JSON),\n"
-          "          --critical_path (print the critical-path summary\n"
-          "          without writing any trace file; under --trace_sample\n"
-          "          it falls back to a per-stage envelope approximation),\n"
-          "          --no_approx_critical_path (refuse that approximation:\n"
-          "          exit non-zero instead of printing an approximate\n"
-          "          critical path under --trace_sample),\n"
-          "          --util_out FILE (per-resource utilization ledger as\n"
-          "          JSON; also prints the bottleneck table),\n"
-          "          --explain (predictive bottleneck report: per resource\n"
-          "          group its utilization, slack-weighted exposure, the\n"
-          "          what-if makespan at 1.5x/2x capacity relief, and the\n"
-          "          shadow price — seconds of makespan per +1x capacity),\n"
-          "          --explain_out FILE (write that report as JSON),\n"
-          "          --prof_out FILE (host wall-clock self-profile of the\n"
-          "          engine: events/sec, context switches, ready-queue\n"
-          "          high-water, arena bytes; NOT engine-invariant).\n"
-          "          Any virtual-time flag also replays the request stream\n"
-          "          through the reference PFS/BB model so the artifacts\n"
-          "          hold every stage.\n"
-          "  campaign: --campaign (sweep this configuration over the codec\n"
-          "          axis — and over rank scalings when predicting — through\n"
-          "          the sharded campaign executor instead of one run),\n"
-          "          --jobs N (executor worker threads; 1 = inline),\n"
-          "          --cache FILE (persistent JSON result cache; a re-run\n"
-          "          resolves warm without simulating), --campaign_csv FILE\n"
-          "          (canonical campaign CSV: virtual-clock columns only),\n"
-          "          --predict N (fit the campaign predict service and\n"
-          "          answer the dump/restart-time what-if at N ranks —\n"
-          "          a rank count the campaign never simulated — printing\n"
-          "          the fit's calibration error next to the answer).\n");
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help")) {
+      std::printf("%s", cli.usage().c_str());
       return 0;
-    } else {
-      args.push_back(a);
     }
+    params = macsio::Params::from_parsed(cli);
+    run = core::read_run_flags(cli);
+    trace_sample = cli.get_int<int>("trace_sample");
+    if (trace_sample < 0)
+      throw std::invalid_argument("--trace_sample: must be >= 0, got " +
+                                  cli.get("trace_sample"));
+    predict_ranks = cli.get_int_or<int>("predict", 0);
+    if (cli.has("predict") && predict_ranks < 1)
+      throw std::invalid_argument("--predict: needs a rank count >= 1, got " +
+                                  cli.get("predict"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
+    return 2;
   }
-  if (trace_sample > 0 && trace_out.empty()) {
+  const std::string util_out = cli.get("util_out");
+  const std::string prof_out = cli.get("prof_out");
+  const std::string campaign_csv = cli.get("campaign_csv");
+  const bool campaign_mode =
+      cli.flag("campaign") || !campaign_csv.empty() || predict_ranks > 0;
+  if (trace_sample > 0 && run.trace_out.empty()) {
     std::fprintf(stderr,
                  "macsio_proxy: --trace_sample only affects --trace_out; "
                  "ignoring it\n");
     trace_sample = 0;
   }
 
-  macsio::Params params;
-  try {
-    params = macsio::Params::from_cli(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
-    return 2;
-  }
   std::printf("invocation: %s\n", params.to_command_line().c_str());
 
   if (campaign_mode) {
@@ -209,7 +117,7 @@ int main(int argc, char** argv) {
     std::vector<core::StudyOptions> variants;
     for (const char* codec : {"identity", "lossless", "ebl"}) {
       core::StudyOptions v;
-      v.engine = engine_kind;
+      v.engine = run.engine;
       v.codec = codec;
       if (std::string(codec) == "ebl") {
         v.codec_error_bound =
@@ -223,8 +131,8 @@ int main(int argc, char** argv) {
       variants.push_back(std::move(v));
     }
     campaign::ExecutorOptions exec_opts;
-    exec_opts.jobs = jobs;
-    exec_opts.cache_path = cache_path;
+    exec_opts.jobs = run.jobs;
+    exec_opts.cache_path = run.cache_path;
     std::vector<int> rank_points = {params.nprocs};
     if (predict_ranks > 0) {
       rank_points.push_back(params.nprocs * 2);
@@ -252,7 +160,7 @@ int main(int argc, char** argv) {
     }
     std::printf("campaign: %llu cells, %d worker(s): %llu executed, "
                 "%llu cache hits\n",
-                static_cast<unsigned long long>(stats.cells), jobs,
+                static_cast<unsigned long long>(stats.cells), run.jobs,
                 static_cast<unsigned long long>(stats.executed),
                 static_cast<unsigned long long>(stats.cache_hits));
     util::TextTable table(
@@ -288,20 +196,22 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<pfs::StorageBackend> backend;
-  if (to_disk) backend = std::make_unique<pfs::PosixBackend>(out_root);
+  if (cli.flag("disk"))
+    backend = std::make_unique<pfs::PosixBackend>(cli.get("out"));
   else backend = std::make_unique<pfs::MemoryBackend>(false);
 
   iostats::TraceRecorder trace;
   const bool sampling = trace_sample > 0;
-  const bool observe = !trace_out.empty() || !metrics_out.empty() ||
-                       !util_out.empty() || want_critical || want_explain;
+  const bool observe = !run.trace_out.empty() || !run.metrics_out.empty() ||
+                       !util_out.empty() || cli.flag("critical_path") ||
+                       run.explain;
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   obs::ResourceLedger ledger;
   std::unique_ptr<obs::TraceStream> stream;
   if (sampling) {
     obs::TraceStream::Options opt;
-    opt.path = trace_out;
+    opt.path = run.trace_out;
     opt.sample.nranks = params.nprocs;
     opt.sample.sample = trace_sample;
     if (params.aggregators > 0) {
@@ -319,14 +229,14 @@ int main(int argc, char** argv) {
                             : static_cast<obs::SpanSink*>(&tracer);
     probe.metrics = &metrics;
     // --explain needs the utilization ledger for its per-group rows.
-    if (!util_out.empty() || want_explain) probe.ledger = &ledger;
+    if (!util_out.empty() || run.explain) probe.ledger = &ledger;
   }
   obs::SelfProfiler prof;
   obs::SelfProfiler* prof_ptr = prof_out.empty() ? nullptr : &prof;
 
   std::unique_ptr<exec::Engine> engine;
   try {
-    engine = exec::make_engine(engine_kind, params.nprocs);
+    engine = exec::make_engine(run.engine, params.nprocs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
     return 2;
@@ -416,7 +326,7 @@ int main(int argc, char** argv) {
     std::vector<obs::Span> envelopes;
     if (sampling) envelopes = stream->envelope_spans();
     if (sampling) {
-      if (no_approx_cp) {
+      if (cli.flag("no_approx_critical_path")) {
         std::fprintf(stderr,
                      "macsio_proxy: critical path under --trace_sample uses "
                      "the per-stage envelope approximation; drop "
@@ -434,23 +344,23 @@ int main(int argc, char** argv) {
       std::printf("critical path over %.4gs of virtual time: %s\n",
                   cp.makespan, obs::summarize(cp).c_str());
     }
-    if (!trace_out.empty()) {
+    if (!run.trace_out.empty()) {
       if (sampling) {
         stream->finish();
         std::printf("trace: %s (sampled %d of %d ranks: kept %llu of %llu "
                     "spans, peak %zu buffered)\n",
-                    trace_out.c_str(), trace_sample, params.nprocs,
+                    run.trace_out.c_str(), trace_sample, params.nprocs,
                     static_cast<unsigned long long>(stream->spans_kept()),
                     static_cast<unsigned long long>(stream->spans_recorded()),
                     stream->peak_buffered_spans());
       } else {
-        obs::export_trace(trace_out, tracer);
-        std::printf("trace: %s\n", trace_out.c_str());
+        obs::export_trace(run.trace_out, tracer);
+        std::printf("trace: %s\n", run.trace_out.c_str());
       }
     }
-    if (!metrics_out.empty()) {
-      obs::export_metrics(metrics_out, metrics.snapshot());
-      std::printf("metrics: %s\n", metrics_out.c_str());
+    if (!run.metrics_out.empty()) {
+      obs::export_metrics(run.metrics_out, metrics.snapshot());
+      std::printf("metrics: %s\n", run.metrics_out.c_str());
     }
     if (!util_out.empty()) {
       const obs::UtilizationReport rep = ledger.report();
@@ -459,7 +369,7 @@ int main(int argc, char** argv) {
       obs::export_utilization(util_out, rep);
       std::printf("utilization: %s\n", util_out.c_str());
     }
-    if (want_explain) {
+    if (run.explain) {
       // Relief scenarios are computed against the same rates the replay
       // used, so "2x ost" in the report means doubling obs_cfg's knob.
       obs::ReliefKnobs knobs;
@@ -474,9 +384,9 @@ int main(int argc, char** argv) {
         std::printf("explain (approximate: per-stage envelopes — span-level "
                     "slack and service tags need an unsampled trace):\n");
       std::printf("%s", obs::explain_table(rep).c_str());
-      if (!explain_out.empty()) {
-        obs::export_explain(explain_out, rep);
-        std::printf("explain: %s\n", explain_out.c_str());
+      if (!run.explain_out.empty()) {
+        obs::export_explain(run.explain_out, rep);
+        std::printf("explain: %s\n", run.explain_out.c_str());
       }
     }
   }

@@ -74,8 +74,7 @@ void check_staging_codec_knobs(const Params& p, bool aggregators_given) {
 
 }  // namespace
 
-Params Params::from_cli(const std::vector<std::string>& args) {
-  util::ArgParser cli("macsio", "MACSio-compatible proxy I/O application");
+void Params::declare_cli(util::ArgParser& cli) {
   cli.add_option("interface", "output plugin: miftmpl|hdf5|h5lite|raw", 1,
                  std::string("miftmpl"));
   cli.add_option("parallel_file_mode", "MIF <nfiles> or SIF 1", 2);
@@ -121,35 +120,42 @@ Params Params::from_cli(const std::vector<std::string>& args) {
   cli.add_option("output_dir", "output directory", 1, std::string("macsio_out"));
   cli.add_option("fill", "value fill mode: sized|real", 1, std::string("sized"));
   cli.add_option("seed", "rng seed for real fill", 1, std::string("7"));
-  cli.parse(args);
+}
 
+Params Params::from_parsed(const util::ArgParser& cli) {
+  if (!cli.positional().empty())
+    throw std::invalid_argument("macsio: unexpected argument '" +
+                                cli.positional().front() + "'");
+  const auto bytes = [&cli](const std::string& flag) {
+    try {
+      return util::parse_bytes(cli.get(flag));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("--" + flag + ": " + e.what());
+    }
+  };
   Params p;
   p.interface = interface_from_string(cli.get("interface"));
-  if (cli.flag("parallel_file_mode") || cli.has("parallel_file_mode")) {
+  if (cli.has("parallel_file_mode")) {  // no default: present only when given
     const auto mode = cli.get_all("parallel_file_mode");
-    if (!mode.empty()) {
-      const std::string kind = util::to_lower(mode.at(0));
-      if (kind == "mif") {
-        p.file_mode = FileMode::kMif;
-        p.mif_files = mode.size() > 1 ? std::stoi(mode[1]) : 0;
-      } else if (kind == "sif") {
-        p.file_mode = FileMode::kSif;
-      } else {
-        throw std::invalid_argument("macsio: bad parallel_file_mode '" +
-                                    mode[0] + "'");
-      }
+    const std::string kind = util::to_lower(mode.at(0));
+    if (kind == "mif") {
+      p.file_mode = FileMode::kMif;
+      p.mif_files = util::parse_int<int>("parallel_file_mode", mode.at(1));
+    } else if (kind == "sif") {
+      p.file_mode = FileMode::kSif;
+    } else {
+      throw std::invalid_argument("macsio: bad parallel_file_mode '" +
+                                  mode[0] + "'");
     }
   }
-  p.num_dumps = static_cast<int>(cli.get_int("num_dumps"));
-  p.part_size = util::parse_bytes(cli.get("part_size"));
+  p.num_dumps = cli.get_int<int>("num_dumps");
+  p.part_size = bytes("part_size");
   p.avg_num_parts = cli.get_double("avg_num_parts");
-  p.vars_per_part = static_cast<int>(cli.get_int("vars_per_part"));
+  p.vars_per_part = cli.get_int<int>("vars_per_part");
   p.compute_time = cli.get_double("compute_time");
-  p.meta_size = util::parse_bytes(cli.get("meta_size"));
+  p.meta_size = bytes("meta_size");
   p.dataset_growth = cli.get_double("dataset_growth");
-  const bool aggregators_given = cli.has("aggregators");
-  if (aggregators_given)  // no default: present only when given
-    p.aggregators = static_cast<int>(cli.get_int("aggregators"));
+  p.aggregators = cli.get_int_or<int>("aggregators", 0);
   p.agg_link_bandwidth = cli.get_double("agg_link_bw");
   const std::string staging = util::to_lower(cli.get("staging"));
   if (staging == "bb") p.stage_to_bb = true;
@@ -167,17 +173,24 @@ Params Params::from_cli(const std::vector<std::string>& args) {
   else if (read_staging != "none")
     throw std::invalid_argument("macsio: bad restart read tier '" +
                                 read_staging + "' (expected none|bb)");
-  p.prefetch_streams = static_cast<int>(cli.get_int("prefetch"));
-  check_staging_codec_knobs(p, aggregators_given);
-  p.nprocs = static_cast<int>(cli.get_int("nprocs"));
+  p.prefetch_streams = cli.get_int<int>("prefetch");
+  check_staging_codec_knobs(p, cli.has("aggregators"));
+  p.nprocs = cli.get_int<int>("nprocs");
   p.output_dir = cli.get("output_dir");
   const std::string fill = util::to_lower(cli.get("fill"));
   if (fill == "sized") p.fill = FillMode::kSized;
   else if (fill == "real") p.fill = FillMode::kReal;
   else throw std::invalid_argument("macsio: bad fill mode '" + fill + "'");
-  p.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  p.seed = cli.get_int<std::uint64_t>("seed");
   p.validate();
   return p;
+}
+
+Params Params::from_cli(const std::vector<std::string>& args) {
+  util::ArgParser cli("macsio", "MACSio-compatible proxy I/O application");
+  declare_cli(cli);
+  cli.parse(args);
+  return from_parsed(cli);
 }
 
 std::vector<std::string> Params::to_cli() const {

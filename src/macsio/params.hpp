@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "codec/codec.hpp"
+#include "util/cli.hpp"
 
 namespace amrio::macsio {
 
@@ -96,18 +97,17 @@ struct Params {
   FillMode fill = FillMode::kSized;
   std::uint64_t seed = 7;
 
-  /// Parse a MACSio-style argv (without the program name). Accepted forms:
-  ///   --interface miftmpl|hdf5|h5lite|raw
-  ///   --parallel_file_mode MIF <n> | SIF 1
-  ///   --num_dumps N --part_size 1.5M --avg_num_parts 2.5 --vars_per_part 4
-  ///   --compute_time 0.5 --meta_size 4K --dataset_growth 1.013
-  ///   --aggregators 8 --agg_link_bw 1.25e10 --staging none|bb
-  ///   --codec identity|lossless|ebl --codec_error_bound 1e-3
-  ///   --codec_var_bounds 1e-3,1e-5
-  ///   --codec_throughput 3e9 --codec_decode_throughput 6e9
-  ///   --restart --read_staging none|bb --prefetch 4
-  ///   --nprocs N --output_dir path --fill real|sized --seed S
-  /// Throws std::invalid_argument on unknown/malformed arguments.
+  /// Declare the MACSio argv table (Table II plus the staging, codec,
+  /// restart and run-context knobs above, e.g. `--parallel_file_mode MIF 8
+  /// --part_size 1.5M --codec ebl`) on `cli`, so the proxy executable can add
+  /// its own flags to the same table and print it as --help.
+  static void declare_cli(util::ArgParser& cli);
+  /// Read a parsed declare_cli() table. Throws std::invalid_argument on a
+  /// malformed value or a stray positional token; validate() failures
+  /// surface as ContractViolation.
+  static Params from_parsed(const util::ArgParser& cli);
+  /// declare_cli + parse + from_parsed over a MACSio-style argv (without
+  /// the program name).
   static Params from_cli(const std::vector<std::string>& args);
 
   /// Serialize back into the Listing-1 argv form (round-trips from_cli).

@@ -1,12 +1,23 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/assert.hpp"
 #include "util/format.hpp"
 
 namespace amrio::util {
+
+double parse_double(const std::string& flag, const std::string& token) {
+  double v = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v))
+    throw std::invalid_argument("--" + flag +
+                                ": expected a finite number, got '" + token +
+                                "'");
+  return v;
+}
 
 void ArgParser::add_option(const std::string& name, const std::string& help,
                            int nvalues, std::optional<std::string> default_value) {
@@ -55,30 +66,21 @@ void ArgParser::parse(const std::vector<std::string>& args) {
     }
     auto it = options_.find(name);
     if (it == options_.end())
-      throw std::invalid_argument("unknown option --" + name + "\n" + usage());
+      throw std::invalid_argument("unknown option --" + name + " (see --help)");
     Option& opt = it->second;
     opt.seen = true;
     opt.values.clear();
+    ++i;
     if (opt.is_flag) {
       if (inline_value)
         throw std::invalid_argument("flag --" + name + " takes no value");
-      ++i;
       continue;
     }
-    if (inline_value) {
-      if (opt.nvalues != 1)
-        throw std::invalid_argument("--" + name + " needs " +
-                                    std::to_string(opt.nvalues) + " values");
-      opt.values.push_back(*inline_value);
-      ++i;
-      continue;
-    }
-    ++i;
-    for (int k = 0; k < opt.nvalues; ++k) {
+    if (inline_value) opt.values.push_back(*inline_value);
+    while (opt.values.size() < static_cast<std::size_t>(opt.nvalues)) {
       if (i >= args.size())
         throw std::invalid_argument("missing value for --" + name);
-      opt.values.push_back(args[i]);
-      ++i;
+      opt.values.push_back(args[i++]);
     }
   }
 }
@@ -102,40 +104,11 @@ std::string ArgParser::get(const std::string& name) const {
   throw std::invalid_argument("required option --" + name + " not given");
 }
 
-std::string ArgParser::get_or(const std::string& name,
-                              const std::string& fallback) const {
-  const Option& opt = find(name);
-  if (opt.seen) return opt.values.at(0);
-  if (opt.default_value) return *opt.default_value;
-  return fallback;
-}
-
 std::vector<std::string> ArgParser::get_all(const std::string& name) const {
   const Option& opt = find(name);
   if (opt.seen) return opt.values;
   if (opt.default_value) return {*opt.default_value};
   return {};
-}
-
-std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
-}
-
-std::int64_t ArgParser::get_int_or(const std::string& name,
-                                   std::int64_t fallback) const {
-  const Option& opt = find(name);
-  if (!opt.seen && !opt.default_value) return fallback;
-  return std::stoll(get(name));
-}
-
-double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
-}
-
-double ArgParser::get_double_or(const std::string& name, double fallback) const {
-  const Option& opt = find(name);
-  if (!opt.seen && !opt.default_value) return fallback;
-  return std::stod(get(name));
 }
 
 bool ArgParser::flag(const std::string& name) const { return find(name).seen; }

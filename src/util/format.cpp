@@ -111,7 +111,12 @@ std::uint64_t parse_bytes(std::string_view raw) {
   } else {
     throw std::invalid_argument("parse_bytes: unknown suffix '" + suffix + "'");
   }
-  return static_cast<std::uint64_t>(std::llround(value * mult));
+  // nan/inf and sizes past 2^64 have no uint64 rounding; reject them here.
+  const double bytes = std::round(value * mult);
+  if (!(bytes < 18446744073709551616.0))
+    throw std::invalid_argument("parse_bytes: not a representable size '" +
+                                s + "'");
+  return static_cast<std::uint64_t>(bytes);
 }
 
 std::string zero_pad(std::uint64_t value, int width) {

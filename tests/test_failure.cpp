@@ -13,6 +13,7 @@
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
 #include "util/assert.hpp"
+#include "util/format.hpp"
 
 namespace pf = amrio::plotfile;
 namespace p = amrio::pfs;
@@ -185,6 +186,20 @@ TEST(FailureCli, MacsioRejectsMalformedInvocations) {
                std::invalid_argument);
   EXPECT_THROW(Params::from_cli({"--num_dumps"}), std::invalid_argument);
   EXPECT_THROW(Params::from_cli({"--bogus_flag", "1"}), std::invalid_argument);
+  // strict conversions: trailing garbage, wrap-around, non-finite values,
+  // negative seeds and stray positional tokens all fail the parse
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{
+           {"--num_dumps", "2x"},
+           {"--nprocs", "4294967300"},
+           {"--avg_num_parts", "inf"},
+           {"--parallel_file_mode", "MIF", "2x"},
+           {"--seed", "-3"},
+           {"--nprocs", "4", "junk"},
+           {"--part_size", "nan"}}) {
+    EXPECT_THROW(Params::from_cli(bad), std::invalid_argument)
+        << amrio::util::join(bad, " ");
+  }
   // semantic failures surface through validate()
   EXPECT_THROW(Params::from_cli({"--num_dumps", "0"}),
                amrio::ContractViolation);

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/run_flags.hpp"
 #include "macsio/params.hpp"
 #include "plotfile/fab_io.hpp"
 #include "plotfile/reader.hpp"
 #include "plotfile/writer.hpp"
+#include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/inputs.hpp"
 #include "util/rng.hpp"
@@ -144,6 +146,44 @@ TEST_P(ParserFuzz, MacsioCliNeverCrashes) {
       args.push_back(vocab[rng.uniform_int(vocab.size())]);
     try {
       (void)amrio::macsio::Params::from_cli(args);
+    } catch (const std::exception&) {
+    }
+  }
+}
+
+// The proxy's one flag table: Params' argv plus the shared run flags, fed
+// `--k=v` forms, garbage and out-of-range numbers. Every input must either
+// parse or throw — never crash, hang or wrap.
+TEST_P(ParserFuzz, ProxyFlagTableNeverCrashes) {
+  amrio::util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 92821);
+  const std::vector<std::string> vocab{
+      // Params flags, bare and in --k=v form
+      "--nprocs", "--nprocs=4", "--num_dumps", "--num_dumps=2x", "--part_size",
+      "--part_size=nan", "--avg_num_parts", "--seed", "--seed=-3",
+      "--parallel_file_mode", "--parallel_file_mode=MIF", "MIF", "SIF",
+      "--aggregators", "--prefetch", "--restart", "--read_staging=bb",
+      "--codec=ebl", "--codec_error_bound",
+      // shared run flags
+      "--engine", "--engine=event", "--engine=bogus", "event", "--jobs",
+      "--jobs=0", "--trace_out", "--explain", "--explain=1",
+      "--explain_out=x.json", "--cache",
+      // values: plain, garbage, non-finite, out of range, stray
+      "4", "0", "-1", "2x", "inf", "nan", "1e400", "4294967300", "1.5M",
+      "junk", "=", "--", "--=3"};
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::string> args;
+    const std::size_t len = rng.uniform_int(10);
+    for (std::size_t i = 0; i < len; ++i)
+      args.push_back(vocab[rng.uniform_int(vocab.size())]);
+    amrio::util::ArgParser cli("fuzz", "proxy flag table");
+    amrio::macsio::Params::declare_cli(cli);
+    amrio::core::declare_run_flags(cli);
+    try {
+      cli.parse(args);
+      const auto p = amrio::macsio::Params::from_parsed(cli);
+      const auto run = amrio::core::read_run_flags(cli);
+      EXPECT_GE(p.nprocs, 1);
+      EXPECT_GE(run.jobs, 1);
     } catch (const std::exception&) {
     }
   }

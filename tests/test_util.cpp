@@ -65,6 +65,13 @@ TEST(Format, ParseBytesRejectsGarbage) {
   EXPECT_THROW(u::parse_bytes("abc"), std::invalid_argument);
   EXPECT_THROW(u::parse_bytes("12Q"), std::invalid_argument);
   EXPECT_THROW(u::parse_bytes("-5K"), std::invalid_argument);
+  // non-finite and unrepresentable sizes have no uint64 rounding
+  EXPECT_THROW(u::parse_bytes("nan"), std::invalid_argument);
+  EXPECT_THROW(u::parse_bytes("inf"), std::invalid_argument);
+  EXPECT_THROW(u::parse_bytes("-inf"), std::invalid_argument);
+  EXPECT_THROW(u::parse_bytes("1e30"), std::invalid_argument);
+  EXPECT_THROW(u::parse_bytes("16777216T"), std::invalid_argument);  // 2^64
+  EXPECT_EQ(u::parse_bytes("1.5e19"), 15000000000000000000ull);  // > 2^63
 }
 
 TEST(Format, ZeroPad) {
@@ -245,6 +252,81 @@ TEST(Cli, MissingValueThrows) {
   u::ArgParser cli("prog", "test");
   cli.add_option("n", "count");
   EXPECT_THROW(cli.parse({"--n"}), std::invalid_argument);
+}
+
+namespace {
+/// what() of the std::invalid_argument `fn` throws ("" when it returns).
+template <class F>
+std::string cli_error(F fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(Cli, RejectsTrailingGarbage) {
+  u::ArgParser cli("prog", "test");
+  cli.add_option("num_dumps", "dumps");
+  cli.add_option("cfl", "courant number");
+  cli.parse({"--num_dumps", "2x", "--cfl", "0.4.1"});
+  EXPECT_EQ(cli_error([&] { (void)cli.get_int("num_dumps"); }),
+            "--num_dumps: expected an integer, got '2x'");
+  EXPECT_EQ(cli_error([&] { (void)cli.get_int_or("num_dumps", 1); }),
+            "--num_dumps: expected an integer, got '2x'");
+  EXPECT_EQ(cli_error([&] { (void)cli.get_double("cfl"); }),
+            "--cfl: expected a finite number, got '0.4.1'");
+  EXPECT_THROW(u::parse_int<int>("n", " 5"), std::invalid_argument);
+  EXPECT_THROW(u::parse_int<int>("n", ""), std::invalid_argument);
+  EXPECT_THROW(u::parse_double("x", "1.5y"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(u::parse_double("x", "1.25e10"), 1.25e10);
+}
+
+TEST(Cli, RejectsNonFiniteNumbers) {
+  for (const char* tok : {"inf", "-inf", "nan", "infinity", "1e400"}) {
+    u::ArgParser cli("prog", "test");
+    cli.add_option("avg_num_parts", "parts");
+    cli.parse({std::string("--avg_num_parts=") + tok});
+    EXPECT_THROW((void)cli.get_double("avg_num_parts"), std::invalid_argument)
+        << tok;
+    EXPECT_THROW((void)cli.get_double_or("avg_num_parts", 1.0),
+                 std::invalid_argument)
+        << tok;
+  }
+}
+
+TEST(Cli, IntOverflowIsRejectedNotWrapped) {
+  u::ArgParser cli("prog", "test");
+  cli.add_option("nprocs", "ranks");
+  cli.parse({"--nprocs", "4294967300"});
+  EXPECT_EQ(cli.get_int("nprocs"), 4294967300LL);  // fits int64
+  EXPECT_EQ(cli_error([&] { (void)cli.get_int<int>("nprocs"); }),
+            "--nprocs: 4294967300 is out of range");
+  EXPECT_THROW(u::parse_int<std::int64_t>("n", "99999999999999999999"),
+               std::invalid_argument);
+}
+
+TEST(Cli, NegativeUnsignedIsRejected) {
+  u::ArgParser cli("prog", "test");
+  cli.add_option("seed", "rng seed", 1, std::string("7"));
+  EXPECT_EQ(cli.get_int<std::uint64_t>("seed"), 7u);
+  cli.parse({"--seed", "-3"});
+  EXPECT_EQ(cli_error([&] { (void)cli.get_int<std::uint64_t>("seed"); }),
+            "--seed: expected a non-negative integer, got '-3'");
+}
+
+TEST(Cli, EqualsFormSuppliesFirstOfSeveralValues) {
+  u::ArgParser cli("prog", "test");
+  cli.add_option("parallel_file_mode", "mode", 2);
+  cli.parse({"--parallel_file_mode=MIF", "8"});
+  EXPECT_EQ(cli.get_all("parallel_file_mode"),
+            (std::vector<std::string>{"MIF", "8"}));
+  u::ArgParser short_cli("prog", "test");
+  short_cli.add_option("parallel_file_mode", "mode", 2);
+  EXPECT_THROW(short_cli.parse({"--parallel_file_mode=MIF"}),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------- inputs
