@@ -179,16 +179,6 @@ inline std::string csv_path(const BenchContext& ctx, const std::string& name) {
   return util::path_join(ctx.out_dir, name);
 }
 
-/// The relief knobs matching one SimFs configuration — the rates the
-/// standard what-if scenarios need to compute effective service scales.
-inline obs::ReliefKnobs relief_knobs(const pfs::SimFsConfig& cfg) {
-  obs::ReliefKnobs knobs;
-  knobs.ost_bandwidth = cfg.ost_bandwidth;
-  knobs.client_bandwidth = cfg.client_bandwidth;
-  knobs.drain_bandwidth = cfg.bb.drain_bandwidth;
-  return knobs;
-}
-
 /// The `predicted_2x_relief` study column: the best single-resource 2x
 /// what-if over one row's spans, as "resource:seconds" (e.g. "ost:1.234").
 /// "none" when no relief moves the makespan (untagged or empty trace).
@@ -200,7 +190,7 @@ inline std::string predicted_2x_relief(const obs::Tracer& row_tracer,
   double best_makespan = 0.0;
   double baseline = 0.0;
   for (const obs::Scenario& sc :
-       obs::standard_scenarios(2.0, relief_knobs(cfg))) {
+       obs::standard_scenarios(2.0, pfs::relief_knobs(cfg))) {
     const obs::WhatIfResult r = obs::what_if(spans, edges, sc);
     baseline = r.baseline_makespan;
     if (best == "none" || r.predicted_makespan < best_makespan) {
@@ -223,7 +213,7 @@ inline void explain_row(const BenchContext& ctx, const obs::Tracer& row_tracer,
   if (!ctx.explain) return;
   const obs::ExplainReport rep =
       obs::explain(row_tracer.spans(), row_tracer.edges(),
-                   obs::UtilizationReport{}, relief_knobs(cfg));
+                   obs::UtilizationReport{}, pfs::relief_knobs(cfg));
   std::printf("%s", obs::explain_table(rep).c_str());
   if (!ctx.explain_out.empty()) {
     obs::export_explain(ctx.explain_out, rep);

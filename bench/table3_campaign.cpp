@@ -46,12 +46,20 @@ int main(int argc, char** argv) {
   campaign::ExecutorOptions opts;
   opts.jobs = ctx.jobs;
   opts.cache_path = ctx.cache_path;
-  campaign::CampaignExecutor executor(opts);
-  const std::vector<campaign::CellOutcome> outcomes = executor.run(cells);
+  std::vector<campaign::CellOutcome> outcomes;
+  campaign::ExecutorStats stats;
+  try {
+    campaign::CampaignExecutor executor(opts);
+    outcomes = executor.run(cells);
+    stats = executor.stats();
+  } catch (const std::exception& e) {
+    // a corrupt --cache file: one line, like any other bad input
+    std::fprintf(stderr, "table3_campaign: %s\n", e.what());
+    return 2;
+  }
   // wall time is scheduling noise: stderr only, never stdout or the CSV
   std::fprintf(stderr, "campaign wall time: %.1fs\n", timer.elapsed());
 
-  const campaign::ExecutorStats& stats = executor.stats();
   std::printf("cells: %llu  executed: %llu  cache hits: %llu\n",
               static_cast<unsigned long long>(stats.cells),
               static_cast<unsigned long long>(stats.executed),
@@ -63,7 +71,7 @@ int main(int argc, char** argv) {
                          "critical stage", "binding"});
   std::map<std::string, std::size_t> worst;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const macsio::Params p = campaign::resolved_params(cells[i]);
+    const macsio::Params& p = cells[i].params;
     std::string staging = p.aggregators > 0 ? "agg" : "direct";
     if (p.stage_to_bb) staging = p.aggregators > 0 ? "agg+bb" : "bb";
     staging = std::string(macsio::to_string(p.file_mode)) + "/" + staging;

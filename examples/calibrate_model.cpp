@@ -6,6 +6,7 @@
 /// Appendix step 4 describes for predicting new configurations.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/amrio.hpp"
 #include "util/cli.hpp"
@@ -19,13 +20,22 @@ int main(int argc, char** argv) {
   cli.add_option("ncell", "L0 cells per direction", 1, std::string("96"));
   cli.add_option("steps", "simulation steps per case", 1, std::string("60"));
   cli.add_flag("help", "show usage");
-  cli.parse(argc, argv);
-  if (cli.flag("help")) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
+  int ncell = 0;
+  std::int64_t steps = 0;
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help")) {
+      std::printf("%s", cli.usage().c_str());
+      return 0;
+    }
+    ncell = cli.get_int<int>("ncell");
+    steps = cli.get_int("steps");
+    if (ncell < 1 || steps < 1)
+      throw std::invalid_argument("--ncell and --steps must be >= 1");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "calibrate_model: %s\n", e.what());
+    return 2;
   }
-  const int ncell = static_cast<int>(cli.get_int("ncell"));
-  const auto steps = cli.get_int("steps");
 
   model::GrowthGuess guess;
   util::TextTable table({"case", "cfl", "levels", "fitted f", "growth",

@@ -5,6 +5,7 @@
 /// compute-then-burst pattern of classic HPC checkpoint/analysis output.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "exec/engine.hpp"
 #include "core/amrio.hpp"
@@ -28,10 +29,26 @@ int main(int argc, char** argv) {
   cli.add_option("amplify", "part_size multiplier to emulate larger machines",
                  1, std::string("2000"));
   cli.add_flag("help", "show usage");
-  cli.parse(argc, argv);
-  if (cli.flag("help")) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
+  int nprocs = 0, osts = 0, amplify = 0;
+  double compute_time = 0.0, sigma = 0.0;
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help")) {
+      std::printf("%s", cli.usage().c_str());
+      return 0;
+    }
+    nprocs = cli.get_int<int>("nprocs");
+    compute_time = cli.get_double("compute_time");
+    osts = cli.get_int<int>("osts");
+    sigma = cli.get_double("sigma");
+    amplify = cli.get_int<int>("amplify");
+    if (nprocs < 1 || osts < 1 || amplify < 1 || compute_time < 0 || sigma < 0)
+      throw std::invalid_argument(
+          "--nprocs, --osts and --amplify must be >= 1, --compute_time and "
+          "--sigma >= 0");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "io_burstiness: %s\n", e.what());
+    return 2;
   }
 
   // 1. Calibrate a proxy from a small AMR run.
@@ -41,7 +58,7 @@ int main(int argc, char** argv) {
   config.max_level = 2;
   config.max_step = 50;
   config.plot_int = 5;
-  config.nprocs = static_cast<int>(cli.get_int("nprocs"));
+  config.nprocs = nprocs;
   config.max_grid_size = 24;
   std::printf("calibrating proxy from a %d^2 Sedov run on %d ranks...\n",
               config.ncell, config.nprocs);
@@ -52,34 +69,34 @@ int main(int argc, char** argv) {
   //    point is extrapolation: amplify part_size to emulate the paper-scale
   //    machine without rerunning the application.
   auto params = v.translation.params;
-  params.compute_time = cli.get_double("compute_time");
-  params.part_size *= static_cast<std::uint64_t>(cli.get_int("amplify"));
+  params.compute_time = compute_time;
+  params.part_size *= static_cast<std::uint64_t>(amplify);
   pfs::MemoryBackend backend(false);
   exec::SerialEngine engine(params.nprocs);
   const auto stats = macsio::run_macsio(engine, params, backend);
   std::printf("proxy (part_size amplified x%lld): %d dumps, %s total, dumps "
               "every %.1fs of compute\n\n",
-              static_cast<long long>(cli.get_int("amplify")), params.num_dumps,
+              static_cast<long long>(amplify), params.num_dumps,
               util::human_bytes(stats.total_bytes).c_str(),
               params.compute_time);
 
   // 3. Replay through PFS models of varying richness.
   util::TextTable table({"OSTs", "sigma", "makespan", "duty cycle",
                          "mean BW", "peak BW", "p95 task time"});
-  for (int osts : {4, static_cast<int>(cli.get_int("osts")), 64}) {
-    for (double sigma : {0.0, cli.get_double("sigma")}) {
+  for (int n_ost : {4, osts, 64}) {
+    for (double sig : {0.0, sigma}) {
       pfs::SimFsConfig cfg;
-      cfg.n_ost = osts;
+      cfg.n_ost = n_ost;
       cfg.ost_bandwidth = 0.5e9;
       cfg.client_bandwidth = 1.0e9;
-      cfg.variability_sigma = sigma;
+      cfg.variability_sigma = sig;
       cfg.mds_latency = 1e-3;
       pfs::SimFs fs(cfg);
       const auto results = fs.run(stats.requests);
       const auto burst = pfs::burst_stats(results);
       std::vector<double> durations;
       for (const auto& r : results) durations.push_back(r.duration());
-      table.add_row({std::to_string(osts), util::format_g(sigma, 3),
+      table.add_row({std::to_string(n_ost), util::format_g(sig, 3),
                      util::format_g(burst.makespan, 4) + "s",
                      util::format_g(100 * burst.duty_cycle, 3) + "%",
                      util::format_g(burst.mean_bandwidth / 1e9, 3) + " GB/s",

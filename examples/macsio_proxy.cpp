@@ -21,7 +21,7 @@
 
 #include "campaign/predict.hpp"
 #include "campaign/report.hpp"
-#include "core/proxy_study.hpp"
+#include "campaign/executor.hpp"
 #include "core/run_flags.hpp"
 #include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
@@ -110,53 +110,47 @@ int main(int argc, char** argv) {
   std::printf("invocation: %s\n", params.to_command_line().c_str());
 
   if (campaign_mode) {
-    // Sweep the configured workload over the codec axis through
-    // core::study_sweep — the campaign executor behind it dedupes repeated
-    // configurations and honors --jobs/--cache. When predicting we also run
-    // 2x/4x rank scalings so each stratum holds enough points for a fit.
-    std::vector<core::StudyOptions> variants;
-    for (const char* codec : {"identity", "lossless", "ebl"}) {
-      core::StudyOptions v;
-      v.engine = run.engine;
-      v.codec = codec;
-      if (std::string(codec) == "ebl") {
-        v.codec_error_bound =
-            params.codec_error_bound > 0 ? params.codec_error_bound : 1.0e-3;
-        v.codec_var_bounds = params.codec_var_bounds;
-      }
-      v.codec_throughput = params.codec_throughput;
-      v.codec_decode_throughput = params.codec_decode_throughput;
-      v.restart = params.restart;
-      v.restart_from_bb = params.restart_from_bb;
-      variants.push_back(std::move(v));
-    }
-    campaign::ExecutorOptions exec_opts;
-    exec_opts.jobs = run.jobs;
-    exec_opts.cache_path = run.cache_path;
+    // Sweep the configured workload over the codec axis on the campaign
+    // executor, which dedupes repeated configurations and honors
+    // --jobs/--cache. When predicting we also run 2x/4x rank scalings so each
+    // stratum holds enough points for a fit.
     std::vector<int> rank_points = {params.nprocs};
     if (predict_ranks > 0) {
       rank_points.push_back(params.nprocs * 2);
       rank_points.push_back(params.nprocs * 4);
     }
+    const char* const codecs[] = {"identity", "lossless", "ebl"};
     std::vector<campaign::CellConfig> cells;
+    for (const int ranks : rank_points) {
+      for (int i = 0; i < 3; ++i) {
+        campaign::CellConfig cell;
+        cell.name = "study/" + std::to_string(i) + "/" +
+                    exec::engine_kind_name(run.engine) + "/" + codecs[i] +
+                    "/r" + std::to_string(ranks);
+        cell.params = params;
+        cell.params.nprocs = ranks;
+        cell.params.codec = codecs[i];
+        if (i < 2) {
+          // identity and lossless ignore the bounds: run them with the
+          // defaults so they share a cache slot whatever the command line set
+          cell.params.codec_error_bound = 1.0e-3;
+          cell.params.codec_var_bounds.clear();
+        } else if (!(params.codec_error_bound > 0)) {
+          cell.params.codec_error_bound = 1.0e-3;  // ebl needs a bound
+        }
+        cell.engine = run.engine;
+        cells.push_back(std::move(cell));
+      }
+    }
     std::vector<campaign::CellOutcome> outcomes;
     campaign::ExecutorStats stats;
-    for (const int ranks : rank_points) {
-      macsio::Params base = params;
-      base.nprocs = ranks;
-      core::StudySweepResult sweep =
-          core::study_sweep(base, variants, exec_opts);
-      for (auto& c : sweep.cells) {
-        c.name += "/r" + std::to_string(ranks);
-        cells.push_back(std::move(c));
-      }
-      for (auto& o : sweep.outcomes) {
-        o.name += "/r" + std::to_string(ranks);
-        outcomes.push_back(std::move(o));
-      }
-      stats.cells += sweep.stats.cells;
-      stats.executed += sweep.stats.executed;
-      stats.cache_hits += sweep.stats.cache_hits;
+    try {
+      campaign::CampaignExecutor executor({run.jobs, run.cache_path});
+      outcomes = executor.run(cells);
+      stats = executor.stats();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
+      return 2;
     }
     std::printf("campaign: %llu cells, %d worker(s): %llu executed, "
                 "%llu cache hits\n",
@@ -372,10 +366,7 @@ int main(int argc, char** argv) {
     if (run.explain) {
       // Relief scenarios are computed against the same rates the replay
       // used, so "2x ost" in the report means doubling obs_cfg's knob.
-      obs::ReliefKnobs knobs;
-      knobs.ost_bandwidth = obs_cfg.ost_bandwidth;
-      knobs.client_bandwidth = obs_cfg.client_bandwidth;
-      knobs.drain_bandwidth = obs_cfg.bb.drain_bandwidth;
+      const obs::ReliefKnobs knobs = pfs::relief_knobs(obs_cfg);
       const obs::ExplainReport rep =
           sampling ? obs::explain(envelopes, {}, ledger.report(), knobs)
                    : obs::explain(tracer.spans(), tracer.edges(),

@@ -32,11 +32,18 @@ int main(int argc, char** argv) {
   cli.add_option("ncells", "L0 cells for Eq. (1) x-axis (0 = from Header)", 1,
                  std::string("0"));
   cli.add_flag("help", "show usage");
-  cli.parse(argc, argv);
-  if (cli.flag("help") || cli.positional().empty()) {
-    std::printf("%susage: scan_report <directory> [--prefix P]\n",
-                cli.usage().c_str());
-    return cli.flag("help") ? 0 : 2;
+  std::int64_t ncells = 0;
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help") || cli.positional().empty()) {
+      std::printf("%susage: scan_report <directory> [--prefix P]\n",
+                  cli.usage().c_str());
+      return cli.flag("help") ? 0 : 2;
+    }
+    ncells = cli.get_int("ncells");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scan_report: %s\n", e.what());
+    return 2;
   }
 
   const std::string root = cli.positional().front();
@@ -54,7 +61,6 @@ int main(int argc, char** argv) {
               util::human_bytes(scan.total_bytes).c_str(), root.c_str());
 
   // L0 cell count: CLI override or read from the first Header.
-  std::int64_t ncells = cli.get_int("ncells");
   int nranks = 0;
   if (ncells <= 0) {
     const auto pf0 =

@@ -25,28 +25,34 @@ int main(int argc, char** argv) {
                  std::string("sedov_out"));
   cli.add_flag("memory", "write to the in-memory counting backend");
   cli.add_flag("help", "show usage");
-  cli.parse(argc, argv);
-  if (cli.flag("help")) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
-
   amr::AmrInputs inputs;
-  if (!cli.positional().empty()) {
-    std::printf("reading inputs from %s\n", cli.positional().front().c_str());
-    inputs = amr::AmrInputs::from_file(cli.positional().front());
-  } else {
-    std::printf("no inputs file given; using the Listing-2 baseline at 64^2\n");
-    inputs = amr::AmrInputs::sedov_baseline();
-    inputs.n_cell = {64, 64};
-    inputs.max_step = 60;
-    inputs.plot_int = 10;
-    inputs.max_grid_size = 32;
-    inputs.sedov_r_init = 0.05;
-    inputs.stop_time = 100.0;
-    inputs.nprocs = 8;
+  try {
+    cli.parse(argc, argv);
+    if (cli.flag("help")) {
+      std::printf("%s", cli.usage().c_str());
+      return 0;
+    }
+    if (!cli.positional().empty()) {
+      std::printf("reading inputs from %s\n",
+                  cli.positional().front().c_str());
+      inputs = amr::AmrInputs::from_file(cli.positional().front());
+    } else {
+      std::printf(
+          "no inputs file given; using the Listing-2 baseline at 64^2\n");
+      inputs = amr::AmrInputs::sedov_baseline();
+      inputs.n_cell = {64, 64};
+      inputs.max_step = 60;
+      inputs.plot_int = 10;
+      inputs.max_grid_size = 32;
+      inputs.sedov_r_init = 0.05;
+      inputs.stop_time = 100.0;
+      inputs.nprocs = 8;
+    }
+    inputs.validate();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sedov_blast: %s\n", e.what());
+    return 2;
   }
-  inputs.validate();
 
   std::unique_ptr<pfs::StorageBackend> backend;
   if (cli.flag("memory")) {

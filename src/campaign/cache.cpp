@@ -51,7 +51,12 @@ std::size_t ResultCache::load(const std::string& path) {
   if (!probe) return 0;  // cold run: no cache file yet
   probe.close();
 
-  const util::JsonValue doc = util::parse_json_file(path);
+  util::JsonValue doc;
+  try {
+    doc = util::parse_json_file(path);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("campaign cache: '" + path + "': " + e.what());
+  }
   if (!doc.is_object())
     throw std::runtime_error("campaign cache: '" + path +
                              "' is not a JSON object");

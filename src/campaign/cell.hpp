@@ -1,18 +1,18 @@
 #pragma once
 /// \file cell.hpp
-/// One campaign cell: a named {macsio::Params, core::StudyOptions} pair — a
-/// single point of the Table III sweep {interface × file mode × codec ×
-/// staging × engine × ranks}, plus everything else either struct carries.
-/// `canonical_key` renders the *full* configuration into a schema-versioned
-/// string: the result-cache key. Completeness is load-bearing (a missed
-/// field = stale cache hits when that knob is swept), so the key covers
-/// every field of both structs and tests/test_campaign.cpp walks each field
-/// asserting the key moves. When a field lands in either struct, extend
-/// `canonical_key` AND the property test AND bump the sizeof tripwires.
+/// One campaign cell: a named {macsio::Params, engine} pair — a single point
+/// of the Table III sweep {interface × file mode × codec × staging × engine ×
+/// ranks}, plus everything else Params carries. `canonical_key` renders the
+/// *full* configuration into a schema-versioned string: the result-cache
+/// key. Completeness is load-bearing (a missed field = stale cache hits when
+/// that knob is swept), so the key covers every field and
+/// tests/test_campaign.cpp walks each one asserting the key moves. When a
+/// field lands in Params, extend `canonical_key` AND the property test AND
+/// bump the sizeof tripwire.
 
 #include <string>
 
-#include "core/study_options.hpp"
+#include "exec/engine.hpp"
 #include "macsio/params.hpp"
 
 namespace amrio::campaign {
@@ -28,18 +28,16 @@ struct CellConfig {
   /// two differently-named cells with the same configuration share a result.
   std::string name;
   macsio::Params params;
-  core::StudyOptions study;
+  /// Execution engine for the proxy run. Every engine writes the same bytes;
+  /// the key still carries it so per-engine rows never share a slot.
+  exec::EngineKind engine = exec::EngineKind::kSerial;
 };
 
 /// The canonicalized configuration string: "amrio-campaign-v<schema>|" then
-/// every field of `params` and `study` as `name=value`, doubles in %.17g
-/// (round-trip exact), in struct declaration order. Pure function of the
-/// configuration — identical across processes, runs, and --jobs values.
+/// every field of `params` as `name=value`, doubles in %.17g (round-trip
+/// exact), in struct declaration order, then the v1 `study_*` tail. Pure
+/// function of the configuration — identical across processes, runs, and
+/// --jobs values.
 std::string canonical_key(const CellConfig& cell);
-
-/// The macsio::Params the executor actually runs: `cell.params` with the
-/// study's codec/restart knobs folded in (the same projection
-/// core::calibrate_and_validate applies before executing a proxy).
-macsio::Params resolved_params(const CellConfig& cell);
 
 }  // namespace amrio::campaign

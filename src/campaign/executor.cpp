@@ -36,14 +36,14 @@ pfs::SimFsConfig reference_fs_config(int ranks, bool burst_buffer) {
 }
 
 CellResult run_cell(const CellConfig& cell) {
-  macsio::Params params = resolved_params(cell);
+  const macsio::Params& params = cell.params;
   params.validate();
 
   // Everything below is cell-private (engine, backend, tracer, SimFs), so
   // concurrent run_cell calls never share mutable state — the property the
   // work-stealing pool and the TSan CI job lean on.
   pfs::MemoryBackend backend(/*store_contents=*/false);
-  const auto engine = exec::make_engine(cell.study.engine, params.nprocs);
+  const auto engine = exec::make_engine(cell.engine, params.nprocs);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   const obs::Probe probe{&tracer, &metrics};

@@ -27,12 +27,12 @@ std::vector<CellConfig> make_grid(const GridSpec& spec) {
               cell.params.aggregators = aggs > 1 ? aggs : 1;
             }
             cell.params.stage_to_bb = mode.burst_buffer;
-            cell.study.engine = engine;
-            cell.study.codec = codec.codec;
-            cell.study.codec_error_bound =
+            cell.params.codec = codec.codec;
+            cell.params.codec_error_bound =
                 codec.error_bound > 0.0 ? codec.error_bound : 1.0e-3;
-            cell.study.codec_var_bounds = codec.var_bounds;
-            cell.study.codec_throughput = spec.codec_throughput;
+            cell.params.codec_var_bounds = codec.var_bounds;
+            cell.params.codec_throughput = spec.codec_throughput;
+            cell.engine = engine;
             cells.push_back(std::move(cell));
           }
         }

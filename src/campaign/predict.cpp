@@ -87,7 +87,7 @@ model::MultiFit robust_fit(const std::vector<std::vector<double>>& rows,
 }  // namespace
 
 std::string PredictService::stratum_key(const CellConfig& cell) {
-  const macsio::Params p = resolved_params(cell);
+  const macsio::Params& p = cell.params;
   std::string key = macsio::to_string(p.interface);
   key += '|';
   key += macsio::to_string(p.file_mode);
@@ -101,7 +101,7 @@ std::string PredictService::stratum_key(const CellConfig& cell) {
 }
 
 std::uint64_t PredictService::predicted_cell_bytes(const CellConfig& cell) {
-  const macsio::Params p = resolved_params(cell);
+  const macsio::Params& p = cell.params;
   const auto iface = macsio::make_interface(p.interface);
   const auto cdc = codec::make_codec(p.codec_spec());
   const std::int64_t total =
@@ -182,7 +182,7 @@ void PredictService::fit(const std::vector<CellConfig>& cells,
     if (r.encoded_bytes == 0 || r.dump_seconds <= 0.0) continue;
     const std::vector<double> x = {
         std::log(static_cast<double>(r.encoded_bytes)),
-        std::log(static_cast<double>(resolved_params(cells[i]).nprocs))};
+        std::log(static_cast<double>(cells[i].params.nprocs))};
     const double ld = std::log(r.dump_seconds);
     const double lr = r.restart_seconds > 0.0 ? std::log(r.restart_seconds)
                                               : std::nan("");
@@ -222,7 +222,7 @@ PredictService::Prediction PredictService::predict(
                     "PredictService::predict called before fit()");
   Prediction out;
   out.encoded_bytes = predicted_cell_bytes(cell);
-  const macsio::Params p = resolved_params(cell);
+  const macsio::Params& p = cell.params;
   const std::vector<double> x = {
       std::log(static_cast<double>(
           std::max<std::uint64_t>(out.encoded_bytes, 1))),

@@ -49,7 +49,7 @@ std::vector<std::vector<std::string>> csv_rows(
   rows.reserve(cells.size());
   for (const std::size_t i : order) {
     const CellConfig& cell = cells[i];
-    const macsio::Params p = resolved_params(cell);
+    const macsio::Params& p = cell.params;
     const CellResult& r = outcomes[i].result;
     std::string staging = p.aggregators > 0 ? "agg" : "direct";
     if (p.stage_to_bb) staging = p.aggregators > 0 ? "agg+bb" : "bb";
@@ -61,7 +61,7 @@ std::vector<std::vector<std::string>> csv_rows(
         p.codec,
         util::format_g(p.codec_error_bound, 12),
         p.codec_var_bounds,
-        exec::engine_kind_name(cell.study.engine),
+        exec::engine_kind_name(cell.engine),
         std::to_string(p.nprocs),
         std::to_string(r.raw_bytes),
         std::to_string(r.encoded_bytes),

@@ -29,7 +29,7 @@ struct CellResult {
   double critical_frac = 0.0;
   std::string binding_resource;
 
-  // restart read-back (zero unless StudyOptions::restart)
+  // restart read-back (zero unless Params::restart)
   double restart_seconds = 0.0;      ///< perceived restart-read makespan
   double restart_decode_gate = 0.0;  ///< slowest per-rank decode cpu
 };

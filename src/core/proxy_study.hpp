@@ -5,12 +5,11 @@
 /// how well it reproduces the simulation's output workload — the comparison
 /// behind the paper's Figs. 9–11.
 
-#include "campaign/executor.hpp"
 #include "core/campaign.hpp"
-#include "core/study_options.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "model/translate.hpp"
+#include "obs/probe.hpp"
 
 namespace amrio::core {
 
@@ -21,7 +20,7 @@ struct ValidationResult {
   double mean_abs_rel_err = 0.0;
   double max_abs_rel_err = 0.0;
   macsio::DumpStats proxy_stats;
-  /// Populated iff StudyOptions::restart was set.
+  /// Populated iff the executed Params set `restart`.
   macsio::RestartStats restart_stats;
 };
 
@@ -34,27 +33,16 @@ ValidationResult calibrate_and_validate(const RunRecord& run,
                                         double growth_lo = 1.0,
                                         double growth_hi = 1.15);
 
-/// Same, with the engine/codec/restart knobs applied to the proxy execution.
-/// Codec and restart leave the byte-accuracy comparison untouched by
-/// construction (bytes_per_dump stays raw; restart happens after the dump
-/// loop) — they add their own stats to the result instead.
-ValidationResult calibrate_and_validate(const RunRecord& run,
-                                        const StudyOptions& opts,
-                                        double growth_lo = 1.0,
-                                        double growth_hi = 1.15);
-
-/// A sharded sweep over study-option variants of one proxy configuration:
-/// each variant becomes a campaign cell {base params, variant}, executed
-/// through campaign::CampaignExecutor (work-stealing pool, result cache,
-/// optional JSON cache persistence — the --jobs/--cache surface). Outcomes
-/// align 1:1 with `variants`.
-struct StudySweepResult {
-  std::vector<campaign::CellConfig> cells;
-  std::vector<campaign::CellOutcome> outcomes;
-  campaign::ExecutorStats stats;
-};
-StudySweepResult study_sweep(const macsio::Params& base,
-                             const std::vector<StudyOptions>& variants,
-                             const campaign::ExecutorOptions& exec_opts = {});
+/// Execute a (possibly caller-edited) translation of `run` on `engine` and
+/// compare its per-dump bytes with the simulation's — the validation half
+/// of calibrate_and_validate. Callers compose codec/restart by editing
+/// `translation.params`; both leave the byte-accuracy comparison untouched
+/// by construction (bytes_per_dump stays raw; restart happens after the
+/// dump loop) and add their own stats to the result instead. `probe`
+/// observes the proxy run; the caller exports what it recorded.
+ValidationResult validate_translation(
+    const RunRecord& run, model::TranslationResult translation,
+    exec::EngineKind engine = exec::EngineKind::kSerial,
+    const obs::Probe& probe = {});
 
 }  // namespace amrio::core

@@ -9,6 +9,7 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "obs/whatif.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -774,6 +775,14 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   }
 
   return results;
+}
+
+obs::ReliefKnobs relief_knobs(const SimFsConfig& cfg) {
+  obs::ReliefKnobs knobs;
+  knobs.ost_bandwidth = cfg.ost_bandwidth;
+  knobs.client_bandwidth = cfg.client_bandwidth;
+  knobs.drain_bandwidth = cfg.bb.drain_bandwidth;
+  return knobs;
 }
 
 }  // namespace amrio::pfs

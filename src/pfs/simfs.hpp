@@ -65,6 +65,10 @@
 
 #include "obs/probe.hpp"
 
+namespace amrio::obs {
+struct ReliefKnobs;
+}  // namespace amrio::obs
+
 namespace amrio::pfs {
 
 /// Request/result tier tags.
@@ -185,5 +189,10 @@ class SimFs {
  private:
   SimFsConfig cfg_;
 };
+
+/// The relief knobs matching one SimFs configuration — the rates the
+/// standard what-if scenarios (obs::standard_scenarios) need to compute
+/// effective service scales.
+obs::ReliefKnobs relief_knobs(const SimFsConfig& cfg);
 
 }  // namespace amrio::pfs

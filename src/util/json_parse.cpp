@@ -23,7 +23,11 @@ double JsonValue::number_or(const std::string& key, double dflt) const {
 std::uint64_t JsonValue::u64_or(const std::string& key,
                                 std::uint64_t dflt) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || v->kind != Kind::kNumber || v->num_v < 0) return dflt;
+  // Out-of-range values (negative, >= 2^64) take the default: the cast
+  // would be undefined behaviour.
+  if (v == nullptr || v->kind != Kind::kNumber || !(v->num_v >= 0.0) ||
+      v->num_v >= 18446744073709551616.0)
+    return dflt;
   return static_cast<std::uint64_t>(v->num_v);
 }
 
@@ -39,6 +43,11 @@ bool JsonValue::bool_or(const std::string& key, bool dflt) const {
 }
 
 namespace {
+
+/// Deepest array/object nesting accepted. Our own artifacts nest three
+/// levels; the bound keeps a hostile file from overflowing the stack of
+/// this recursive-descent parser.
+constexpr int kMaxDepth = 256;
 
 class Parser {
  public:
@@ -83,9 +92,15 @@ class Parser {
 
   JsonValue parse_value() {
     const char c = peek();
+    if (c == '{' || c == '[') {
+      // A throw abandons the parse, so the count needs no unwinding.
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -234,6 +249,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -3,8 +3,8 @@
 /// Minimal recursive-descent JSON reader — the inverse of JsonWriter, used
 /// wherever the tree persists machine state it must read back (the campaign
 /// result cache). Supports the full JSON value grammar minus exotic number
-/// forms; inputs are trusted artifacts we wrote ourselves, so the error
-/// handling is "throw with position", not a hardened parser.
+/// forms. Malformed input of any kind — truncation, garbage, nesting past a
+/// fixed depth — throws with a byte position; it never crashes.
 
 #include <cstdint>
 #include <string>

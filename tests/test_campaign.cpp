@@ -1,8 +1,8 @@
 /// Tests for the sharded campaign layer: executor determinism (--jobs 1 and
 /// --jobs 8 produce byte-identical canonical CSV rows on both the serial and
-/// event engines), cache-key completeness (every macsio::Params and
-/// core::StudyOptions field moves the key — the property that makes cache
-/// hits safe to serve), in-flight dedup of duplicate configurations, JSON
+/// event engines), cache-key completeness (every macsio::Params field and
+/// the engine move the key — the property that makes cache hits safe to
+/// serve — and the v1 key bytes stay pinned), in-flight dedup of duplicate configurations, JSON
 /// cache persistence across processes (cold run executes everything, warm
 /// run resolves entirely from the cache, rows byte-identical), the predict
 /// service's calibration (fit on a coarse rank grid, pin a held-out rank
@@ -27,13 +27,11 @@
 #include "campaign/predict.hpp"
 #include "campaign/report.hpp"
 #include "codec/codec.hpp"
-#include "core/proxy_study.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
 
 namespace cg = amrio::campaign;
 namespace cd = amrio::codec;
-namespace co = amrio::core;
 namespace ex = amrio::exec;
 namespace mc = amrio::macsio;
 namespace ut = amrio::util;
@@ -187,15 +185,14 @@ TEST(CampaignDeterminism, DuplicateKeysExecuteOnce) {
 // --------------------------------------------- cache-key completeness
 
 // The property that makes cache hits safe: every field of macsio::Params
-// that survives study resolution, and every field of core::StudyOptions,
-// moves the canonical key when mutated. A field missed here would be a
-// stale cache hit the first time someone sweeps it.
+// and the cell's engine move the canonical key when mutated. A field missed
+// here would be a stale cache hit the first time someone sweeps it.
 TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
   using Mutator = std::function<void(cg::CellConfig&)>;
   const cg::CellConfig base;  // default-constructed configuration
   const std::string base_key = cg::canonical_key(base);
 
-  const std::vector<std::pair<std::string, Mutator>> live = {
+  const std::vector<std::pair<std::string, Mutator>> fields = {
       // macsio::Params, declaration order
       {"interface",
        [](cg::CellConfig& c) { c.params.interface = mc::Interface::kRaw; }},
@@ -215,6 +212,18 @@ TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
       {"agg_link_bandwidth",
        [](cg::CellConfig& c) { c.params.agg_link_bandwidth = 1.0e9; }},
       {"stage_to_bb", [](cg::CellConfig& c) { c.params.stage_to_bb = true; }},
+      {"codec", [](cg::CellConfig& c) { c.params.codec = "ebl"; }},
+      {"codec_error_bound",
+       [](cg::CellConfig& c) { c.params.codec_error_bound = 1.0e-5; }},
+      {"codec_var_bounds",
+       [](cg::CellConfig& c) { c.params.codec_var_bounds = "1e-2,1e-4"; }},
+      {"codec_throughput",
+       [](cg::CellConfig& c) { c.params.codec_throughput = 3.0e9; }},
+      {"codec_decode_throughput",
+       [](cg::CellConfig& c) { c.params.codec_decode_throughput = 6.0e9; }},
+      {"restart", [](cg::CellConfig& c) { c.params.restart = true; }},
+      {"restart_from_bb",
+       [](cg::CellConfig& c) { c.params.restart_from_bb = true; }},
       {"prefetch_streams",
        [](cg::CellConfig& c) { c.params.prefetch_streams = 4; }},
       {"nprocs", [](cg::CellConfig& c) { c.params.nprocs = 16; }},
@@ -222,34 +231,16 @@ TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
        [](cg::CellConfig& c) { c.params.output_dir = "elsewhere"; }},
       {"fill", [](cg::CellConfig& c) { c.params.fill = mc::FillMode::kReal; }},
       {"seed", [](cg::CellConfig& c) { c.params.seed = 99; }},
-      // core::StudyOptions, declaration order
-      {"study.engine",
-       [](cg::CellConfig& c) { c.study.engine = ex::EngineKind::kEvent; }},
-      {"study.codec", [](cg::CellConfig& c) { c.study.codec = "ebl"; }},
-      {"study.codec_error_bound",
-       [](cg::CellConfig& c) { c.study.codec_error_bound = 1.0e-5; }},
-      {"study.codec_var_bounds",
-       [](cg::CellConfig& c) { c.study.codec_var_bounds = "1e-2,1e-4"; }},
-      {"study.codec_throughput",
-       [](cg::CellConfig& c) { c.study.codec_throughput = 3.0e9; }},
-      {"study.codec_decode_throughput",
-       [](cg::CellConfig& c) { c.study.codec_decode_throughput = 6.0e9; }},
-      {"study.restart", [](cg::CellConfig& c) { c.study.restart = true; }},
-      {"study.restart_from_bb",
-       [](cg::CellConfig& c) { c.study.restart_from_bb = true; }},
-      {"study.trace_out",
-       [](cg::CellConfig& c) { c.study.trace_out = "t.json"; }},
-      {"study.metrics_out",
-       [](cg::CellConfig& c) { c.study.metrics_out = "m.json"; }},
-      {"study.explain_out",
-       [](cg::CellConfig& c) { c.study.explain_out = "e.json"; }},
+      // the cell's own execution knob
+      {"engine",
+       [](cg::CellConfig& c) { c.engine = ex::EngineKind::kEvent; }},
   };
-  // 18 live Params fields + 11 StudyOptions fields. If a new field lands in
-  // either struct, add its mutation here AND in canonical_key.
-  EXPECT_EQ(live.size(), 29u);
+  // 25 Params fields + the engine. If a new field lands in Params, add its
+  // mutation here AND in canonical_key.
+  EXPECT_EQ(fields.size(), 26u);
 
   std::set<std::string> keys = {base_key};
-  for (const auto& [name, mutate] : live) {
+  for (const auto& [name, mutate] : fields) {
     cg::CellConfig cell = base;
     mutate(cell);
     const std::string key = cg::canonical_key(cell);
@@ -257,32 +248,8 @@ TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
                              << "' does not move the cache key";
     keys.insert(key);
   }
-  EXPECT_EQ(keys.size(), live.size() + 1)
+  EXPECT_EQ(keys.size(), fields.size() + 1)
       << "two field mutations collided onto one key";
-
-  // The codec/restart fields of macsio::Params are *projected away* by
-  // resolved_params (the study's copies win — run_cell never reads them), so
-  // mutating them must NOT move the key: same execution, same cache slot.
-  const std::vector<std::pair<std::string, Mutator>> shadowed = {
-      {"params.codec", [](cg::CellConfig& c) { c.params.codec = "ebl"; }},
-      {"params.codec_error_bound",
-       [](cg::CellConfig& c) { c.params.codec_error_bound = 1.0e-7; }},
-      {"params.codec_var_bounds",
-       [](cg::CellConfig& c) { c.params.codec_var_bounds = "1e-3,1e-6"; }},
-      {"params.codec_throughput",
-       [](cg::CellConfig& c) { c.params.codec_throughput = 1.0e9; }},
-      {"params.codec_decode_throughput",
-       [](cg::CellConfig& c) { c.params.codec_decode_throughput = 2.0e9; }},
-      {"params.restart", [](cg::CellConfig& c) { c.params.restart = true; }},
-      {"params.restart_from_bb",
-       [](cg::CellConfig& c) { c.params.restart_from_bb = true; }},
-  };
-  for (const auto& [name, mutate] : shadowed) {
-    cg::CellConfig cell = base;
-    mutate(cell);
-    EXPECT_EQ(cg::canonical_key(cell), base_key)
-        << "shadowed field '" << name << "' leaked into the cache key";
-  }
 
   // Name is a display label, never part of the key.
   cg::CellConfig named = base;
@@ -290,14 +257,53 @@ TEST(CampaignCacheKey, EveryConfigurationFieldMovesTheKey) {
   EXPECT_EQ(cg::canonical_key(named), base_key);
 
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-  // Struct-size tripwires: a new field changes these. When one fires, extend
-  // canonical_key, the mutation lists above, bump kCacheSchemaVersion, and
-  // update the expected sizes.
+  // Struct-size tripwire: a new field changes this. When it fires, extend
+  // canonical_key and the mutation list above, bump kCacheSchemaVersion, and
+  // update the expected size.
   EXPECT_EQ(sizeof(mc::Params), 240u)
       << "macsio::Params changed: update canonical_key + this test";
-  EXPECT_EQ(sizeof(co::StudyOptions), 200u)
-      << "core::StudyOptions changed: update canonical_key + this test";
 #endif
+}
+
+// The v1 key format, byte for byte: caches already on disk and the pinned
+// campaign benchmark digest hash these exact strings, so any change here
+// must come with a kCacheSchemaVersion bump.
+TEST(CampaignCacheKey, V1KeyBytesArePinned) {
+  EXPECT_EQ(
+      cg::canonical_key(cg::CellConfig{}),
+      "amrio-campaign-v1|interface=7:miftmpl|file_mode=3:MIF|mif_files=0|"
+      "num_dumps=10|part_size=80000|avg_num_parts=1|vars_per_part=1|"
+      "compute_time=0|meta_size=0|dataset_growth=1|aggregators=0|"
+      "agg_link_bandwidth=12500000000|stage_to_bb=0|codec=8:identity|"
+      "codec_error_bound=0.001|codec_var_bounds=0:|codec_throughput=0|"
+      "codec_decode_throughput=0|restart=0|restart_from_bb=0|"
+      "prefetch_streams=0|nprocs=1|output_dir=10:macsio_out|fill=5:sized|"
+      "seed=7|study_engine=6:serial|study_codec=8:identity|"
+      "study_codec_error_bound=0.001|study_codec_var_bounds=0:|"
+      "study_codec_throughput=0|study_codec_decode_throughput=0|"
+      "study_restart=0|study_restart_from_bb=0|study_trace_out=0:|"
+      "study_metrics_out=0:|study_explain_out=0:");
+
+  const std::vector<cg::CellConfig> grid = cg::make_grid(cg::table3_grid());
+  const cg::CellConfig* cell = nullptr;
+  for (const cg::CellConfig& c : grid)
+    if (c.name == "raw/agg+bb/ebl@vars/event/r64") cell = &c;
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(
+      cg::canonical_key(*cell),
+      "amrio-campaign-v1|interface=3:raw|file_mode=3:MIF|mif_files=0|"
+      "num_dumps=2|part_size=65536|avg_num_parts=1|vars_per_part=2|"
+      "compute_time=0|meta_size=0|dataset_growth=1.02|aggregators=8|"
+      "agg_link_bandwidth=12500000000|stage_to_bb=1|codec=3:ebl|"
+      "codec_error_bound=0.001|codec_var_bounds=9:1e-2,1e-5|"
+      "codec_throughput=250000000|codec_decode_throughput=0|restart=0|"
+      "restart_from_bb=0|prefetch_streams=0|nprocs=64|"
+      "output_dir=10:macsio_out|fill=5:sized|seed=7|study_engine=5:event|"
+      "study_codec=3:ebl|study_codec_error_bound=0.001|"
+      "study_codec_var_bounds=9:1e-2,1e-5|study_codec_throughput=250000000|"
+      "study_codec_decode_throughput=0|study_restart=0|"
+      "study_restart_from_bb=0|study_trace_out=0:|study_metrics_out=0:|"
+      "study_explain_out=0:");
 }
 
 TEST(CampaignCacheKey, SchemaVersionPrefixesTheKey) {
@@ -446,7 +452,7 @@ TEST(CampaignPredict, RestartTimesArePredicted) {
   spec.engines = {ex::EngineKind::kSerial};
   spec.rank_counts = {8, 16, 32};
   auto train = cg::make_grid(spec);
-  for (auto& c : train) c.study.restart = true;
+  for (auto& c : train) c.params.restart = true;
 
   cg::CampaignExecutor executor({/*jobs=*/2, ""});
   const auto train_out = executor.run(train);
@@ -532,11 +538,11 @@ TEST(CampaignVarBounds, TighterVariableBoundGrowsEncodedBytes) {
   loose.params.num_dumps = 2;
   loose.params.part_size = 1 << 14;
   loose.params.vars_per_part = 2;
-  loose.study.codec = "ebl";
-  loose.study.codec_var_bounds = "1e-2,1e-2";
+  loose.params.codec = "ebl";
+  loose.params.codec_var_bounds = "1e-2,1e-2";
   cg::CellConfig tight = loose;
   tight.name = "vb/tight";
-  tight.study.codec_var_bounds = "1e-2,1e-9";
+  tight.params.codec_var_bounds = "1e-2,1e-9";
 
   const cg::CellResult rl = cg::run_cell(loose);
   const cg::CellResult rt = cg::run_cell(tight);
@@ -546,25 +552,28 @@ TEST(CampaignVarBounds, TighterVariableBoundGrowsEncodedBytes) {
   EXPECT_NE(cg::canonical_key(loose), cg::canonical_key(tight));
 }
 
-// ------------------------------------------------- study-sweep surface
+// ------------------------------------------------- codec-variant sweep
 
-TEST(CampaignSweep, StudySweepAlignsOutcomesWithVariants) {
-  mc::Params base;
-  base.nprocs = 4;
-  base.num_dumps = 2;
-  base.part_size = 1 << 12;
-  std::vector<co::StudyOptions> variants(2);
-  variants[1].codec = "ebl";
-  variants[1].codec_error_bound = 1.0e-3;
+// A sweep is a list of cells differing only in the swept Params field; the
+// executor's outcomes align 1:1 with them.
+TEST(CampaignSweep, OutcomesAlignWithVariantCells) {
+  cg::CellConfig identity;
+  identity.name = "sweep/0/identity";
+  identity.params.nprocs = 4;
+  identity.params.num_dumps = 2;
+  identity.params.part_size = 1 << 12;
+  cg::CellConfig ebl = identity;
+  ebl.name = "sweep/1/ebl";
+  ebl.params.codec = "ebl";
+  ebl.params.codec_error_bound = 1.0e-3;
 
-  const co::StudySweepResult res = co::study_sweep(base, variants, {2, ""});
-  ASSERT_EQ(res.outcomes.size(), 2u);
-  EXPECT_EQ(res.stats.cells, 2u);
-  EXPECT_EQ(res.stats.executed, 2u);
-  EXPECT_GT(res.outcomes[0].result.encoded_bytes, 0u);
+  cg::CampaignExecutor executor({2, ""});
+  const std::vector<cg::CellOutcome> outcomes = executor.run({identity, ebl});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(executor.stats().cells, 2u);
+  EXPECT_EQ(executor.stats().executed, 2u);
+  EXPECT_GT(outcomes[0].result.encoded_bytes, 0u);
   // the ebl variant compresses; identity does not
-  EXPECT_LT(res.outcomes[1].result.encoded_bytes,
-            res.outcomes[0].result.encoded_bytes);
-  EXPECT_EQ(res.outcomes[0].result.raw_bytes,
-            res.outcomes[1].result.raw_bytes);
+  EXPECT_LT(outcomes[1].result.encoded_bytes, outcomes[0].result.encoded_bytes);
+  EXPECT_EQ(outcomes[0].result.raw_bytes, outcomes[1].result.raw_bytes);
 }

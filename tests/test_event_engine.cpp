@@ -4,8 +4,8 @@
 /// MIF/SIF × {direct, agg, bb} × {identity, ebl} at 32 ranks, write AND
 /// restart, byte-identical documents and identical stats — plus the
 /// SpmdEngine thread cap, deadlock detection, determinism, the --engine CLI
-/// surface, the StudyOptions composition through core::proxy_study, and a
-/// large-rank smoke run.
+/// surface, engine/codec/restart composing through
+/// core::validate_translation, and a large-rank smoke run.
 
 #include <gtest/gtest.h>
 
@@ -358,7 +358,7 @@ TEST(EngineKindCli, UnknownNameThrows) {
   EXPECT_THROW(ex::engine_kind_from_name(""), std::invalid_argument);
 }
 
-// ------------------------------------- study options compose (satellite)
+// ------------------------------- engine/codec/restart compose in one call
 
 TEST(ProxyStudy, EngineCodecRestartComposeInOneEntryPoint) {
   namespace core = amrio::core;
@@ -374,11 +374,12 @@ TEST(ProxyStudy, EngineCodecRestartComposeInOneEntryPoint) {
 
   const auto plain = core::calibrate_and_validate(run, 1.0, 1.2);
 
-  core::StudyOptions opts;
-  opts.engine = ex::EngineKind::kEvent;
-  opts.codec = "ebl";
-  opts.restart = true;
-  const auto composed = core::calibrate_and_validate(run, opts, 1.0, 1.2);
+  amrio::model::TranslationResult edited = plain.translation;
+  edited.params.codec = "ebl";
+  edited.params.restart = true;
+  amrio::obs::Tracer tracer;
+  const auto composed = core::validate_translation(
+      run, edited, ex::EngineKind::kEvent, amrio::obs::Probe{&tracer});
 
   // the engine/codec/restart knobs must not perturb the byte-accuracy story
   EXPECT_EQ(composed.proxy_per_step, plain.proxy_per_step);
@@ -392,4 +393,6 @@ TEST(ProxyStudy, EngineCodecRestartComposeInOneEntryPoint) {
             static_cast<std::size_t>(8));
   // restart untouched by default
   EXPECT_EQ(plain.restart_stats.raw_bytes, 0u);
+  // the caller's probe saw the proxy run, dump and restart
+  EXPECT_FALSE(tracer.spans().empty());
 }

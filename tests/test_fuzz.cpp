@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+
+#include "campaign/cache.hpp"
 #include "core/run_flags.hpp"
 #include "macsio/params.hpp"
 #include "plotfile/fab_io.hpp"
@@ -205,6 +210,72 @@ TEST_P(ParserFuzz, FabHeaderNeverCrashes) {
     } catch (const std::exception&) {
     }
   }
+}
+
+// The campaign cache loader (--cache) reads a file the user controls:
+// truncations, byte flips, hostile nesting and out-of-range numbers must
+// load or throw — never crash, overflow the stack or hit undefined casts.
+TEST_P(ParserFuzz, CampaignCacheNeverCrashes) {
+  namespace cg = amrio::campaign;
+  amrio::util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 40503);
+  const std::string path =
+      "fuzz_campaign_cache_" + std::to_string(GetParam()) + ".json";
+  std::string valid;
+  {
+    cg::ResultCache cache;
+    for (int i = 0; i < 3; ++i) {
+      cg::CellResult r;
+      r.raw_bytes = 1000u + static_cast<std::uint64_t>(i);
+      r.dump_seconds = 0.25 * i;
+      r.critical_stage = "pfs_write";
+      cache.insert("key" + std::to_string(i), r);
+    }
+    cache.save(path);
+    std::ifstream in(path, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(valid.empty());
+
+  const auto try_load = [&](const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    cg::ResultCache cache;
+    try {
+      EXPECT_LE(cache.load(path), 3u);
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("campaign cache: ", 0), 0u)
+          << e.what();
+    }
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    try_load(valid.substr(0, rng.uniform_int(valid.size())));
+    std::string flipped = valid;
+    const int nflips = 1 + static_cast<int>(rng.uniform_int(8));
+    for (int k = 0; k < nflips; ++k)
+      flipped[rng.uniform_int(flipped.size())] =
+          static_cast<char>(rng.uniform_int(256));
+    try_load(flipped);
+  }
+  // deep nesting, bare and inside the entries array
+  try_load(std::string(200000, '['));
+  std::string nested = valid;
+  nested.insert(nested.find("\"entries\": [") + 12, std::string(50000, '['));
+  try_load(nested);
+  std::string objects;
+  for (int i = 0; i < 50000; ++i) objects += "{\"a\":";
+  try_load(objects);
+
+  // counts past 2^64 take the default instead of an undefined cast
+  std::string huge = valid;
+  const std::size_t at = huge.find("\"raw_bytes\": 1000");
+  ASSERT_NE(at, std::string::npos);
+  huge.replace(at, 17, "\"raw_bytes\": 1e30");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << huge;
+  cg::ResultCache cache;
+  ASSERT_EQ(cache.load(path), 3u);
+  cg::CellResult r;
+  ASSERT_TRUE(cache.lookup("key0", &r));
+  EXPECT_EQ(r.raw_bytes, 0u);
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(1, 7));
