@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/format.hpp"
 
 namespace amrio::codec {
 
@@ -381,11 +381,9 @@ std::vector<double> parse_var_bounds(const std::string& csv) {
 
 std::string format_var_bounds(const std::vector<double>& bounds) {
   std::string out;
-  char buf[32];
   for (const double b : bounds) {
-    std::snprintf(buf, sizeof(buf), "%.17g", b);
     if (!out.empty()) out += ',';
-    out += buf;
+    out += util::format_g(b, 17);
   }
   return out;
 }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "util/format.hpp"
 #include "util/json.hpp"
 
 namespace amrio::obs {
@@ -112,34 +111,54 @@ void ChromeTraceEmitter::finish() {
   os_ << "\n";
 }
 
-void write_chrome_trace(std::ostream& os, const std::vector<Span>& spans,
-                        const std::vector<SpanEdge>& edges) {
+namespace {
+
+/// The buffered exporter over spans already in merged order.
+void write_chrome_trace_ordered(std::ostream& os,
+                                const std::vector<const Span*>& spans,
+                                const std::vector<SpanEdge>& edges) {
   ChromeTraceEmitter em(os);
 
   // Thread-name metadata, one per distinct rank track, rank order.
-  std::set<int> ranks;
-  for (const Span& s : spans) ranks.insert(s.rank);
+  std::vector<int> ranks;
+  ranks.reserve(spans.size());
+  for (const Span* s : spans) ranks.push_back(s->rank);
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   std::vector<TraceTrack> tracks;
   tracks.reserve(ranks.size());
   for (int rank : ranks) tracks.push_back({rank + 1, track_name(rank)});
   em.begin(tracks);
 
-  std::unordered_map<std::uint64_t, const Span*> by_id;
-  by_id.reserve(spans.size());
-  for (const Span& s : spans) by_id.emplace(s.id, &s);
+  for (const Span* s : spans) em.span_event(*s);
 
-  for (const Span& s : spans) em.span_event(s);
-
-  for (const SpanEdge& e : edges) {
-    auto from_it = by_id.find(e.from);
-    auto to_it = by_id.find(e.to);
-    if (from_it == by_id.end() || to_it == by_id.end()) continue;
-    const Span& from = *from_it->second;
-    const Span& to = *to_it->second;
-    em.flow_pair(from.rank, from.end, to.rank, to.start);
+  // Flow pairs need each edge's endpoints; an edge-free trace skips the
+  // id index.
+  if (!edges.empty()) {
+    std::unordered_map<std::uint64_t, const Span*> by_id;
+    by_id.reserve(spans.size());
+    for (const Span* s : spans) by_id.emplace(s->id, s);
+    for (const SpanEdge& e : edges) {
+      auto from_it = by_id.find(e.from);
+      auto to_it = by_id.find(e.to);
+      if (from_it == by_id.end() || to_it == by_id.end()) continue;
+      const Span& from = *from_it->second;
+      const Span& to = *to_it->second;
+      em.flow_pair(from.rank, from.end, to.rank, to.start);
+    }
   }
 
   em.finish();
+}
+
+}  // namespace
+
+void write_chrome_trace(std::ostream& os, const std::vector<Span>& spans,
+                        const std::vector<SpanEdge>& edges) {
+  std::vector<const Span*> order;
+  order.reserve(spans.size());
+  for (const Span& s : spans) order.push_back(&s);
+  write_chrome_trace_ordered(os, order, edges);
 }
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
@@ -202,31 +221,31 @@ void write_metrics_csv(std::ostream& os, const MetricsSnapshot& snap) {
   // snapshot's (sorted-map) name order. bench_diff.py and downstream
   // scripts rely on this order; change it only with a schema version bump.
   os << "kind,name,key,value\n";
-  auto fmt = [](double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
   for (const auto& [name, v] : snap.counters)
     os << "counter," << csv_field(name) << ",," << v << "\n";
   for (const auto& [name, v] : snap.gauges)
-    os << "gauge," << csv_field(name) << ",," << fmt(v) << "\n";
+    os << "gauge," << csv_field(name) << ",," << util::format_g(v, 17)
+       << "\n";
   for (const auto& [name, h] : snap.histograms) {
     os << "histogram," << csv_field(name) << ",count," << h.count << "\n";
-    os << "histogram," << csv_field(name) << ",sum," << fmt(h.sum()) << "\n";
+    os << "histogram," << csv_field(name) << ",sum,"
+       << util::format_g(h.sum(), 17) << "\n";
     for (const auto& [bucket, count] : h.buckets)
       os << "histogram_bucket," << csv_field(name) << "," << bucket << ","
          << count << "\n";
   }
   for (const auto& [name, ts] : snap.series)
     for (const auto& [t, v] : ts.samples)
-      os << "sample," << csv_field(name) << "," << fmt(t) << "," << fmt(v)
-         << "\n";
+      os << "sample," << csv_field(name) << "," << util::format_g(t, 17)
+         << "," << util::format_g(v, 17) << "\n";
 }
 
 void export_trace(const std::string& path, const Tracer& tracer) {
   std::ofstream out = open_or_throw(path);
-  write_chrome_trace(out, tracer.spans(), tracer.edges());
+  const std::vector<SpanEdge> edges = tracer.edges();
+  tracer.visit_merged([&](const std::vector<const Span*>& spans) {
+    write_chrome_trace_ordered(out, spans, edges);
+  });
 }
 
 void export_metrics(const std::string& path, const MetricsSnapshot& snap) {

@@ -40,16 +40,46 @@ void Tracer::edge(std::uint64_t from, std::uint64_t to) {
   sink.edges.push_back(SpanEdge{from, to});
 }
 
-std::vector<Span> Tracer::spans() const {
-  std::vector<Span> out;
+void Tracer::visit_merged(
+    const std::function<void(const std::vector<const Span*>&)>& fn) const {
+  // Sinks lock in index order; record() and edge() hold one sink lock at a
+  // time, so this cannot deadlock. `fn` runs under the locks because it
+  // reads the spans in place.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(sinks_.size());
+  std::size_t n = 0;
   for (const auto& sink : sinks_) {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    out.insert(out.end(), sink->spans.begin(), sink->spans.end());
+    locks.emplace_back(sink->mu);
+    n += sink->spans.size();
   }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
+  // Sort compact keys, not Spans: a Span swap moves four strings.
+  struct Key {
+    double start;
+    int rank;
+    std::uint64_t id;
+    const Span* span;
+  };
+  std::vector<Key> keys;
+  keys.reserve(n);
+  for (const auto& sink : sinks_)
+    for (const Span& s : sink->spans)
+      keys.push_back({s.start, s.rank, s.id, &s});
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     if (a.start != b.start) return a.start < b.start;
     if (a.rank != b.rank) return a.rank < b.rank;
     return a.id < b.id;
+  });
+  std::vector<const Span*> order;
+  order.reserve(n);
+  for (const Key& k : keys) order.push_back(k.span);
+  fn(order);
+}
+
+std::vector<Span> Tracer::spans() const {
+  std::vector<Span> out;
+  visit_merged([&](const std::vector<const Span*>& order) {
+    out.reserve(order.size());
+    for (const Span* s : order) out.push_back(*s);
   });
   return out;
 }

@@ -13,6 +13,7 @@
 /// engines for the same configuration.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,6 +87,12 @@ class Tracer : public SpanSink {
 
   /// Deterministic merged snapshot, ordered by (start, rank, id).
   std::vector<Span> spans() const;
+
+  /// Calls `fn` once with the spans() order as pointers into the sinks, so
+  /// a consumer that only reads (the trace exporter) copies no span. Every
+  /// sink stays locked while `fn` runs: `fn` must not touch this tracer.
+  void visit_merged(
+      const std::function<void(const std::vector<const Span*>&)>& fn) const;
 
   /// Deterministic merged edge list, ordered by (from, to).
   std::vector<SpanEdge> edges() const;

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/assert.hpp"
+
 namespace amrio::util {
 
 std::vector<std::string> split(std::string_view s, char delim) {
@@ -126,10 +128,18 @@ std::string zero_pad(std::uint64_t value, int width) {
   return buf;
 }
 
+std::string_view format_g_to(char (&buf)[kFormatGMax], double v,
+                             int digits) {
+  AMRIO_EXPECTS(digits >= 0 && digits <= 40);
+  const auto res = std::to_chars(buf, buf + kFormatGMax, v,
+                                 std::chars_format::general, digits);
+  AMRIO_ENSURES(res.ec == std::errc());
+  return {buf, static_cast<std::size_t>(res.ptr - buf)};
+}
+
 std::string format_g(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
-  return buf;
+  char buf[kFormatGMax];
+  return std::string(format_g_to(buf, v, digits));
 }
 
 }  // namespace amrio::util

@@ -37,7 +37,17 @@ std::uint64_t parse_bytes(std::string_view s);
 /// Fixed-width zero-padded integer, e.g. zero_pad(7, 5) == "00007".
 std::string zero_pad(std::uint64_t value, int width);
 
-/// printf-style %g formatting with `digits` significant digits.
+/// printf-style %g formatting with `digits` significant digits. Rendered by
+/// std::to_chars(general, digits), whose output is byte-identical to
+/// snprintf("%.*g") (tests/test_util.cpp pins that over random bit patterns).
 std::string format_g(double v, int digits = 6);
+
+/// Capacity `format_g_to` needs: any %g rendering with up to 40 significant
+/// digits (sign, point and a 5-character exponent included) fits.
+inline constexpr std::size_t kFormatGMax = 48;
+
+/// `format_g` without the std::string: renders into `buf` and returns the
+/// written characters (a view into `buf`). Requires 0 <= digits <= 40.
+std::string_view format_g_to(char (&buf)[kFormatGMax], double v, int digits);
 
 }  // namespace amrio::util

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace amrio::util {
@@ -16,11 +17,22 @@ namespace amrio::util {
 ///   w.begin_object();
 ///   w.key("steps").begin_array(); w.value(1); w.value(2); w.end_array();
 ///   w.end_object();
+///
+/// Tokens are rendered into a private buffer (no per-token allocation once
+/// it has grown) and handed to `os` in one `write` when the buffer passes
+/// `kFlushBytes`, when a root document completes, and on destruction. Text
+/// a caller writes to `os` after the document completes therefore lands
+/// after it, and a long document streams in bounded memory.
 class JsonWriter {
  public:
+  /// Buffered bytes that trigger a write to the stream mid-document.
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
   explicit JsonWriter(std::ostream& os, bool pretty = false)
       : os_(os), pretty_(pretty) {}
-  ~JsonWriter() = default;
+  /// Writes whatever is still buffered (a document cut short by a contract
+  /// violation included); never throws.
+  ~JsonWriter();
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 
@@ -28,9 +40,9 @@ class JsonWriter {
   JsonWriter& end_object();
   JsonWriter& begin_array();
   JsonWriter& end_array();
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v) { return value(std::string(v)); }
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(double v);
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint64_t v);
@@ -41,15 +53,22 @@ class JsonWriter {
   /// True once every opened scope is closed.
   bool complete() const { return stack_.empty() && wrote_root_; }
 
-  static std::string escape(const std::string& s);
+  /// JSON string-body escaping: `"`, `\` and control characters (< 0x20);
+  /// every other byte passes through unchanged.
+  static std::string escape(std::string_view s);
 
  private:
   enum class Scope { kObject, kArray };
   void comma_and_indent();
-  void on_value();
+  void begin_value();
+  void newline_indent();
+  void close_scope(char closer);
+  void after_token();
+  void flush();
 
   std::ostream& os_;
   bool pretty_;
+  std::string buf_;  // rendered, not yet written to os_
   std::vector<Scope> stack_;
   std::vector<bool> first_in_scope_;
   bool expecting_value_ = false;  // a key was just written

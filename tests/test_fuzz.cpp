@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -191,6 +195,49 @@ TEST_P(ParserFuzz, ProxyFlagTableNeverCrashes) {
       EXPECT_GE(run.jobs, 1);
     } catch (const std::exception&) {
     }
+  }
+}
+
+// The proxy-only extras are declared in macsio_proxy's own main, so they
+// are driven through the built binary (next to this test executable): every
+// malformed value — garbage, negative, out of range, empty, missing, in
+// bare and `--k=v` form — must exit 2 with one stderr line, never run,
+// hang or abort.
+TEST(ProxyExtrasCli, MalformedValuesExitTwoWithOneLine) {
+  const std::filesystem::path proxy =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path() /
+      "macsio_proxy";
+  if (!std::filesystem::exists(proxy))
+    GTEST_SKIP() << proxy << " is not built";
+  const std::vector<std::string> cases{
+      "--trace_sample abc",    "--trace_sample=2x",
+      "--trace_sample -1",     "--trace_sample=-5",
+      "--trace_sample=1e400",  "--trace_sample=4294967300",
+      "--trace_sample=nan",    "--trace_sample=",
+      "--trace_sample",        "--predict 0",
+      "--predict=-3",          "--predict -3",
+      "--predict nan",         "--predict=12junk",
+      "--predict=99999999999", "--predict=0x10",
+      "--predict=",            "--predict"};
+  for (const std::string& bad : cases) {
+    // stderr into the pipe, stdout discarded; `timeout` turns a hang into
+    // exit 124.
+    const std::string cmd = "timeout 10 '" + proxy.string() +
+                            "' --nprocs 2 --num_dumps 1 " + bad +
+                            " 2>&1 >/dev/null";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string err;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) err += buf;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << bad << ": killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad << ": " << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1)
+        << bad << ": " << err;
+    EXPECT_EQ(err.rfind("macsio_proxy: ", 0), 0u) << bad << ": " << err;
+    const std::string flag = bad.substr(0, bad.find_first_of(" ="));
+    EXPECT_NE(err.find(flag), std::string::npos) << bad << ": " << err;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <random>
@@ -515,6 +516,166 @@ TEST(Exporters, MetricsJsonAndCsv) {
   EXPECT_NE(csv.find("counter,requests,,7"), std::string::npos);
   EXPECT_NE(csv.find("histogram,lat,count,2"), std::string::npos);
   EXPECT_NE(csv.find("sample,occ,"), std::string::npos);
+}
+
+namespace {
+
+// Renders the Chrome trace, metrics JSON and metrics CSV of a small fixed
+// span/metric stream whose strings need escaping and whose doubles need all
+// 17 digits or an exponent.
+struct PinnedExports {
+  std::string trace, trace_file, metrics_json, metrics_csv;
+};
+
+PinnedExports render_pinned_exports() {
+  obs::Tracer t;
+  obs::Span dump;
+  dump.rank = -1;
+  dump.stage = "dump";
+  dump.detail = "dump \"0\"";
+  dump.start = 0.0;
+  dump.end = 1.0 / 3.0;
+  const auto root = t.record(dump);
+  obs::Span enc;
+  enc.rank = 0;
+  enc.parent = root;
+  enc.stage = "encode";
+  enc.detail = std::string("dir\\file\nline\x01") + "z";
+  enc.start = 1e-7;
+  enc.end = 0.25;
+  enc.wait = 1.0 / 3.0;
+  enc.resource = "cpu \"core\"";
+  enc.service = 1e-7;
+  enc.res = "codec_cpu";
+  const auto a = t.record(enc);
+  obs::Span ship;
+  ship.rank = 1;
+  ship.stage = "ship";
+  ship.start = 0.25;
+  ship.end = 1e21;
+  const auto b = t.record(ship);
+  t.edge(a, b);
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace, t.spans(), t.edges());
+  // export_trace emits straight from the tracer's merged order.
+  const std::string path = ::testing::TempDir() + "pinned_trace.json";
+  obs::export_trace(path, t);
+  std::ifstream in(path, std::ios::binary);
+  const std::string trace_file((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+
+  obs::MetricsRegistry m;
+  m.add("requests", 7);
+  m.gauge_set("ratio", 1.0 / 3.0);
+  m.gauge_set("tiny", 1e-7);
+  m.gauge_set("huge", 1e21);
+  m.observe("lat", 4e-9, 1e-9);
+  m.observe("lat", 0.0, 1e-9);
+  m.observe("lat", 1.0 / 3.0, 1e-9);
+  m.sample("occ, \"q\"", 1.0 / 3.0, 1e21);
+  m.sample("occ, \"q\"", 1e-7, 0.1);
+  const auto snap = m.snapshot();
+  std::ostringstream js, cs;
+  obs::write_metrics_json(js, snap);
+  obs::write_metrics_csv(cs, snap);
+  return {trace.str(), trace_file, js.str(), cs.str()};
+}
+
+}  // namespace
+
+// The exporters' bytes, captured once and pinned: escaping (quote,
+// backslash, newline, a raw control byte), 17-digit and exponent doubles,
+// a flow edge, a histogram and CSV quoting. The engine-vs-engine and
+// stream-vs-buffered byte tests compare two paths that change together;
+// this one catches a change of the shared writer itself.
+TEST(Exporters, ChromeTraceAndMetricsBytesArePinned) {
+  const PinnedExports got = render_pinned_exports();
+  EXPECT_EQ(got.trace_file, got.trace);
+  EXPECT_EQ(got.trace,
+            R"pin({"displayTimeUnit":"ms","traceEvents":[{"ph":"M","pid":0,)pin"
+            R"pin("tid":0,"name":"thread_name","args":{"name":"driver"}},)pin"
+            R"pin({"ph":"M","pid":0,"tid":1,"name":"thread_name",)pin"
+            R"pin("args":{"name":"rank 0"}},{"ph":"M","pid":0,"tid":2,)pin"
+            R"pin("name":"thread_name","args":{"name":"rank 1"}},{"ph":"X",)pin"
+            R"pin("pid":0,"tid":0,"name":"dump","cat":"pipeline","ts":0,)pin"
+            R"pin("dur":333333.33333333331,"args":{"id":1,)pin"
+            R"pin("detail":"dump \"0\""}},{"ph":"X","pid":0,"tid":1,)pin"
+            R"pin("name":"encode","cat":"pipeline","ts":0.099999999999999992,)pin"
+            R"pin("dur":249999.89999999999,"args":{"id":4294967297,"parent":1,)pin"
+            R"pin("detail":"dir\\file\nline\u0001z",)pin"
+            R"pin("wait_s":0.33333333333333331,"resource":"cpu \"core\"",)pin"
+            R"pin("service_s":9.9999999999999995e-08,"res":"codec_cpu"}},)pin"
+            R"pin({"ph":"X","pid":0,"tid":2,"name":"ship","cat":"pipeline",)pin"
+            R"pin("ts":250000,"dur":1e+27,"args":{"id":8589934593}},{"ph":"s",)pin"
+            R"pin("pid":0,"tid":1,"name":"dep","cat":"edge","id":1,"ts":250000},)pin"
+            R"pin({"ph":"f","bp":"e","pid":0,"tid":2,"name":"dep","cat":"edge",)pin"
+            R"pin("id":1,"ts":250000}]}
+)pin");
+  EXPECT_EQ(got.metrics_json, R"pin({
+  "counters": {
+    "requests": 7
+  },
+  "gauges": {
+    "huge": 1e+21,
+    "ratio": 0.33333333333333331,
+    "tiny": 9.9999999999999995e-08
+  },
+  "histograms": {
+    "lat": {
+      "quantum": 1.0000000000000001e-09,
+      "count": 3,
+      "sum": 0.33333333700000001,
+      "mean": 0.11111111233333333,
+      "buckets": [
+        {
+          "bucket": -1,
+          "lo": 0,
+          "hi": 0,
+          "count": 1
+        },
+        {
+          "bucket": 2,
+          "lo": 4.0000000000000002e-09,
+          "hi": 8.0000000000000005e-09,
+          "count": 1
+        },
+        {
+          "bucket": 28,
+          "lo": 0.26843545600000002,
+          "hi": 0.53687091200000003,
+          "count": 1
+        }
+      ]
+    }
+  },
+  "series": {
+    "occ, \"q\"": [
+      [
+        0.33333333333333331,
+        1e+21
+      ],
+      [
+        9.9999999999999995e-08,
+        0.10000000000000001
+      ]
+    ]
+  }
+}
+)pin");
+  EXPECT_EQ(got.metrics_csv, R"pin(kind,name,key,value
+counter,requests,,7
+gauge,huge,,1e+21
+gauge,ratio,,0.33333333333333331
+gauge,tiny,,9.9999999999999995e-08
+histogram,lat,count,3
+histogram,lat,sum,0.33333333700000001
+histogram_bucket,lat,-1,1
+histogram_bucket,lat,2,1
+histogram_bucket,lat,28,1
+sample,"occ, ""q""",0.33333333333333331,1e+21
+sample,"occ, ""q""",9.9999999999999995e-08,0.10000000000000001
+)pin");
 }
 
 // ------------------------------- full-pipeline span invariants (32 ranks)

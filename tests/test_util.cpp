@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/ascii_plot.hpp"
 #include "util/assert.hpp"
@@ -199,6 +205,145 @@ TEST(Json, EscapesControlCharacters) {
   EXPECT_EQ(u::JsonWriter::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
+TEST(Json, EscapesEveryAsciiByteLikeTheReference) {
+  for (int c = 0; c < 0x80; ++c) {
+    std::string want;
+    switch (c) {
+      case '"': want = "\\\""; break;
+      case '\\': want = "\\\\"; break;
+      case '\n': want = "\\n"; break;
+      case '\r': want = "\\r"; break;
+      case '\t': want = "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          want = buf;
+        } else {
+          want = std::string(1, static_cast<char>(c));
+        }
+    }
+    const std::string in = "<" + std::string(1, static_cast<char>(c)) + ">";
+    EXPECT_EQ(u::JsonWriter::escape(in), "<" + want + ">") << "byte " << c;
+  }
+  // Bytes >= 0x80 (UTF-8 sequences) pass through untouched.
+  EXPECT_EQ(u::JsonWriter::escape("\xc3\xa9"), "\xc3\xa9");
+}
+
+TEST(Json, StringViewWithEmbeddedNul) {
+  const std::string_view v("a\0b\"", 4);
+  EXPECT_EQ(u::JsonWriter::escape(v), "a\\u0000b\\\"");
+  std::ostringstream os;
+  u::JsonWriter w(os);
+  w.begin_object();
+  w.key(v).value(v);
+  w.end_object();
+  EXPECT_EQ(os.str(), R"({"a\u0000b\"":"a\u0000b\""})");
+}
+
+// format_g and the writer's doubles must match snprintf("%.*g") byte for
+// byte: the campaign cache keys, CSVs and traces were all pinned under it.
+TEST(Json, DoublesMatchPrintfGOverRandomBitPatterns) {
+  std::vector<double> values{
+      0.0, -0.0, 1.0 / 3.0, 1e-7, 1e21, 0.1, 123456789012345678.0,
+      DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_MIN / 3, DBL_MAX, -DBL_MAX,
+      DBL_EPSILON, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  u::Xoshiro256 rng(20260917);
+  for (int i = 0; i < (1 << 20); ++i)
+    values.push_back(std::bit_cast<double>(rng.next()));
+
+  char want[64];
+  for (const int digits : {4, 12, 17}) {
+    std::size_t mismatches = 0;
+    for (const double v : values) {
+      std::snprintf(want, sizeof(want), "%.*g", digits, v);
+      if (u::format_g(v, digits) != want && ++mismatches <= 5)
+        ADD_FAILURE() << "format_g(" << want << ", " << digits << ") = "
+                      << u::format_g(v, digits);
+    }
+    EXPECT_EQ(mismatches, 0u) << "digits " << digits;
+  }
+
+  // The writer renders every double at 17 digits through the same path.
+  std::ostringstream os;
+  std::string expect = "[";
+  {
+    u::JsonWriter w(os);
+    w.begin_array();
+    for (const double v : values) {
+      std::snprintf(want, sizeof(want), "%.17g", v);
+      if (expect.size() > 1) expect += ',';
+      expect += want;
+      w.value(v);
+    }
+    w.end_array();
+  }
+  expect += ']';
+  EXPECT_TRUE(os.str() == expect) << "writer doubles differ from %.17g";
+}
+
+TEST(Json, DocumentPastTheFlushThresholdMatchesGolden) {
+  std::ostringstream os;
+  std::string golden = "{\"rows\":[";
+  u::JsonWriter w(os);
+  w.begin_object();
+  w.key("rows").begin_array();
+  std::size_t i = 0;
+  bool streamed = false;
+  while (golden.size() < 3 * u::JsonWriter::kFlushBytes) {
+    const std::string name = "r\"" + std::to_string(i) + "\n";
+    w.begin_object();
+    w.key("i").value(std::uint64_t{i});
+    w.key("name").value(name);
+    w.key("x").value(static_cast<double>(i) / 7.0);
+    w.end_object();
+    char x[32];
+    std::snprintf(x, sizeof(x), "%.17g", static_cast<double>(i) / 7.0);
+    golden += std::string(i ? "," : "") + "{\"i\":" + std::to_string(i) +
+              ",\"name\":\"r\\\"" + std::to_string(i) + "\\n\",\"x\":" + x +
+              "}";
+    ++i;
+    // Mid-document output reaches the stream once the buffer is full, so
+    // a long document never sits whole in memory.
+    streamed = streamed || os.tellp() > 0;
+  }
+  EXPECT_TRUE(streamed);
+  EXPECT_LT(os.str().size(), golden.size());
+  w.end_array();
+  w.end_object();
+  golden += "]}";
+  EXPECT_TRUE(os.str() == golden);
+}
+
+TEST(Json, TextAfterTheDocumentLandsAfterIt) {
+  std::ostringstream os;
+  u::JsonWriter w(os, /*pretty=*/true);
+  w.begin_object();
+  w.key("a").value(1.5);
+  w.end_object();
+  os << "\n";
+  EXPECT_EQ(os.str(), "{\n  \"a\": 1.5\n}\n");
+
+  std::ostringstream scalar;
+  u::JsonWriter s(scalar);
+  s.value("root");
+  scalar << "|";
+  EXPECT_EQ(scalar.str(), "\"root\"|");
+}
+
+TEST(Json, DestructorWritesAnUnfinishedDocument) {
+  std::ostringstream os;
+  {
+    u::JsonWriter w(os);
+    w.begin_array().value(1);
+    EXPECT_EQ(os.str(), "");
+  }
+  EXPECT_EQ(os.str(), "[1");
+}
+
 TEST(Json, KeyOutsideObjectThrows) {
   std::ostringstream os;
   u::JsonWriter w(os);
@@ -211,6 +356,30 @@ TEST(Json, ValueWithoutKeyInObjectThrows) {
   u::JsonWriter w(os);
   w.begin_object();
   EXPECT_THROW(w.value(1), amrio::ContractViolation);
+}
+
+TEST(Json, TwoKeysInARowThrows) {
+  std::ostringstream os;
+  u::JsonWriter w(os);
+  w.begin_object();
+  w.key("a");
+  EXPECT_THROW(w.key("b"), amrio::ContractViolation);
+}
+
+TEST(Json, ValueAfterCompleteDocumentThrows) {
+  std::ostringstream os;
+  u::JsonWriter w(os);
+  w.begin_object().end_object();
+  EXPECT_THROW(w.value(1), amrio::ContractViolation);
+  EXPECT_THROW(w.begin_array(), amrio::ContractViolation);
+}
+
+TEST(Json, DanglingKeyThrows) {
+  std::ostringstream os;
+  u::JsonWriter w(os);
+  w.begin_object();
+  w.key("a");
+  EXPECT_THROW(w.end_object(), amrio::ContractViolation);
 }
 
 // ------------------------------------------------------------------ cli
