@@ -177,10 +177,12 @@ class SpmdEngine final : public Engine {
 /// Discrete-event engine: virtual ranks on one shared execution stack.
 ///
 /// A rank runs on the shared stack until it blocks (collective arrival or an
-/// empty mailbox); its live stack slice — typically a few KiB — is copied
-/// into a size-classed arena pool and the stack is reused, so a 516k-rank
-/// dump costs megabytes of engine state plus the suspended slices instead of
-/// 516k fiber stacks or OS threads. Wake-ups go through a FIFO ready queue
+/// empty mailbox); its live stack slice — under 1 KiB for the MACSio dump
+/// body, which suspends once per dump — is copied into a size-classed arena
+/// pool and the stack is reused, so a 516k-rank dump costs megabytes of
+/// engine state plus the suspended slices instead of 516k fiber stacks or OS
+/// threads. Mailboxes are drained: a receive that empties its (src, dst,
+/// tag) mailbox erases it. Wake-ups go through a FIFO ready queue
 /// (collective release wakes arrivals in order, a send wakes exactly the
 /// matching receiver), and fresh ranks start only when nothing is ready, so
 /// one scheduling step is O(1) and a full run is O(total events), not

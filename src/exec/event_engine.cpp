@@ -8,12 +8,12 @@
 ///
 ///  * **One shared execution stack.** A rank executes on a single reusable
 ///    stack. When it blocks (collective arrival, empty mailbox) only its
-///    *live* slice — [current stack pointer, stack top), typically 2–4 KiB
-///    deep inside the MACSio dump body — is copied out into a size-classed
-///    arena pool. Resuming copies the slice back to the identical addresses,
-///    so every pointer into the stack stays valid. Suspended state per rank
-///    is one saved stack pointer plus the slice; 516k suspended ranks cost
-///    on the order of a gigabyte, not tens.
+///    *live* slice — [current stack pointer, stack top), under 1 KiB at
+///    the MACSio dump body's one end-of-dump gather — is copied out into a
+///    size-classed arena pool. Resuming copies the slice back to the
+///    identical addresses, so every pointer into the stack stays valid.
+///    Suspended state per rank is one saved stack pointer plus the slice;
+///    516k suspended ranks cost well under a gigabyte, not tens.
 ///
 ///  * **Event-driven wake-ups.** Blocked ranks are never polled. A collective
 ///    keeps an arrival counter plus the list of arrivals; the last participant
@@ -280,7 +280,9 @@ struct EventState {
   std::vector<std::byte> bytes_result;
 
   // Mailboxes keyed by packed (src, dst, tag); at most one rank (dst) can
-  // block per key, so a send wakes its receiver by direct lookup.
+  // block per key, so a send wakes its receiver by direct lookup. A receive
+  // that drains a mailbox erases it, so only undelivered messages hold
+  // entries.
   std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> mail;
   std::unordered_map<std::uint64_t, std::deque<std::vector<std::byte>>>
       byte_mail;
@@ -480,10 +482,7 @@ class EventCtx final : public RankCtx {
       check_abort();
       block_on(key, EventState::St::kWaitToken);
     }
-    auto& q = st_->mail[key];
-    const std::uint64_t v = q.front();
-    q.pop_front();
-    return v;
+    return take(st_->mail, key);
   }
 
   void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
@@ -502,13 +501,23 @@ class EventCtx final : public RankCtx {
       check_abort();
       block_on(key, EventState::St::kWaitBytes);
     }
-    auto& q = st_->byte_mail[key];
-    std::vector<std::byte> v = std::move(q.front());
-    q.pop_front();
-    return v;
+    return take(st_->byte_mail, key);
   }
 
  private:
+  /// Pop the oldest message of a non-empty mailbox, and drop the mailbox once
+  /// it is drained: a baton pair leaves nothing behind, so a 131k-rank dump
+  /// does not keep one empty deque per (src, dst, tag) alive for the run.
+  template <typename Map>
+  static typename Map::mapped_type::value_type take(Map& boxes,
+                                                    std::uint64_t key) {
+    const auto it = boxes.find(key);
+    auto v = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) boxes.erase(it);
+    return v;
+  }
+
   /// Arrive at a collective; the last rank computes the result and moves the
   /// waiters to the ready queue (in arrival order), then proceeds without
   /// yielding. Earlier ranks suspend until released.

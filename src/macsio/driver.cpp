@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "codec/codec.hpp"
@@ -37,16 +36,10 @@ int file_group(const Params& p, int rank) {
   return static_cast<int>((static_cast<std::int64_t>(rank) * nfiles) / p.nprocs);
 }
 
-/// First rank of a file group (the member that creates/truncates the file).
-bool is_group_leader(const Params& p, int rank) {
-  if (rank == 0) return true;
-  return file_group(p, rank) != file_group(p, rank - 1);
-}
-
 /// dump_file_path against an already-constructed interface — the dump body
-/// calls this several times per rank per dump; allocating a fresh interface
-/// each time (as the public overload must) would dominate calibration
-/// replays.
+/// calls this once per rank per dump (and rank 0 once per file); allocating
+/// a fresh interface each time (as the public overload must) would dominate
+/// calibration replays.
 std::string dump_file_path_for(const Params& p, const IoInterface& iface,
                                int rank, int dump) {
   if (p.file_mode == FileMode::kSif) {
@@ -157,343 +150,402 @@ std::uint64_t aggregated_index_bytes(const Params& p) {
 
 namespace {
 
+/// What every rank derives once per run from the parameters, for the dump
+/// and the restart body alike. The bodies keep it on the heap, and the
+/// out-of-line steps below hold their own paths, files and sinks, so a
+/// body's frame — what an engine parks across a gather — stays a few words.
+struct RankSetup {
+  explicit RankSetup(const Params& p)
+      : params(p),
+        iface(make_interface(p.interface)),
+        agg_cfg{p.aggregators, p.agg_link_bandwidth, 1.0e-6},
+        write_tier(p.stage_to_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs),
+        // The in-situ codec stage: every rank encodes its task document
+        // before it leaves the node. Codecs are stateless; each rank holds
+        // its own instance.
+        cdc(codec::make_codec(p.codec_spec())),
+        encoded(p.codec_spec().enabled()),
+        topo(p.aggregators > 0 ? std::optional(staging::AggTopology::make(
+                                     p.nprocs, p.aggregators))
+                               : std::nullopt) {}
+
+  const Params& params;
+  const std::unique_ptr<IoInterface> iface;
+  const staging::AggregationConfig agg_cfg;
+  const int write_tier;  ///< tier the dump writes to
+  const std::unique_ptr<codec::Codec> cdc;
+  const bool encoded;
+  const std::optional<staging::AggTopology> topo;  ///< set iff aggregated
+};
+
+constexpr int kBatonTag = 41;
+constexpr int kShipTag = 73;
+
+/// The file a rank's task document lands in, as an index: its MIF file
+/// group, or 0 for the one shared SIF file. Ranks of one file are
+/// contiguous, so comparing neighbours' indices replaces comparing paths.
+int file_index(const Params& p, int rank) {
+  return p.file_mode == FileMode::kSif ? 0 : file_group(p, rank);
+}
+
+void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
+                        const PartSpec& spec) {
+  const Params& params = run.params;
+  util::Xoshiro256 rng(params.seed ^ (static_cast<std::uint64_t>(dump) << 20) ^
+                       static_cast<std::uint64_t>(rank));
+  run.iface->begin_task_doc(sink, rank, dump);
+  const int nparts = params.parts_of_rank(rank);
+  for (int part = 0; part < nparts; ++part) {
+    if (part > 0) run.iface->part_separator(sink);
+    run.iface->write_part(sink, spec, part, params.fill, rng);
+  }
+  run.iface->end_task_doc(sink, params.meta_size);
+}
+
+/// Two-phase aggregation: serialize into memory, encode through the codec
+/// stage, ship to the group's aggregator, and let only the aggregator touch
+/// the file system — the encoded documents cross the link, the aggregator
+/// decodes them, and the subfile holds the group's task documents
+/// concatenated in rank order, byte-identical to what the members would
+/// have written themselves. Returns the rank's raw document bytes.
+std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
+                            pfs::StorageBackend& backend,
+                            iostats::TraceRecorder* trace, obs::Probe probe,
+                            int dump, const PartSpec& spec) {
+  const int rank = ctx.rank();
+  const staging::AggTopology& topo = *run.topo;
+  const int group = topo.group_of(rank);
+  const int agg = topo.aggregator_of_group(group);
+  std::vector<std::byte> doc;
+  VectorSink vsink(doc);
+  serialize_task_doc(run, vsink, rank, dump, spec);
+  std::vector<std::byte> blob;
+  if (run.encoded) blob = run.cdc->encode(doc);
+  const auto payloads =
+      exec::gatherv_group(ctx, run.encoded ? blob : doc, topo.members_of(group),
+                          agg, kShipTag, probe);
+  if (rank == agg) {
+    const std::string path =
+        aggregated_file_path_for(run.params, *run.iface, group, dump);
+    std::uint64_t encoded_bytes = 0;
+    double codec_cpu = 0.0;
+    pfs::OutFile out(backend, path);
+    for (const auto& payload : payloads) {
+      if (run.encoded) {
+        const codec::CompressResult enc = run.cdc->peek(payload);
+        encoded_bytes += enc.out_bytes;
+        codec_cpu += enc.cpu_seconds;
+        out.write(run.cdc->decode(payload));
+      } else {
+        out.write(payload);
+      }
+    }
+    const std::uint64_t subfile_bytes = out.bytes_written();
+    out.close();  // surface flush errors (destructor closes quietly)
+    if (trace != nullptr)
+      trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
+                                  encoded_bytes, codec_cpu, run.write_tier,
+                                  group);
+  }
+  return doc.size();
+}
+
+/// One rank's share of a dump: its task document, written behind the file's
+/// baton or shipped to its aggregator. Returns the raw document bytes the
+/// end-of-dump gather reports. Out of line, so nothing it holds is in the
+/// dump loop's frame when the rank waits at the gather.
+[[gnu::noinline]] std::uint64_t write_task_doc(exec::RankCtx& ctx,
+                                               const RankSetup& run,
+                                               pfs::StorageBackend& backend,
+                                               iostats::TraceRecorder* trace,
+                                               obs::Probe probe, int dump) {
+  const Params& params = run.params;
+  const PartSpec spec =
+      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  if (run.topo)
+    return ship_task_doc(ctx, run, backend, trace, probe, dump, spec);
+
+  const int rank = ctx.rank();
+  const std::string path = dump_file_path_for(params, *run.iface, rank, dump);
+  // MIF baton: within a file group, members write strictly in rank order.
+  // SIF is one global group. The leader truncates; followers append after
+  // receiving the baton from their predecessor.
+  const int file = file_index(params, rank);
+  const bool leader = rank == 0 || file_index(params, rank - 1) != file;
+  const bool same_file_successor =
+      rank + 1 < params.nprocs && file_index(params, rank + 1) == file;
+
+  if (!leader) (void)ctx.recv_token(rank - 1, kBatonTag);
+  std::uint64_t written = 0;
+  {
+    pfs::OutFile out(backend, path,
+                     leader ? pfs::OpenMode::kTruncate
+                            : pfs::OpenMode::kAppend);
+    FileSink sink(out);
+    serialize_task_doc(run, sink, rank, dump, spec);
+    written = out.bytes_written();
+    out.close();  // surface flush errors (destructor closes quietly)
+  }
+  if (same_file_successor) ctx.send_token(written, rank + 1, kBatonTag);
+  if (trace != nullptr) {
+    const codec::CompressResult enc =
+        run.encoded ? run.cdc->plan(written) : codec::CompressResult{};
+    trace->record_encoded_write(dump, 0, rank, path, written, enc.out_bytes,
+                                enc.cpu_seconds, run.write_tier, -1);
+  }
+  return written;
+}
+
+/// Rank 0's end-of-dump bookkeeping, all derived from the gathered per-rank
+/// byte counts: statistics, SimFs requests, the root (and aggregation index)
+/// metadata files, spans and ledger entries. It runs after the gather while
+/// the other ranks are already in the next dump — nothing they do reads what
+/// it writes. Out of line, like write_task_doc.
+[[gnu::noinline]] void record_dump(
+    const RankSetup& run, DumpStats& stats, pfs::StorageBackend& backend,
+    iostats::TraceRecorder* trace, obs::Probe probe, int dump,
+    const std::vector<std::uint64_t>& all_bytes) {
+  const Params& params = run.params;
+  const IoInterface& iface = *run.iface;
+  const bool aggregated = run.topo.has_value();
+  const int tier = run.write_tier;
+  const auto& agg_cfg = run.agg_cfg;
+  const PartSpec spec =
+      make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
+  const double submit_time = dump * params.compute_time;
+
+  const std::size_t req_begin = stats.requests.size();
+  std::uint64_t dump_bytes = 0;
+  // Per-task codec results, re-derived deterministically from the raw
+  // byte counts (plan is a pure function of size) — one chunk per doc.
+  std::vector<codec::CompressResult> encs(
+      static_cast<std::size_t>(params.nprocs));
+  // Ranks of one file are contiguous: format each data path once and copy
+  // it into that file's requests.
+  std::string path;
+  int path_file = -1;
+  auto& task_bytes = stats.task_bytes[static_cast<std::size_t>(dump)];
+  for (int r = 0; r < params.nprocs; ++r) {
+    const std::uint64_t b = all_bytes[static_cast<std::size_t>(r)];
+    task_bytes[static_cast<std::size_t>(r)] = b;
+    dump_bytes += b;
+    encs[static_cast<std::size_t>(r)] = run.cdc->plan(b);
+    stats.codec.add(dump, -1, encs[static_cast<std::size_t>(r)]);
+    if (!aggregated) {
+      if (const int file = file_index(params, r); file != path_file) {
+        path = dump_file_path_for(params, iface, r, dump);
+        path_file = file;
+        ++stats.nfiles;
+      }
+      // Encoded bytes hit the filesystem; the encode cpu delays submit.
+      const auto& enc = encs[static_cast<std::size_t>(r)];
+      stats.requests.push_back(pfs::IoRequest{
+          r, submit_time + enc.cpu_seconds, path, enc.out_bytes, tier});
+    }
+  }
+  if (aggregated) {
+    // One request per subfile, submitted once every member has encoded
+    // its document (concurrently — the slowest encode gates the group)
+    // and the encoded bytes have crossed the interconnect.
+    const staging::AggTopology& topo = *run.topo;
+    for (int g = 0; g < topo.ngroups(); ++g) {
+      const int agg = topo.aggregator_of_group(g);
+      std::uint64_t subfile_encoded = 0;
+      std::uint64_t shipped = 0;
+      int nmessages = 0;
+      double encode_gate = 0.0;
+      for (int r : topo.members_of(g)) {
+        const auto& enc = encs[static_cast<std::size_t>(r)];
+        subfile_encoded += enc.out_bytes;
+        encode_gate = std::max(encode_gate, enc.cpu_seconds);
+        if (r != agg) {
+          shipped += enc.out_bytes;
+          ++nmessages;
+        }
+      }
+      const double ready = submit_time + encode_gate +
+                           staging::ship_cost(agg_cfg, shipped, nmessages);
+      stats.requests.push_back(pfs::IoRequest{
+          agg, ready, aggregated_file_path_for(params, iface, g, dump),
+          subfile_encoded, tier});
+    }
+    stats.nfiles += static_cast<std::uint64_t>(topo.ngroups());
+  }
+  // The root document reports the dump's task-data total, aggregated or
+  // not — the index (written below) is bookkeeping on top of it.
+  const std::string root_path = root_file_path(params, dump);
+  const std::string root = root_meta_text(params, dump, spec, dump_bytes);
+  {
+    pfs::OutFile root_out(backend, root_path);
+    root_out.write(root);
+    root_out.close();
+  }
+  if (aggregated) {
+    // Rank 0 writes the per-dump index locating every task document.
+    const std::string index_path =
+        aggregated_index_path_for(params, iface, dump);
+    const std::string index =
+        agg_index_text(params, *run.topo, dump, all_bytes);
+    AMRIO_ENSURES(index.size() == aggregated_index_bytes(params));
+    {
+      pfs::OutFile index_out(backend, index_path);
+      index_out.write(index);
+      index_out.close();
+    }
+    dump_bytes += index.size();
+    if (trace != nullptr)
+      trace->record_staged_write(dump, -1, 0, index_path, index.size(), tier,
+                                 -1);
+    stats.requests.push_back(
+        pfs::IoRequest{0, submit_time, index_path, index.size(), tier});
+    ++stats.nfiles;
+  }
+  dump_bytes += root.size();
+  if (trace != nullptr)
+    trace->record_staged_write(dump, -1, 0, root_path, root.size(), tier, -1);
+  stats.requests.push_back(
+      pfs::IoRequest{0, submit_time, root_path, root.size(), tier});
+  ++stats.nfiles;
+  stats.bytes_per_dump.push_back(dump_bytes);
+  stats.total_bytes += dump_bytes;
+
+  if (probe.metrics) {
+    probe.metrics->add("macsio.dumps", 1);
+    probe.metrics->add("macsio.dump_bytes",
+                       static_cast<std::int64_t>(dump_bytes));
+  }
+  if (probe.tracer) {
+    // Span emission happens here, on rank 0, from the same pure plan()
+    // results the requests were built from — per-rank program order is
+    // engine-invariant, so the merged stream is byte-identical across
+    // serial/spmd/event engines.
+    const std::string label = "dump " + std::to_string(dump);
+    double phase_end = submit_time;
+    for (std::size_t i = req_begin; i < stats.requests.size(); ++i)
+      phase_end = std::max(phase_end, stats.requests[i].submit_time);
+    const std::uint64_t phase = probe.tracer->record(
+        obs::Span{0, 0, -1, "dump", label, submit_time, phase_end});
+    std::vector<std::uint64_t> encode_span(
+        static_cast<std::size_t>(params.nprocs), 0);
+    for (int r = 0; r < params.nprocs; ++r) {
+      const double cpu = encs[static_cast<std::size_t>(r)].cpu_seconds;
+      if (cpu <= 0.0) continue;
+      obs::Span es;
+      es.parent = phase;
+      es.rank = r;
+      es.stage = "encode";
+      es.detail = label;
+      es.start = submit_time;
+      es.end = submit_time + cpu;
+      es.service = cpu;
+      es.res = "codec_cpu";
+      encode_span[static_cast<std::size_t>(r)] =
+          probe.tracer->record(std::move(es));
+    }
+    if (aggregated) {
+      const staging::AggTopology& topo = *run.topo;
+      for (int g = 0; g < topo.ngroups(); ++g) {
+        const int agg = topo.aggregator_of_group(g);
+        double encode_gate = 0.0;
+        std::uint64_t shipped = 0;
+        int nmessages = 0;
+        for (int r : topo.members_of(g)) {
+          encode_gate = std::max(encode_gate,
+                                 encs[static_cast<std::size_t>(r)].cpu_seconds);
+          if (r != agg) {
+            shipped += encs[static_cast<std::size_t>(r)].out_bytes;
+            ++nmessages;
+          }
+        }
+        const double ship_start = submit_time + encode_gate;
+        const double ready =
+            ship_start + staging::ship_cost(agg_cfg, shipped, nmessages);
+        if (ready <= ship_start) continue;
+        obs::Span ss;
+        ss.parent = phase;
+        ss.rank = agg;
+        ss.stage = "ship";
+        ss.detail = label;
+        ss.start = ship_start;
+        ss.end = ready;
+        ss.resource = "agg_link";
+        // The bandwidth part only: the per-message latency term does not
+        // shrink when the link gets faster, so the what-if engine must
+        // not scale it.
+        ss.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
+        ss.res = "agg_link";
+        const std::uint64_t ship = probe.tracer->record(std::move(ss));
+        for (int r : topo.members_of(g)) {
+          const std::uint64_t from = encode_span[static_cast<std::size_t>(r)];
+          if (from != 0) probe.tracer->edge(from, ship);
+        }
+      }
+    }
+  }
+  if (probe.ledger) {
+    // Pool view of the same plan() results: the codec CPU pool (one lane
+    // per rank) holds lanes for their encode seconds, the agg link pool
+    // (one link per group) for the ship window.
+    obs::ResourceLedger& lg = *probe.ledger;
+    lg.declare("codec_cpu", params.nprocs);
+    double cpu_total = 0.0;
+    for (int r = 0; r < params.nprocs; ++r)
+      cpu_total += encs[static_cast<std::size_t>(r)].cpu_seconds;
+    lg.add_busy("codec_cpu", cpu_total);
+    if (aggregated) {
+      const staging::AggTopology& topo = *run.topo;
+      lg.declare("agg_link", topo.ngroups());
+      for (int g = 0; g < topo.ngroups(); ++g) {
+        const int agg = topo.aggregator_of_group(g);
+        double encode_gate = 0.0;
+        std::uint64_t shipped = 0;
+        int nmessages = 0;
+        for (int r : topo.members_of(g)) {
+          encode_gate = std::max(encode_gate,
+                                 encs[static_cast<std::size_t>(r)].cpu_seconds);
+          if (r != agg) {
+            shipped += encs[static_cast<std::size_t>(r)].out_bytes;
+            ++nmessages;
+          }
+        }
+        const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
+        lg.add_busy("agg_link", cost);
+        lg.extend_makespan(submit_time + encode_gate + cost);
+      }
+    }
+  }
+}
+
 /// The single SPMD dump-loop body shared by every execution mode. Rank 0
-/// accumulates the full statistics and returns them; other ranks return
-/// empty stats.
-DumpStats run_macsio_rank(exec::RankCtx& ctx, const Params& params,
-                          pfs::StorageBackend& backend,
-                          iostats::TraceRecorder* trace, obs::Probe probe) {
+/// passes `stats` and accumulates the full statistics into it; every other
+/// rank passes null.
+///
+/// The gather is MACSio's end-of-dump collective and a dump's only global
+/// one. Every engine's gather already synchronizes all ranks, and the
+/// engines' wall clock never reaches the model (SimFs replays the requests),
+/// so no barrier surrounds it: on EventEngine a MIF/SIF rank suspends once
+/// per dump.
+void run_macsio_rank(exec::RankCtx& ctx, const Params& params,
+                     pfs::StorageBackend& backend,
+                     iostats::TraceRecorder* trace, obs::Probe probe,
+                     DumpStats* stats) {
   params.validate();
   AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
                     "run_macsio: engine ranks " << ctx.nranks()
                                                 << " != nprocs " << params.nprocs);
-  const auto iface = make_interface(params.interface);
-  const int rank = ctx.rank();
-  constexpr int kBatonTag = 41;
-  constexpr int kShipTag = 73;
-
-  const bool aggregated = params.aggregators > 0;
-  std::optional<staging::AggTopology> topo;
-  if (aggregated)
-    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
-  const staging::AggregationConfig agg_cfg{params.aggregators,
-                                           params.agg_link_bandwidth, 1.0e-6};
-  const int tier =
-      params.stage_to_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
-  // The in-situ codec stage: every rank encodes its task document before it
-  // leaves the node. Codecs are stateless; each rank holds its own instance.
-  const auto cdc = codec::make_codec(params.codec_spec());
-  const bool encoded = params.codec_spec().enabled();
-
-  DumpStats stats;
-  if (rank == 0) {
-    stats.task_bytes.assign(static_cast<std::size_t>(params.num_dumps),
-                            std::vector<std::uint64_t>(
-                                static_cast<std::size_t>(params.nprocs), 0));
+  const auto run = std::make_unique<const RankSetup>(params);
+  if (stats != nullptr) {
+    stats->task_bytes.assign(static_cast<std::size_t>(params.num_dumps),
+                             std::vector<std::uint64_t>(
+                                 static_cast<std::size_t>(params.nprocs), 0));
   }
-
   for (int dump = 0; dump < params.num_dumps; ++dump) {
-    const PartSpec spec =
-        make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
-    const double submit_time = dump * params.compute_time;
-    util::Xoshiro256 rng(params.seed ^
-                         (static_cast<std::uint64_t>(dump) << 20) ^
-                         static_cast<std::uint64_t>(rank));
-    // `written` is this rank's task-document bytes, gathered below either way.
-    std::uint64_t written = 0;
-
-    auto serialize_task_doc = [&](Sink& sink) {
-      iface->begin_task_doc(sink, rank, dump);
-      const int nparts = params.parts_of_rank(rank);
-      for (int part = 0; part < nparts; ++part) {
-        if (part > 0) iface->part_separator(sink);
-        iface->write_part(sink, spec, part, params.fill, rng);
-      }
-      iface->end_task_doc(sink, params.meta_size);
-    };
-
-    if (aggregated) {
-      // Two-phase aggregation: serialize into memory, encode through the
-      // codec stage, ship to the group's aggregator, and let only the
-      // aggregator touch the file system — the encoded documents cross the
-      // link, the aggregator decodes them, and the subfile holds the group's
-      // task documents concatenated in rank order, byte-identical to what
-      // the members would have written themselves.
-      const int group = topo->group_of(rank);
-      const int agg = topo->aggregator_of_group(group);
-      std::vector<std::byte> doc;
-      VectorSink vsink(doc);
-      serialize_task_doc(vsink);
-      written = doc.size();
-      std::vector<std::byte> blob;
-      if (encoded) blob = cdc->encode(doc);
-      const auto payloads = exec::gatherv_group(ctx, encoded ? blob : doc,
-                                                topo->members_of(group), agg,
-                                                kShipTag, probe);
-      if (rank == agg) {
-        const std::string path =
-            aggregated_file_path_for(params, *iface, group, dump);
-        std::uint64_t encoded_bytes = 0;
-        double codec_cpu = 0.0;
-        pfs::OutFile out(backend, path);
-        for (const auto& payload : payloads) {
-          if (encoded) {
-            const codec::CompressResult enc = cdc->peek(payload);
-            encoded_bytes += enc.out_bytes;
-            codec_cpu += enc.cpu_seconds;
-            out.write(cdc->decode(payload));
-          } else {
-            out.write(payload);
-          }
-        }
-        const std::uint64_t subfile_bytes = out.bytes_written();
-        out.close();  // surface flush errors (destructor closes quietly)
-        if (trace != nullptr)
-          trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
-                                      encoded_bytes, codec_cpu, tier, group);
-      }
-    } else {
-      const std::string path = dump_file_path_for(params, *iface, rank, dump);
-
-      // MIF baton: within a file group, members write strictly in rank order.
-      // SIF is one global group. The leader truncates; followers append after
-      // receiving the baton from their predecessor.
-      const bool leader = (params.file_mode == FileMode::kSif)
-                              ? (rank == 0)
-                              : is_group_leader(params, rank);
-      const bool has_predecessor = !leader;
-      const bool same_file_successor =
-          (rank + 1 < params.nprocs) &&
-          dump_file_path_for(params, *iface, rank + 1, dump) == path;
-
-      if (has_predecessor) {
-        (void)ctx.recv_token(rank - 1, kBatonTag);
-      }
-      {
-        pfs::OutFile out(backend, path,
-                         leader ? pfs::OpenMode::kTruncate
-                                : pfs::OpenMode::kAppend);
-        FileSink sink(out);
-        serialize_task_doc(sink);
-        written = out.bytes_written();
-        out.close();  // surface flush errors (destructor closes quietly)
-      }
-      if (same_file_successor) {
-        ctx.send_token(written, rank + 1, kBatonTag);
-      }
-      if (trace != nullptr) {
-        const codec::CompressResult enc =
-            encoded ? cdc->plan(written) : codec::CompressResult{};
-        trace->record_encoded_write(dump, 0, rank, path, written,
-                                    enc.out_bytes, enc.cpu_seconds, tier, -1);
-      }
-    }
-
-    // Gather per-rank byte counts so rank 0 can write the root metadata and
-    // accumulate statistics — this is MACSio's end-of-dump collective.
+    const std::uint64_t written =
+        write_task_doc(ctx, *run, backend, trace, probe, dump);
     const auto all_bytes = ctx.gather(written, 0);
-    ctx.barrier();
-
-    if (rank == 0) {
-      const std::size_t req_begin = stats.requests.size();
-      std::uint64_t dump_bytes = 0;
-      // Per-task codec results, re-derived deterministically from the raw
-      // byte counts (plan is a pure function of size) — one chunk per doc.
-      std::vector<codec::CompressResult> encs(
-          static_cast<std::size_t>(params.nprocs));
-      for (int r = 0; r < params.nprocs; ++r) {
-        const std::uint64_t b = all_bytes[static_cast<std::size_t>(r)];
-        stats.task_bytes[static_cast<std::size_t>(dump)][static_cast<std::size_t>(r)] = b;
-        dump_bytes += b;
-        encs[static_cast<std::size_t>(r)] = cdc->plan(b);
-        stats.codec.add(dump, -1, encs[static_cast<std::size_t>(r)]);
-        if (!aggregated) {
-          // Encoded bytes hit the filesystem; the encode cpu delays submit.
-          const auto& enc = encs[static_cast<std::size_t>(r)];
-          stats.requests.push_back(pfs::IoRequest{
-              r, submit_time + enc.cpu_seconds,
-              dump_file_path_for(params, *iface, r, dump), enc.out_bytes,
-              tier});
-        }
-      }
-      if (aggregated) {
-        // One request per subfile, submitted once every member has encoded
-        // its document (concurrently — the slowest encode gates the group)
-        // and the encoded bytes have crossed the interconnect.
-        for (int g = 0; g < topo->ngroups(); ++g) {
-          const int agg = topo->aggregator_of_group(g);
-          std::uint64_t subfile_encoded = 0;
-          std::uint64_t shipped = 0;
-          int nmessages = 0;
-          double encode_gate = 0.0;
-          for (int r : topo->members_of(g)) {
-            const auto& enc = encs[static_cast<std::size_t>(r)];
-            subfile_encoded += enc.out_bytes;
-            encode_gate = std::max(encode_gate, enc.cpu_seconds);
-            if (r != agg) {
-              shipped += enc.out_bytes;
-              ++nmessages;
-            }
-          }
-          const double ready = submit_time + encode_gate +
-                               staging::ship_cost(agg_cfg, shipped, nmessages);
-          stats.requests.push_back(pfs::IoRequest{
-              agg, ready, aggregated_file_path_for(params, *iface, g, dump),
-              subfile_encoded, tier});
-        }
-      }
-      // The root document reports the dump's task-data total, aggregated or
-      // not — the index (written below) is bookkeeping on top of it.
-      const std::string root_path = root_file_path(params, dump);
-      const std::string root = root_meta_text(params, dump, spec, dump_bytes);
-      {
-        pfs::OutFile root_out(backend, root_path);
-        root_out.write(root);
-        root_out.close();
-      }
-      if (aggregated) {
-        // Rank 0 writes the per-dump index locating every task document.
-        const std::string index_path =
-            aggregated_index_path_for(params, *iface, dump);
-        const std::string index = agg_index_text(params, *topo, dump, all_bytes);
-        AMRIO_ENSURES(index.size() == aggregated_index_bytes(params));
-        {
-          pfs::OutFile index_out(backend, index_path);
-          index_out.write(index);
-          index_out.close();
-        }
-        dump_bytes += index.size();
-        if (trace != nullptr)
-          trace->record_staged_write(dump, -1, 0, index_path, index.size(),
-                                     tier, -1);
-        stats.requests.push_back(
-            pfs::IoRequest{0, submit_time, index_path, index.size(), tier});
-      }
-      dump_bytes += root.size();
-      if (trace != nullptr)
-        trace->record_staged_write(dump, -1, 0, root_path, root.size(), tier,
-                                   -1);
-      stats.requests.push_back(
-          pfs::IoRequest{0, submit_time, root_path, root.size(), tier});
-      stats.bytes_per_dump.push_back(dump_bytes);
-      stats.total_bytes += dump_bytes;
-
-      if (probe.metrics) {
-        probe.metrics->add("macsio.dumps", 1);
-        probe.metrics->add("macsio.dump_bytes",
-                           static_cast<std::int64_t>(dump_bytes));
-      }
-      if (probe.tracer) {
-        // Span emission happens here, on rank 0, from the same pure plan()
-        // results the requests were built from — per-rank program order is
-        // engine-invariant, so the merged stream is byte-identical across
-        // serial/spmd/event engines.
-        const std::string label = "dump " + std::to_string(dump);
-        double phase_end = submit_time;
-        for (std::size_t i = req_begin; i < stats.requests.size(); ++i)
-          phase_end = std::max(phase_end, stats.requests[i].submit_time);
-        const std::uint64_t phase = probe.tracer->record(
-            obs::Span{0, 0, -1, "dump", label, submit_time, phase_end});
-        std::vector<std::uint64_t> encode_span(
-            static_cast<std::size_t>(params.nprocs), 0);
-        for (int r = 0; r < params.nprocs; ++r) {
-          const double cpu = encs[static_cast<std::size_t>(r)].cpu_seconds;
-          if (cpu <= 0.0) continue;
-          obs::Span es;
-          es.parent = phase;
-          es.rank = r;
-          es.stage = "encode";
-          es.detail = label;
-          es.start = submit_time;
-          es.end = submit_time + cpu;
-          es.service = cpu;
-          es.res = "codec_cpu";
-          encode_span[static_cast<std::size_t>(r)] =
-              probe.tracer->record(std::move(es));
-        }
-        if (aggregated) {
-          for (int g = 0; g < topo->ngroups(); ++g) {
-            const int agg = topo->aggregator_of_group(g);
-            double encode_gate = 0.0;
-            std::uint64_t shipped = 0;
-            int nmessages = 0;
-            for (int r : topo->members_of(g)) {
-              encode_gate = std::max(
-                  encode_gate, encs[static_cast<std::size_t>(r)].cpu_seconds);
-              if (r != agg) {
-                shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-                ++nmessages;
-              }
-            }
-            const double ship_start = submit_time + encode_gate;
-            const double ready =
-                ship_start + staging::ship_cost(agg_cfg, shipped, nmessages);
-            if (ready <= ship_start) continue;
-            obs::Span ss;
-            ss.parent = phase;
-            ss.rank = agg;
-            ss.stage = "ship";
-            ss.detail = label;
-            ss.start = ship_start;
-            ss.end = ready;
-            ss.resource = "agg_link";
-            // The bandwidth part only: the per-message latency term does not
-            // shrink when the link gets faster, so the what-if engine must
-            // not scale it.
-            ss.service =
-                static_cast<double>(shipped) / agg_cfg.link_bandwidth;
-            ss.res = "agg_link";
-            const std::uint64_t ship = probe.tracer->record(std::move(ss));
-            for (int r : topo->members_of(g)) {
-              const std::uint64_t from =
-                  encode_span[static_cast<std::size_t>(r)];
-              if (from != 0) probe.tracer->edge(from, ship);
-            }
-          }
-        }
-      }
-      if (probe.ledger) {
-        // Pool view of the same plan() results: the codec CPU pool (one lane
-        // per rank) holds lanes for their encode seconds, the agg link pool
-        // (one link per group) for the ship window.
-        obs::ResourceLedger& lg = *probe.ledger;
-        lg.declare("codec_cpu", params.nprocs);
-        double cpu_total = 0.0;
-        for (int r = 0; r < params.nprocs; ++r)
-          cpu_total += encs[static_cast<std::size_t>(r)].cpu_seconds;
-        lg.add_busy("codec_cpu", cpu_total);
-        if (aggregated) {
-          lg.declare("agg_link", topo->ngroups());
-          for (int g = 0; g < topo->ngroups(); ++g) {
-            const int agg = topo->aggregator_of_group(g);
-            double encode_gate = 0.0;
-            std::uint64_t shipped = 0;
-            int nmessages = 0;
-            for (int r : topo->members_of(g)) {
-              encode_gate = std::max(
-                  encode_gate, encs[static_cast<std::size_t>(r)].cpu_seconds);
-              if (r != agg) {
-                shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-                ++nmessages;
-              }
-            }
-            const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
-            lg.add_busy("agg_link", cost);
-            lg.extend_makespan(submit_time + encode_gate + cost);
-          }
-        }
-      }
-    }
-    ctx.barrier();
+    if (stats != nullptr)
+      record_dump(*run, *stats, backend, trace, probe, dump, all_bytes);
   }
-
-  if (rank == 0) {
-    // files: count distinct paths actually produced
-    std::set<std::string> files;
-    for (const auto& req : stats.requests) files.insert(req.file);
-    stats.nfiles = files.size();
-  }
-  return stats;
 }
 
 /// The restage plan of a restart from the last written dump. It is a pure
@@ -524,26 +576,22 @@ staging::RestagePlan make_restart_plan(const Params& params) {
                                     topo ? &*topo : nullptr);
 }
 
-/// The single SPMD restart body: the dump loop in reverse for the last
-/// written dump, reading along the shared `plan`. Rank 0 returns the full
-/// statistics; other ranks return empty stats.
-RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
-                              const staging::RestagePlan& plan,
-                              pfs::StorageBackend& backend,
-                              iostats::TraceRecorder* trace, obs::Probe probe) {
-  const auto iface = make_interface(params.interface);
+/// Recover this rank's task document of the last written dump along the
+/// shared `plan`, and record the read. Out of line, like write_task_doc: the
+/// subfile, payloads and wire blobs never sit in the restart body's frame.
+[[gnu::noinline]] std::vector<std::byte> read_task_doc(
+    exec::RankCtx& ctx, const RankSetup& run, const staging::RestagePlan& plan,
+    pfs::StorageBackend& backend, iostats::TraceRecorder* trace,
+    obs::Probe probe) {
+  const Params& params = run.params;
   const int rank = ctx.rank();
   constexpr int kRestageTag = 74;
   const int dump = params.num_dumps - 1;  // restart from the last checkpoint
 
-  const bool aggregated = params.aggregators > 0;
-  std::optional<staging::AggTopology> topo;
-  if (aggregated)
-    topo = staging::AggTopology::make(params.nprocs, params.aggregators);
-  const staging::AggregationConfig agg_cfg{params.aggregators,
-                                           params.agg_link_bandwidth, 1.0e-6};
-  const auto cdc = codec::make_codec(params.codec_spec());
-  const bool encoded = params.codec_spec().enabled();
+  const auto& topo = run.topo;
+  const bool aggregated = topo.has_value();
+  const auto& cdc = run.cdc;
+  const bool encoded = run.encoded;
   const int read_tier =
       params.restart_from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
   const staging::RestageSlice& mine =
@@ -568,7 +616,6 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     return backend.read(e.file);
   };
 
-  // Byte path: recover this rank's task document.
   std::vector<std::byte> doc;
   if (aggregated) {
     // Two-phase in reverse: the aggregator fetches the whole subfile, slices
@@ -612,164 +659,194 @@ RestartStats run_restart_rank(exec::RankCtx& ctx, const Params& params,
     trace->record_read(dump, 0, rank, mine.file, mine.raw_bytes,
                        encoded ? mine.encoded_bytes : 0, mine.decode_seconds,
                        read_tier, aggregated ? topo->group_of(rank) : -1);
+  return doc;
+}
 
-  const auto all_bytes =
-      ctx.gather(static_cast<std::uint64_t>(doc.size()), 0);
-  const auto all_hash = ctx.gather(restart_hash(doc), 0);
-  ctx.barrier();
+/// Rank 0's restart bookkeeping from the gathered per-rank sizes and hashes:
+/// the conservation check, statistics, read requests, metadata reads, spans
+/// and ledger entries. Out of line, like record_dump.
+[[gnu::noinline]] void record_restart(const RankSetup& run,
+                                      const staging::RestagePlan& plan,
+                                      RestartStats& stats,
+                                      pfs::StorageBackend& backend,
+                                      iostats::TraceRecorder* trace,
+                                      obs::Probe probe,
+                                      std::vector<std::uint64_t> all_bytes,
+                                      std::vector<std::uint64_t> all_hash) {
+  const Params& params = run.params;
+  const int dump = params.num_dumps - 1;
+  const auto& topo = run.topo;
+  const bool aggregated = topo.has_value();
+  const auto& agg_cfg = run.agg_cfg;
+  const auto& cdc = run.cdc;
 
-  RestartStats stats;
-  if (rank == 0) {
-    stats.dump = dump;
-    stats.task_bytes = all_bytes;
-    stats.task_hash = all_hash;
-    stats.slices = plan.slices;
-    for (int r = 0; r < params.nprocs; ++r) {
-      const staging::RestageSlice& slice =
-          plan.slices[static_cast<std::size_t>(r)];
-      AMRIO_ENSURES_MSG(
-          all_bytes[static_cast<std::size_t>(r)] == slice.raw_bytes,
-          "run_restart: read-back not byte-conserving on rank " << r);
-      stats.codec.add_decode(dump, -1, cdc->plan(slice.raw_bytes),
-                             slice.decode_seconds);
-    }
-    stats.raw_bytes = plan.raw_bytes();
-    stats.encoded_bytes = plan.encoded_bytes();
-    stats.decode_gate = plan.decode_gate();
-    std::vector<double> group_cost;  // per-group fan-out cost (aggregated)
-    if (aggregated) {
-      // Concurrent groups: the slowest scatter gates the restart.
-      group_cost.assign(static_cast<std::size_t>(topo->ngroups()), 0.0);
-      for (int g = 0; g < topo->ngroups(); ++g) {
-        const int agg = topo->aggregator_of_group(g);
-        std::uint64_t shipped = 0;
-        int nmessages = 0;
-        for (int r : topo->members_of(g)) {
-          if (r == agg) continue;
-          shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
-          ++nmessages;
-        }
-        group_cost[static_cast<std::size_t>(g)] =
-            staging::ship_cost(agg_cfg, shipped, nmessages);
-        stats.scatter_seconds = std::max(stats.scatter_seconds,
-                                         group_cost[static_cast<std::size_t>(g)]);
+  stats.dump = dump;
+  for (int r = 0; r < params.nprocs; ++r) {
+    const staging::RestageSlice& slice =
+        plan.slices[static_cast<std::size_t>(r)];
+    AMRIO_ENSURES_MSG(
+        all_bytes[static_cast<std::size_t>(r)] == slice.raw_bytes,
+        "run_restart: read-back not byte-conserving on rank " << r);
+    stats.codec.add_decode(dump, -1, cdc->plan(slice.raw_bytes),
+                           slice.decode_seconds);
+  }
+  stats.task_bytes = std::move(all_bytes);
+  stats.task_hash = std::move(all_hash);
+  stats.slices = plan.slices;
+  stats.raw_bytes = plan.raw_bytes();
+  stats.encoded_bytes = plan.encoded_bytes();
+  stats.decode_gate = plan.decode_gate();
+  std::vector<double> group_cost;  // per-group fan-out cost (aggregated)
+  if (aggregated) {
+    // Concurrent groups: the slowest scatter gates the restart.
+    group_cost.assign(static_cast<std::size_t>(topo->ngroups()), 0.0);
+    for (int g = 0; g < topo->ngroups(); ++g) {
+      const int agg = topo->aggregator_of_group(g);
+      std::uint64_t shipped = 0;
+      int nmessages = 0;
+      for (int r : topo->members_of(g)) {
+        if (r == agg) continue;
+        shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
+        ++nmessages;
       }
-    }
-    stats.requests = plan.read_requests(0.0, params.restart_from_bb);
-    // Metadata read-back: the root document, and under aggregation the index
-    // locating every task document — always cold PFS reads (metadata never
-    // stages).
-    if (trace != nullptr)
-      for (const auto& req : stats.requests)
-        if (req.op == pfs::kOpPrefetch)
-          trace->record_prefetch(dump, 0, req.client, req.file, req.bytes,
-                                 req.tier,
-                                 aggregated ? topo->group_of(req.client) : -1);
-    auto read_meta = [&](const std::string& path) {
-      const std::uint64_t meta_bytes = backend.size(path);
-      stats.requests.push_back(pfs::IoRequest{0, 0.0, path, meta_bytes,
-                                              pfs::kTierPfs, pfs::kOpRead});
-      if (trace != nullptr)
-        trace->record_read(dump, -1, 0, path, meta_bytes, 0, 0.0,
-                           pfs::kTierPfs, -1);
-    };
-    read_meta(root_file_path(params, dump));
-    if (aggregated) read_meta(aggregated_index_path_for(params, *iface, dump));
-
-    if (probe.metrics) {
-      probe.metrics->add("macsio.restarts", 1);
-      probe.metrics->add("restart.raw_bytes",
-                         static_cast<std::int64_t>(stats.raw_bytes));
-      probe.metrics->add("restart.encoded_bytes",
-                         static_cast<std::int64_t>(stats.encoded_bytes));
-    }
-    if (probe.tracer) {
-      // Dump-side instrumentation in reverse, emitted by rank 0 from the
-      // pure restage plan — engine-invariant like the dump spans. Data
-      // arrival is the group's scatter cost (aggregated) or the restart
-      // epoch (direct reads are timed by the SimFs replay instead).
-      const std::string label = "restart " + std::to_string(dump);
-      double phase_end = 0.0;
-      for (int r = 0; r < params.nprocs; ++r) {
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                       : 0.0;
-        phase_end = std::max(
-            arrival + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
-            phase_end);
-      }
-      const std::uint64_t phase = probe.tracer->record(
-          obs::Span{0, 0, -1, "restart", label, 0.0, phase_end});
-      std::vector<std::uint64_t> scatter_span;
-      if (aggregated) {
-        scatter_span.assign(static_cast<std::size_t>(topo->ngroups()), 0);
-        for (int g = 0; g < topo->ngroups(); ++g) {
-          if (group_cost[static_cast<std::size_t>(g)] <= 0.0) continue;
-          const int agg = topo->aggregator_of_group(g);
-          std::uint64_t shipped = 0;
-          for (int r : topo->members_of(g))
-            if (r != agg)
-              shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
-          obs::Span sc;
-          sc.parent = phase;
-          sc.rank = agg;
-          sc.stage = "scatter";
-          sc.detail = label;
-          sc.start = 0.0;
-          sc.end = group_cost[static_cast<std::size_t>(g)];
-          sc.resource = "agg_link";
-          // Bandwidth part only — the per-message latency term is invariant
-          // under link relief (see the ship span).
-          sc.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
-          sc.res = "agg_link";
-          scatter_span[static_cast<std::size_t>(g)] =
-              probe.tracer->record(std::move(sc));
-        }
-      }
-      for (int r = 0; r < params.nprocs; ++r) {
-        const double decode =
-            plan.slices[static_cast<std::size_t>(r)].decode_seconds;
-        if (decode <= 0.0) continue;
-        const int g = aggregated ? topo->group_of(r) : -1;
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(g)] : 0.0;
-        obs::Span ds;
-        ds.parent = phase;
-        ds.rank = r;
-        ds.stage = "decode";
-        ds.detail = label;
-        ds.start = arrival;
-        ds.end = arrival + decode;
-        ds.service = decode;
-        ds.res = "codec_cpu";
-        const std::uint64_t span = probe.tracer->record(std::move(ds));
-        if (aggregated && scatter_span[static_cast<std::size_t>(g)] != 0)
-          probe.tracer->edge(scatter_span[static_cast<std::size_t>(g)], span);
-      }
-    }
-    if (probe.ledger) {
-      obs::ResourceLedger& lg = *probe.ledger;
-      lg.declare("codec_cpu", params.nprocs);
-      double decode_total = 0.0;
-      for (int r = 0; r < params.nprocs; ++r) {
-        const double decode =
-            plan.slices[static_cast<std::size_t>(r)].decode_seconds;
-        decode_total += decode;
-        const double arrival =
-            aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                       : 0.0;
-        lg.extend_makespan(arrival + decode);
-      }
-      lg.add_busy("codec_cpu", decode_total);
-      if (aggregated) {
-        lg.declare("agg_link", topo->ngroups());
-        for (int g = 0; g < topo->ngroups(); ++g)
-          lg.add_busy("agg_link", group_cost[static_cast<std::size_t>(g)]);
-      }
+      group_cost[static_cast<std::size_t>(g)] =
+          staging::ship_cost(agg_cfg, shipped, nmessages);
+      stats.scatter_seconds = std::max(stats.scatter_seconds,
+                                       group_cost[static_cast<std::size_t>(g)]);
     }
   }
-  ctx.barrier();
-  return stats;
+  stats.requests = plan.read_requests(0.0, params.restart_from_bb);
+  // Metadata read-back: the root document, and under aggregation the index
+  // locating every task document — always cold PFS reads (metadata never
+  // stages).
+  if (trace != nullptr)
+    for (const auto& req : stats.requests)
+      if (req.op == pfs::kOpPrefetch)
+        trace->record_prefetch(dump, 0, req.client, req.file, req.bytes,
+                               req.tier,
+                               aggregated ? topo->group_of(req.client) : -1);
+  auto read_meta = [&](const std::string& path) {
+    const std::uint64_t meta_bytes = backend.size(path);
+    stats.requests.push_back(pfs::IoRequest{0, 0.0, path, meta_bytes,
+                                            pfs::kTierPfs, pfs::kOpRead});
+    if (trace != nullptr)
+      trace->record_read(dump, -1, 0, path, meta_bytes, 0, 0.0, pfs::kTierPfs,
+                         -1);
+  };
+  read_meta(root_file_path(params, dump));
+  if (aggregated)
+    read_meta(aggregated_index_path_for(params, *run.iface, dump));
+
+  if (probe.metrics) {
+    probe.metrics->add("macsio.restarts", 1);
+    probe.metrics->add("restart.raw_bytes",
+                       static_cast<std::int64_t>(stats.raw_bytes));
+    probe.metrics->add("restart.encoded_bytes",
+                       static_cast<std::int64_t>(stats.encoded_bytes));
+  }
+  if (probe.tracer) {
+    // Dump-side instrumentation in reverse, emitted by rank 0 from the
+    // pure restage plan — engine-invariant like the dump spans. Data
+    // arrival is the group's scatter cost (aggregated) or the restart
+    // epoch (direct reads are timed by the SimFs replay instead).
+    const std::string label = "restart " + std::to_string(dump);
+    double phase_end = 0.0;
+    for (int r = 0; r < params.nprocs; ++r) {
+      const double arrival =
+          aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
+                     : 0.0;
+      phase_end = std::max(
+          arrival + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
+          phase_end);
+    }
+    const std::uint64_t phase = probe.tracer->record(
+        obs::Span{0, 0, -1, "restart", label, 0.0, phase_end});
+    std::vector<std::uint64_t> scatter_span;
+    if (aggregated) {
+      scatter_span.assign(static_cast<std::size_t>(topo->ngroups()), 0);
+      for (int g = 0; g < topo->ngroups(); ++g) {
+        if (group_cost[static_cast<std::size_t>(g)] <= 0.0) continue;
+        const int agg = topo->aggregator_of_group(g);
+        std::uint64_t shipped = 0;
+        for (int r : topo->members_of(g))
+          if (r != agg)
+            shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
+        obs::Span sc;
+        sc.parent = phase;
+        sc.rank = agg;
+        sc.stage = "scatter";
+        sc.detail = label;
+        sc.start = 0.0;
+        sc.end = group_cost[static_cast<std::size_t>(g)];
+        sc.resource = "agg_link";
+        // Bandwidth part only — the per-message latency term is invariant
+        // under link relief (see the ship span).
+        sc.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
+        sc.res = "agg_link";
+        scatter_span[static_cast<std::size_t>(g)] =
+            probe.tracer->record(std::move(sc));
+      }
+    }
+    for (int r = 0; r < params.nprocs; ++r) {
+      const double decode =
+          plan.slices[static_cast<std::size_t>(r)].decode_seconds;
+      if (decode <= 0.0) continue;
+      const int g = aggregated ? topo->group_of(r) : -1;
+      const double arrival =
+          aggregated ? group_cost[static_cast<std::size_t>(g)] : 0.0;
+      obs::Span ds;
+      ds.parent = phase;
+      ds.rank = r;
+      ds.stage = "decode";
+      ds.detail = label;
+      ds.start = arrival;
+      ds.end = arrival + decode;
+      ds.service = decode;
+      ds.res = "codec_cpu";
+      const std::uint64_t span = probe.tracer->record(std::move(ds));
+      if (aggregated && scatter_span[static_cast<std::size_t>(g)] != 0)
+        probe.tracer->edge(scatter_span[static_cast<std::size_t>(g)], span);
+    }
+  }
+  if (probe.ledger) {
+    obs::ResourceLedger& lg = *probe.ledger;
+    lg.declare("codec_cpu", params.nprocs);
+    double decode_total = 0.0;
+    for (int r = 0; r < params.nprocs; ++r) {
+      const double decode =
+          plan.slices[static_cast<std::size_t>(r)].decode_seconds;
+      decode_total += decode;
+      const double arrival =
+          aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
+                     : 0.0;
+      lg.extend_makespan(arrival + decode);
+    }
+    lg.add_busy("codec_cpu", decode_total);
+    if (aggregated) {
+      lg.declare("agg_link", topo->ngroups());
+      for (int g = 0; g < topo->ngroups(); ++g)
+        lg.add_busy("agg_link", group_cost[static_cast<std::size_t>(g)]);
+    }
+  }
+}
+
+/// The single SPMD restart body: the dump loop in reverse for the last
+/// written dump, reading along the shared `plan`. Rank 0 passes `stats` and
+/// fills it; every other rank passes null. The two gathers are the only
+/// collectives — engine.run joins the ranks, so no barrier follows them.
+void run_restart_rank(exec::RankCtx& ctx, const Params& params,
+                      const staging::RestagePlan& plan,
+                      pfs::StorageBackend& backend,
+                      iostats::TraceRecorder* trace, obs::Probe probe,
+                      RestartStats* stats) {
+  const auto run = std::make_unique<const RankSetup>(params);
+  const std::vector<std::byte> doc =
+      read_task_doc(ctx, *run, plan, backend, trace, probe);
+  auto all_bytes = ctx.gather(static_cast<std::uint64_t>(doc.size()), 0);
+  auto all_hash = ctx.gather(restart_hash(doc), 0);
+  if (stats != nullptr)
+    record_restart(*run, plan, *stats, backend, trace, probe,
+                   std::move(all_bytes), std::move(all_hash));
 }
 
 }  // namespace
@@ -794,9 +871,8 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
   const staging::RestagePlan plan = make_restart_plan(params);
   RestartStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    RestartStats local =
-        run_restart_rank(ctx, params, plan, backend, trace, probe);
-    if (ctx.rank() == 0) result = std::move(local);
+    run_restart_rank(ctx, params, plan, backend, trace, probe,
+                     ctx.rank() == 0 ? &result : nullptr);
   });
   return result;
 }
@@ -806,8 +882,8 @@ DumpStats run_macsio(exec::Engine& engine, const Params& params,
                      iostats::TraceRecorder* trace, obs::Probe probe) {
   DumpStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    DumpStats local = run_macsio_rank(ctx, params, backend, trace, probe);
-    if (ctx.rank() == 0) result = std::move(local);
+    run_macsio_rank(ctx, params, backend, trace, probe,
+                    ctx.rank() == 0 ? &result : nullptr);
   });
   return result;
 }
@@ -822,7 +898,10 @@ DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
                           pfs::StorageBackend& backend,
                           iostats::TraceRecorder* trace, obs::Probe probe) {
   exec::CommCtx ctx(comm);
-  return run_macsio_rank(ctx, params, backend, trace, probe);
+  DumpStats stats;
+  run_macsio_rank(ctx, params, backend, trace, probe,
+                  comm.rank() == 0 ? &stats : nullptr);
+  return stats;
 }
 
 }  // namespace amrio::macsio

@@ -21,7 +21,8 @@
 /// byte-conserving against `task_doc_bytes()`.
 ///
 /// There is ONE driver body, written SPMD-style against `exec::RankCtx`
-/// (MIF baton-passing between group members, end-of-dump gather to rank 0).
+/// (MIF baton-passing between group members, one end-of-dump gather to
+/// rank 0 — the only global collective of a dump).
 /// How the ranks execute is the engine's choice: `exec::SerialEngine` runs
 /// them as fibers on one thread (the calibrator's fast path), and
 /// `exec::SpmdEngine` runs them as real simmpi threads — byte-identical by
@@ -147,7 +148,11 @@ DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
 
 /// Per-rank entry point for code already inside simmpi::run_spmd with
 /// comm.size() == params.nprocs. Rank 0's return value carries the full
-/// statistics; other ranks return empty stats.
+/// statistics; other ranks return empty stats. The end-of-dump gather is the
+/// only collective, and rank 0 writes a dump's root (and index) metadata
+/// after it: a non-root rank's return does not mean rank 0 has finished the
+/// metadata. Synchronize on the communicator (or join the threads) before
+/// reading it.
 DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
                           pfs::StorageBackend& backend,
                           iostats::TraceRecorder* trace = nullptr,

@@ -2,9 +2,10 @@
 /// rank counts) beyond the shared EngineCollectives suite in test_exec.cpp:
 /// the three-way engine-parity matrix — serial vs spmd vs event over
 /// MIF/SIF × {direct, agg, bb} × {identity, ebl} at 32 ranks, write AND
-/// restart, byte-identical documents and identical stats — plus the
-/// SpmdEngine thread cap, deadlock detection, determinism, the --engine CLI
-/// surface, engine/codec/restart composing through
+/// restart, byte-identical documents, identical stats, I/O trace events and
+/// span exports — plus one suspension per rank per dump in the event
+/// engine, the SpmdEngine thread cap, deadlock detection, determinism, the
+/// --engine CLI surface, engine/codec/restart composing through
 /// core::validate_translation, and a large-rank smoke run.
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "macsio/driver.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/selfprof.hpp"
 #include "obs/span.hpp"
 #include "pfs/backend.hpp"
 #include "util/assert.hpp"
@@ -42,11 +44,11 @@ const char* staging_name(Staging s) {
 }
 
 mc::Params matrix_params(mc::FileMode mode, Staging staging,
-                         const std::string& codec) {
+                         const std::string& codec, int num_dumps) {
   mc::Params params;
   params.nprocs = 32;
   params.file_mode = mode;
-  params.num_dumps = 2;
+  params.num_dumps = num_dumps;
   params.part_size = 1500;
   params.avg_num_parts = 1.25;
   params.dataset_growth = 1.05;
@@ -76,6 +78,8 @@ struct EngineRunResult {
   /// metrics snapshot. The parity contract is byte-identity.
   std::string trace_json;
   std::string metrics_json;
+  /// The I/O trace of the dump and the restart, merged in (step, rank) order.
+  std::vector<amrio::iostats::IoEvent> io_events;
 };
 
 EngineRunResult run_matrix_point(ex::EngineKind kind, const mc::Params& params,
@@ -84,9 +88,11 @@ EngineRunResult run_matrix_point(ex::EngineKind kind, const mc::Params& params,
   amrio::obs::Tracer tracer;
   amrio::obs::MetricsRegistry metrics;
   const amrio::obs::Probe probe{&tracer, &metrics};
+  amrio::iostats::TraceRecorder recorder;
   EngineRunResult r;
-  r.dump = mc::run_macsio(*engine, params, backend, nullptr, probe);
-  r.restart = mc::run_restart(*engine, params, backend, nullptr, probe);
+  r.dump = mc::run_macsio(*engine, params, backend, &recorder, probe);
+  r.restart = mc::run_restart(*engine, params, backend, &recorder, probe);
+  r.io_events = recorder.events();
   // Replay both request streams through a BB-enabled reference model so the
   // span stream covers every pipeline stage, then export deterministically.
   p::SimFsConfig cfg;
@@ -114,6 +120,23 @@ void expect_requests_equal(const std::vector<p::IoRequest>& a,
     EXPECT_EQ(a[i].file, b[i].file) << i;
     EXPECT_EQ(a[i].bytes, b[i].bytes) << i;
     EXPECT_EQ(a[i].tier, b[i].tier) << i;
+  }
+}
+
+void expect_io_events_equal(const std::vector<amrio::iostats::IoEvent>& a,
+                            const std::vector<amrio::iostats::IoEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].op, b[i].op) << i;
+    EXPECT_EQ(a[i].step, b[i].step) << i;
+    EXPECT_EQ(a[i].level, b[i].level) << i;
+    EXPECT_EQ(a[i].rank, b[i].rank) << i;
+    EXPECT_EQ(a[i].tier, b[i].tier) << i;
+    EXPECT_EQ(a[i].aggregator, b[i].aggregator) << i;
+    EXPECT_EQ(a[i].path, b[i].path) << i;
+    EXPECT_EQ(a[i].bytes, b[i].bytes) << i;
+    EXPECT_EQ(a[i].encoded_bytes, b[i].encoded_bytes) << i;
+    EXPECT_DOUBLE_EQ(a[i].codec_seconds, b[i].codec_seconds) << i;
   }
 }
 
@@ -156,8 +179,10 @@ void expect_parity(const EngineRunResult& got, const p::MemoryBackend& got_be,
   expect_codec_totals_equal(got.restart.codec.total, ref.restart.codec.total);
   expect_requests_equal(got.restart.requests, ref.restart.requests);
 
-  // observability side: the merged span stream and the metrics snapshot are
-  // part of the engine-parity contract — byte-identical exports
+  // observability side: the I/O trace, the merged span stream and the
+  // metrics snapshot are part of the engine-parity contract — identical
+  // events, byte-identical exports
+  expect_io_events_equal(got.io_events, ref.io_events);
   EXPECT_EQ(got.trace_json, ref.trace_json);
   EXPECT_EQ(got.metrics_json, ref.metrics_json);
 }
@@ -166,13 +191,16 @@ void expect_parity(const EngineRunResult& got, const p::MemoryBackend& got_be,
 
 // --------------------------------------------- three-way engine parity
 
+/// (file mode, staging, codec, dumps). The three-dump points give rank 0's
+/// end-of-dump bookkeeping two chances to overlap the next dump's writes,
+/// which no barrier holds back.
 class ThreeWayParity
     : public ::testing::TestWithParam<
-          std::tuple<mc::FileMode, Staging, std::string>> {};
+          std::tuple<mc::FileMode, Staging, std::string, int>> {};
 
 TEST_P(ThreeWayParity, SerialSpmdEventAgreeOnWriteAndRestart) {
-  const auto [mode, staging, codec] = GetParam();
-  const auto params = matrix_params(mode, staging, codec);
+  const auto [mode, staging, codec, dumps] = GetParam();
+  const auto params = matrix_params(mode, staging, codec, dumps);
 
   p::MemoryBackend serial_be(true);
   const auto ref = run_matrix_point(ex::EngineKind::kSerial, params, serial_be);
@@ -190,24 +218,29 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, ThreeWayParity,
     ::testing::Values(
         // MIF × {direct, agg, bb} × {identity, ebl}
-        std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("identity")},
-        std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("ebl")},
-        std::tuple{mc::FileMode::kMif, Staging::kAgg, std::string("identity")},
-        std::tuple{mc::FileMode::kMif, Staging::kAgg, std::string("ebl")},
-        std::tuple{mc::FileMode::kMif, Staging::kBb, std::string("identity")},
-        std::tuple{mc::FileMode::kMif, Staging::kBb, std::string("ebl")},
+        std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("identity"), 2},
+        std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("ebl"), 2},
+        std::tuple{mc::FileMode::kMif, Staging::kAgg, std::string("identity"), 2},
+        std::tuple{mc::FileMode::kMif, Staging::kAgg, std::string("ebl"), 2},
+        std::tuple{mc::FileMode::kMif, Staging::kBb, std::string("identity"), 2},
+        std::tuple{mc::FileMode::kMif, Staging::kBb, std::string("ebl"), 2},
         // SIF × {direct, bb} × {identity, ebl} (SIF × agg is rejected by
         // Params::validate — aggregation requires MIF)
-        std::tuple{mc::FileMode::kSif, Staging::kDirect, std::string("identity")},
-        std::tuple{mc::FileMode::kSif, Staging::kDirect, std::string("ebl")},
-        std::tuple{mc::FileMode::kSif, Staging::kBb, std::string("identity")},
-        std::tuple{mc::FileMode::kSif, Staging::kBb, std::string("ebl")}),
+        std::tuple{mc::FileMode::kSif, Staging::kDirect, std::string("identity"), 2},
+        std::tuple{mc::FileMode::kSif, Staging::kDirect, std::string("ebl"), 2},
+        std::tuple{mc::FileMode::kSif, Staging::kBb, std::string("identity"), 2},
+        std::tuple{mc::FileMode::kSif, Staging::kBb, std::string("ebl"), 2},
+        // three dumps: the shared-file baton and the aggregation ship
+        std::tuple{mc::FileMode::kSif, Staging::kDirect, std::string("ebl"), 3},
+        std::tuple{mc::FileMode::kMif, Staging::kAgg, std::string("ebl"), 3}),
     [](const auto& info) {
+      const int dumps = std::get<3>(info.param);
       return std::string(std::get<0>(info.param) == mc::FileMode::kMif
                              ? "mif"
                              : "sif") +
              "_" + staging_name(std::get<1>(info.param)) + "_" +
-             std::get<2>(info.param);
+             std::get<2>(info.param) +
+             (dumps == 2 ? "" : "_" + std::to_string(dumps) + "dumps");
     });
 
 // ------------------------------------------------- event engine specifics
@@ -227,6 +260,44 @@ TEST(EventEngine, DeterministicScheduleAndRepeatableBytes) {
     return order;
   };
   EXPECT_EQ(order_of(), order_of());
+}
+
+TEST(EventEngine, MifDumpSuspendsOncePerRankPerDump) {
+  // The dump body's only global collective is the end-of-dump gather, and a
+  // rank's baton predecessor has always run before it, so a rank is started
+  // once and suspends at most once per dump: nprocs * (num_dumps + 1)
+  // context switches at most (three per rank per dump with a barrier on
+  // each side of the gather).
+  mc::Params params;
+  params.nprocs = 512;
+  params.file_mode = mc::FileMode::kMif;
+  params.mif_files = 8;
+  params.num_dumps = 3;
+  params.part_size = 2000;
+  params.validate();
+
+  ex::EventEngine engine(params.nprocs);
+  amrio::obs::SelfProfiler prof;
+  engine.set_profiler(&prof);
+  p::MemoryBackend event_be(true);
+  const mc::DumpStats event = mc::run_macsio(engine, params, event_be);
+  const std::uint64_t switches =
+      prof.snapshot().counters.at("engine.event.context_switches");
+  EXPECT_LE(switches, static_cast<std::uint64_t>(params.nprocs) *
+                          static_cast<std::uint64_t>(params.num_dumps + 1));
+
+  // The grouped-MIF baton still lands the serial reference's bytes.
+  p::MemoryBackend serial_be(true);
+  const mc::DumpStats serial = mc::run_macsio(params, serial_be);
+  EXPECT_EQ(event.total_bytes, serial.total_bytes);
+  EXPECT_EQ(event.nfiles, serial.nfiles);
+  EXPECT_EQ(event.nfiles, 3u * (8u + 1u));
+  EXPECT_EQ(event.task_bytes, serial.task_bytes);
+  expect_requests_equal(event.requests, serial.requests);
+  const auto paths = serial_be.list("");
+  ASSERT_EQ(event_be.list(""), paths);
+  for (const auto& path : paths)
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 TEST(EventEngine, MismatchedCollectivesDeadlockDetected) {

@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
+
 #include "amr/inputs.hpp"
 #include "core/campaign.hpp"
+#include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/params.hpp"
 #include "plotfile/fab_io.hpp"
 #include "plotfile/reader.hpp"
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
+#include "simmpi/comm.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
 
@@ -57,6 +62,59 @@ class FaultyBackend final : public p::StorageBackend {
   p::StorageBackend& inner_;
   int fail_at_;
   int writes_ = 0;
+};
+
+/// Backend that fails the first write to one path. Thread-safe, so it can
+/// sit under SpmdEngine's concurrent ranks.
+class PathFaultBackend final : public p::StorageBackend {
+ public:
+  PathFaultBackend(p::StorageBackend& inner, std::string path)
+      : inner_(inner), path_(std::move(path)) {}
+
+  p::FileHandle create(const std::string& path) override {
+    return watch(path, inner_.create(path));
+  }
+  p::FileHandle open_append(const std::string& path) override {
+    return watch(path, inner_.open_append(path));
+  }
+  void write(p::FileHandle handle, std::span<const std::byte> data) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!fired_ && watched_.count(handle) != 0) {
+        fired_ = true;
+        throw std::runtime_error("injected fault: write to " + path_);
+      }
+    }
+    inner_.write(handle, data);
+  }
+  void close(p::FileHandle handle) override { inner_.close(handle); }
+  bool exists(const std::string& path) const override {
+    return inner_.exists(path);
+  }
+  std::uint64_t size(const std::string& path) const override {
+    return inner_.size(path);
+  }
+  std::vector<std::string> list(const std::string& prefix) const override {
+    return inner_.list(prefix);
+  }
+  std::vector<std::byte> read(const std::string& path) const override {
+    return inner_.read(path);
+  }
+
+ private:
+  p::FileHandle watch(const std::string& path, p::FileHandle handle) {
+    if (path == path_) {
+      std::lock_guard<std::mutex> lock(mu_);
+      watched_.insert(handle);
+    }
+    return handle;
+  }
+
+  p::StorageBackend& inner_;
+  const std::string path_;
+  std::mutex mu_;
+  std::set<p::FileHandle> watched_;
+  bool fired_ = false;
 };
 
 /// Small valid plotfile to corrupt.
@@ -172,6 +230,38 @@ TEST(FailureWriter, MacsioFaultPropagates) {
   p::MemoryBackend inner(false);
   FaultyBackend faulty(inner, 3);
   EXPECT_THROW(amrio::macsio::run_macsio(params, faulty), std::runtime_error);
+}
+
+TEST(FailureWriter, RootMetadataFaultUnwindsEveryEngine) {
+  // Rank 0 writes the root metadata after the end-of-dump gather, while its
+  // peers are already in the next dump: blocked on rank 0's MIF baton or in
+  // the next gather, with no barrier in between. A fault in that write must
+  // still unwind every rank, and run_macsio must rethrow the injected error
+  // itself — not the CommAborted its peers observe — on every engine.
+  amrio::macsio::Params params;
+  params.nprocs = 64;
+  params.mif_files = 8;
+  params.num_dumps = 3;
+  params.part_size = 2000;
+  const std::string root = amrio::macsio::root_file_path(params, 0);
+  for (const auto kind : {amrio::exec::EngineKind::kSerial,
+                          amrio::exec::EngineKind::kEvent,
+                          amrio::exec::EngineKind::kSpmd}) {
+    SCOPED_TRACE(amrio::exec::engine_kind_name(kind));
+    p::MemoryBackend inner(false);
+    PathFaultBackend faulty(inner, root);
+    const auto engine = amrio::exec::make_engine(kind, params.nprocs);
+    try {
+      (void)amrio::macsio::run_macsio(*engine, params, faulty);
+      ADD_FAILURE() << "expected the injected fault to propagate";
+    } catch (const amrio::simmpi::CommAborted& e) {
+      ADD_FAILURE() << "a peer's abort surfaced instead: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "injected fault: write to " + root);
+    }
+    // Dump 0's task files landed before the fault; its root file did not.
+    EXPECT_TRUE(inner.exists(amrio::macsio::dump_file_path(params, 63, 0)));
+  }
 }
 
 // -------------------------------------------------------------- CLI faults
