@@ -6,10 +6,12 @@
 /// (including MIF baton-passing), or the discrete-event engine for
 /// machine-scale rank counts (--engine event handles 100k+ virtual ranks).
 ///
-///   macsio_proxy --interface miftmpl --parallel_file_mode MIF 8 \
-///     --num_dumps 20 --part_size 1550000 --avg_num_parts 1 \
-///     --vars_per_part 1 --compute_time 0.5 --meta_size 0 \
+///   macsio_proxy --interface miftmpl --parallel_file_mode MIF 8
+///     --num_dumps 20 --part_size 1550000 --avg_num_parts 1
+///     --vars_per_part 1 --compute_time 0.5 --meta_size 0
 ///     --dataset_growth 1.013075 --nprocs 8 --out macsio_run
+///
+/// (one command line, wrapped here).
 ///
 /// Every flag — the Params table, the run flags shared with the benches, and
 /// the proxy's own observability/campaign extras — is declared in one

@@ -72,13 +72,15 @@ std::uint64_t get_u64(const std::byte* src) {
 /// byte-exactly while the modeled CompressResult travels alongside it.
 std::vector<std::byte> wrap(std::span<const std::byte> raw,
                             const CompressResult& r) {
-  std::vector<std::byte> blob(kHeaderBytes + raw.size());
+  std::vector<std::byte> blob;
+  blob.reserve(kHeaderBytes + raw.size());
+  blob.resize(kHeaderBytes);
   std::memcpy(blob.data(), kMagic, sizeof(kMagic));
   put_u64(blob.data() + 8, r.raw_bytes);
   put_u64(blob.data() + 16, r.out_bytes);
   put_u64(blob.data() + 24,
           static_cast<std::uint64_t>(std::llround(r.cpu_seconds * 1e9)));
-  std::copy(raw.begin(), raw.end(), blob.begin() + kHeaderBytes);
+  blob.insert(blob.end(), raw.begin(), raw.end());  // payload copied once
   return blob;
 }
 
@@ -142,8 +144,9 @@ class IdentityCodec final : public Codec {
                                    const CompressResult&) const override {
     return std::vector<std::byte>(raw.begin(), raw.end());
   }
-  std::vector<std::byte> decode(std::span<const std::byte> blob) const override {
-    return std::vector<std::byte>(blob.begin(), blob.end());
+  std::span<const std::byte> payload(
+      std::span<const std::byte> blob) const override {
+    return blob;
   }
   CompressResult peek(std::span<const std::byte> blob) const override {
     return plan(blob.size());
@@ -327,7 +330,7 @@ class MultiVarEblCodec final : public Codec {
 
 }  // namespace
 
-// --------------------------------------------------- base encode/decode
+// -------------------------------------------------- base encode/payload
 
 std::vector<std::byte> Codec::encode(std::span<const std::byte> raw,
                                      CompressResult* result) const {
@@ -342,9 +345,10 @@ std::vector<std::byte> Codec::encode_as(std::span<const std::byte> raw,
   return wrap(raw, result);
 }
 
-std::vector<std::byte> Codec::decode(std::span<const std::byte> blob) const {
+std::span<const std::byte> Codec::payload(
+    std::span<const std::byte> blob) const {
   (void)unwrap_header(blob, name());
-  return std::vector<std::byte>(blob.begin() + kHeaderBytes, blob.end());
+  return blob.subspan(kHeaderBytes);
 }
 
 CompressResult Codec::peek(std::span<const std::byte> blob) const {

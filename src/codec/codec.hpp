@@ -27,7 +27,7 @@
 /// Codecs are immutable and stateless after construction: one instance can
 /// serve concurrent SPMD ranks.
 ///
-/// Physical encoding (`encode`/`decode`) wraps the raw payload in a small
+/// Physical encoding (`encode`/`payload`) wraps the raw payload in a small
 /// self-describing container carrying the modeled result, so shipped/staged
 /// data round-trips byte-exactly while every accounting point uses the
 /// modeled `CompressResult::out_bytes` — a simulator compresses sizes and
@@ -112,10 +112,11 @@ class Codec {
     return 0.0;
   }
 
-  /// Encode a chunk for the wire/tier. The returned blob decodes byte-exactly
-  /// via `decode`; its accounted size is `result.out_bytes` (the model), not
-  /// `blob.size()`. Identity returns the raw bytes unchanged; modeling codecs
-  /// wrap them in a 32-byte container carrying the CompressResult.
+  /// Encode a chunk for the wire/tier. The returned blob reads back
+  /// byte-exactly via `payload`/`decode`; its accounted size is
+  /// `result.out_bytes` (the model), not `blob.size()`. Identity returns the
+  /// raw bytes unchanged; modeling codecs wrap them in a 32-byte container
+  /// carrying the CompressResult.
   virtual std::vector<std::byte> encode(std::span<const std::byte> raw,
                                         CompressResult* result = nullptr) const;
   /// Encode with a caller-computed result (content-aware callers: the
@@ -124,9 +125,18 @@ class Codec {
   /// Identity ignores the result and stays a passthrough.
   virtual std::vector<std::byte> encode_as(std::span<const std::byte> raw,
                                            const CompressResult& result) const;
-  /// Inverse of `encode` — byte-exact. Throws std::runtime_error on a blob
-  /// this codec did not produce.
-  virtual std::vector<std::byte> decode(std::span<const std::byte> blob) const;
+  /// The raw payload of an encoded blob, read in place: a view of `blob`
+  /// past the 32-byte container header (identity: `blob` itself). The view
+  /// aliases `blob` and is valid only while the blob's storage lives. Makes
+  /// the same container checks `decode` does and throws the same
+  /// std::runtime_error on a blob this codec did not produce.
+  virtual std::span<const std::byte> payload(
+      std::span<const std::byte> blob) const;
+  /// Inverse of `encode` — byte-exact: an owning copy of `payload(blob)`.
+  std::vector<std::byte> decode(std::span<const std::byte> blob) const {
+    const std::span<const std::byte> raw = payload(blob);
+    return std::vector<std::byte>(raw.begin(), raw.end());
+  }
   /// The CompressResult embedded in an encoded blob (what the encoder
   /// modeled), without copying the payload. Identity plans the blob itself.
   virtual CompressResult peek(std::span<const std::byte> blob) const;

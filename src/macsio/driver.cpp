@@ -1,6 +1,7 @@
 #include "macsio/driver.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -205,9 +206,9 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
 /// Two-phase aggregation: serialize into memory, encode through the codec
 /// stage, ship to the group's aggregator, and let only the aggregator touch
 /// the file system — the encoded documents cross the link, the aggregator
-/// decodes them, and the subfile holds the group's task documents
-/// concatenated in rank order, byte-identical to what the members would
-/// have written themselves. Returns the rank's raw document bytes.
+/// writes their payloads in place, and the subfile holds the group's task
+/// documents concatenated in rank order, byte-identical to what the members
+/// would have written themselves. Returns the rank's raw document bytes.
 std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
                             pfs::StorageBackend& backend,
                             iostats::TraceRecorder* trace, obs::Probe probe,
@@ -230,15 +231,13 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
     std::uint64_t encoded_bytes = 0;
     double codec_cpu = 0.0;
     pfs::OutFile out(backend, path);
-    for (const auto& payload : payloads) {
+    for (const auto& shipped : payloads) {
       if (run.encoded) {
-        const codec::CompressResult enc = run.cdc->peek(payload);
+        const codec::CompressResult enc = run.cdc->peek(shipped);
         encoded_bytes += enc.out_bytes;
         codec_cpu += enc.cpu_seconds;
-        out.write(run.cdc->decode(payload));
-      } else {
-        out.write(payload);
       }
+      out.write(run.cdc->payload(shipped));  // in place; identity: as shipped
     }
     const std::uint64_t subfile_bytes = out.bytes_written();
     out.close();  // surface flush errors (destructor closes quietly)
@@ -423,8 +422,12 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
     double phase_end = submit_time;
     for (std::size_t i = req_begin; i < stats.requests.size(); ++i)
       phase_end = std::max(phase_end, stats.requests[i].submit_time);
-    const std::uint64_t phase = probe.tracer->record(
-        obs::Span{0, 0, -1, "dump", label, submit_time, phase_end});
+    obs::Span ph;
+    ph.stage = "dump";
+    ph.detail = label;
+    ph.start = submit_time;
+    ph.end = phase_end;
+    const std::uint64_t phase = probe.tracer->record(std::move(ph));
     std::vector<std::uint64_t> encode_span(
         static_cast<std::size_t>(params.nprocs), 0);
     for (int r = 0; r < params.nprocs; ++r) {
@@ -576,10 +579,17 @@ staging::RestagePlan make_restart_plan(const Params& params) {
                                     topo ? &*topo : nullptr);
 }
 
+/// What a rank recovered: its document's size and `restart_hash`.
+struct RecoveredDoc {
+  std::uint64_t bytes = 0;
+  std::uint64_t hash = 0;
+};
+
 /// Recover this rank's task document of the last written dump along the
-/// shared `plan`, and record the read. Out of line, like write_task_doc: the
-/// subfile, payloads and wire blobs never sit in the restart body's frame.
-[[gnu::noinline]] std::vector<std::byte> read_task_doc(
+/// shared `plan`, record the read, and hash the recovered bytes. Out of line,
+/// like write_task_doc: the subfile, payloads, wire blobs and the document
+/// itself die here, so only its size and hash wait at the restart gathers.
+[[gnu::noinline]] RecoveredDoc read_task_doc(
     exec::RankCtx& ctx, const RankSetup& run, const staging::RestagePlan& plan,
     pfs::StorageBackend& backend, iostats::TraceRecorder* trace,
     obs::Probe probe) {
@@ -616,12 +626,14 @@ staging::RestagePlan make_restart_plan(const Params& params) {
     return backend.read(e.file);
   };
 
-  std::vector<std::byte> doc;
+  std::vector<std::byte> recovered;  // the wire blob, or the document read
+  std::span<const std::byte> doc;     // the document inside `recovered`
   if (aggregated) {
     // Two-phase in reverse: the aggregator fetches the whole subfile, slices
     // it at the planned offsets, re-encodes each member's document for the
-    // wire, and fans them back out over scatterv_group; every member decodes
-    // its own document — encoded bytes cross the link, raw bytes come back.
+    // wire, and fans them back out over scatterv_group; every member reads
+    // its own document in place — encoded bytes cross the link, raw bytes
+    // come back.
     const int group = topo->group_of(rank);
     const int agg = topo->aggregator_of_group(group);
     const auto members = topo->members_of(group);
@@ -638,18 +650,19 @@ staging::RestagePlan make_restart_plan(const Params& params) {
                                                             piece.end()));
       }
     }
-    std::vector<std::byte> blob =
+    recovered =
         exec::scatterv_group(ctx, payloads, members, agg, kRestageTag, probe);
-    doc = encoded ? cdc->decode(blob) : std::move(blob);
+    doc = cdc->payload(recovered);  // identity: the blob itself
   } else {
     // Every rank reads its own byte range of its dump file (concurrent
     // readers of a shared MIF-group/SIF file need no baton — nothing is
     // mutated, and the ranged read keeps a 128-rank SIF restart from
     // materializing the whole shared image once per rank).
     validate_extent(my_extent);
-    doc = contents
-              ? backend.read_range(mine.file, mine.offset, mine.raw_bytes)
-              : std::vector<std::byte>(mine.raw_bytes);
+    recovered = contents
+                    ? backend.read_range(mine.file, mine.offset, mine.raw_bytes)
+                    : std::vector<std::byte>(mine.raw_bytes);
+    doc = recovered;
   }
   AMRIO_ENSURES_MSG(doc.size() == mine.raw_bytes,
                     "run_restart: recovered document size mismatch on rank "
@@ -659,7 +672,7 @@ staging::RestagePlan make_restart_plan(const Params& params) {
     trace->record_read(dump, 0, rank, mine.file, mine.raw_bytes,
                        encoded ? mine.encoded_bytes : 0, mine.decode_seconds,
                        read_tier, aggregated ? topo->group_of(rank) : -1);
-  return doc;
+  return {doc.size(), restart_hash(doc)};
 }
 
 /// Rank 0's restart bookkeeping from the gathered per-rank sizes and hashes:
@@ -759,8 +772,11 @@ staging::RestagePlan make_restart_plan(const Params& params) {
           arrival + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
           phase_end);
     }
-    const std::uint64_t phase = probe.tracer->record(
-        obs::Span{0, 0, -1, "restart", label, 0.0, phase_end});
+    obs::Span ph;
+    ph.stage = "restart";
+    ph.detail = label;
+    ph.end = phase_end;
+    const std::uint64_t phase = probe.tracer->record(std::move(ph));
     std::vector<std::uint64_t> scatter_span;
     if (aggregated) {
       scatter_span.assign(static_cast<std::size_t>(topo->ngroups()), 0);
@@ -840,23 +856,53 @@ void run_restart_rank(exec::RankCtx& ctx, const Params& params,
                       iostats::TraceRecorder* trace, obs::Probe probe,
                       RestartStats* stats) {
   const auto run = std::make_unique<const RankSetup>(params);
-  const std::vector<std::byte> doc =
+  const RecoveredDoc doc =
       read_task_doc(ctx, *run, plan, backend, trace, probe);
-  auto all_bytes = ctx.gather(static_cast<std::uint64_t>(doc.size()), 0);
-  auto all_hash = ctx.gather(restart_hash(doc), 0);
+  auto all_bytes = ctx.gather(doc.bytes, 0);
+  auto all_hash = ctx.gather(doc.hash, 0);
   if (stats != nullptr)
     record_restart(*run, plan, *stats, backend, trace, probe,
                    std::move(all_bytes), std::move(all_hash));
 }
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+constexpr std::size_t kZeroBlock = 32;
+
+/// FNV-1a over a zero byte is `h *= P` (the xor is a no-op), so a block of
+/// kZeroBlock zero bytes advances the hash by exactly `h *= P^kZeroBlock`.
+constexpr std::uint64_t fnv_prime_pow(std::size_t n) {
+  std::uint64_t p = 1;
+  for (std::size_t i = 0; i < n; ++i) p *= kFnvPrime;
+  return p;
+}
+constexpr std::uint64_t kFnvZeroBlock = fnv_prime_pow(kZeroBlock);
+
+bool is_zero_block(const std::byte* p) {
+  std::uint64_t w[kZeroBlock / 8];
+  std::memcpy(w, p, kZeroBlock);
+  return (w[0] | w[1] | w[2] | w[3]) == 0;
+}
+
 }  // namespace
 
 std::uint64_t restart_hash(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
+  std::uint64_t h = kFnvOffset;
+  const std::byte* p = data.data();
+  const std::byte* const end = p + data.size();
+  auto bytewise = [&h](const std::byte* from, const std::byte* to) {
+    for (; from != to; ++from) {
+      h ^= static_cast<std::uint64_t>(*from);
+      h *= kFnvPrime;
+    }
+  };
+  for (; static_cast<std::size_t>(end - p) >= kZeroBlock; p += kZeroBlock) {
+    if (is_zero_block(p))
+      h *= kFnvZeroBlock;
+    else
+      bytewise(p, p + kZeroBlock);
   }
+  bytewise(p, end);
   return h;
 }
 

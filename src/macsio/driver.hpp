@@ -137,8 +137,12 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
                          iostats::TraceRecorder* trace = nullptr,
                          obs::Probe probe = {});
 
-/// Deterministic FNV-1a content hash used for `RestartStats::task_hash` —
-/// exposed so tests can hash expected documents with the same function.
+/// Deterministic content hash used for `RestartStats::task_hash` — exposed
+/// so tests can hash expected documents with the same function. The value is
+/// byte-wise FNV-1a-64 for every input. Since FNV-1a over a zero byte is
+/// `h *= P`, an all-zero 32-byte block advances the hash by one multiply
+/// with `P^32`; accounting-only backends recover documents of zero bytes,
+/// so their restarts hash at memory speed.
 std::uint64_t restart_hash(std::span<const std::byte> data);
 
 /// Convenience: run on a fiber-scheduled SerialEngine sized params.nprocs.

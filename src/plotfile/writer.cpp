@@ -383,10 +383,7 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
                 spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
                 util::zero_pad(static_cast<std::uint64_t>(group), 5);
             pfs::OutFile out(backend, path);
-            for (const auto& pl : payloads) {
-              if (encoded) out.write(cdc->decode(pl));
-              else out.write(pl);
-            }
+            for (const auto& pl : payloads) out.write(cdc->payload(pl));
             out.close();  // surface flush errors
             ++my_files;
             if (trace != nullptr)

@@ -1,5 +1,6 @@
 /// Tests for the codec subsystem: the three registered compression models
-/// (identity / lossless / ebl) and their container round-trip, smoothness
+/// (identity / lossless / ebl), their container round-trip and in-place
+/// `payload` read (same checks and errors as `decode`), smoothness
 /// estimation from real field data, CodecStats accounting, the MACSio knob
 /// validation, and the integration across every byte path — identity stays
 /// byte-identical to the PR-2 staging output, raw accounting conserves
@@ -10,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "codec/codec.hpp"
 #include "codec/stats.hpp"
@@ -125,6 +128,59 @@ TEST(CodecModel, ContainerRoundTripsByteExactly) {
   EXPECT_EQ(codec->decode(blob), raw);
   // a blob this codec did not produce is rejected loudly
   EXPECT_THROW(codec->decode(raw), std::runtime_error);
+}
+
+TEST(CodecModel, PayloadReadsTheContainerInPlace) {
+  // payload(encode(x)) is x, viewed inside the blob: past the 32-byte header
+  // for the container codecs, the blob itself for identity.
+  std::vector<std::byte> raw(4'096);
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    raw[i] = static_cast<std::byte>(i * 37);
+  cd::CodecSpec lossless;
+  lossless.name = "lossless";
+  cd::CodecSpec ebl;
+  ebl.name = "ebl";
+  cd::CodecSpec per_var = ebl;
+  per_var.var_error_bounds = {1e-3, 1e-5};
+  for (const cd::CodecSpec& spec : {cd::CodecSpec{}, lossless, ebl, per_var}) {
+    const auto codec = cd::make_codec(spec);
+    const std::vector<std::byte> blob = codec->encode(raw);
+    const std::span<const std::byte> view = codec->payload(blob);
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), raw.begin(), raw.end()))
+        << spec.name;
+    EXPECT_EQ(view.data(), blob.data() + (spec.enabled() ? 32 : 0))
+        << spec.name;
+    EXPECT_EQ(codec->decode(blob), raw) << spec.name;
+  }
+}
+
+TEST(CodecModel, PayloadRejectsWhatDecodeRejects) {
+  cd::CodecSpec spec;
+  spec.name = "ebl";
+  const auto codec = cd::make_codec(spec);
+  const std::vector<std::byte> blob = codec->encode(std::vector<std::byte>(64));
+  auto message = [&](std::span<const std::byte> bad, bool in_place) {
+    try {
+      if (in_place)
+        (void)codec->payload(bad);
+      else
+        (void)codec->decode(bad);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  std::vector<std::byte> bad_magic = blob;
+  bad_magic[0] = std::byte{'X'};
+  const std::span<const std::byte> whole(blob);
+  const std::string not_container =
+      "codec 'ebl': blob is not an encoded container";
+  const std::string mismatch = "codec 'ebl': container payload size mismatch";
+  for (const bool in_place : {true, false}) {
+    EXPECT_EQ(message(bad_magic, in_place), not_container);
+    EXPECT_EQ(message(whole.first(31), in_place), not_container);
+    EXPECT_EQ(message(whole.first(whole.size() - 1), in_place), mismatch);
+  }
 }
 
 TEST(CodecModel, SmoothnessEstimatorSeparatesSmoothFromRough) {

@@ -3,7 +3,8 @@
 /// reverse ship, the codec decode model and the CodecStats encode/decode
 /// split, the MACSio restart loop (byte-identical read-back across engines
 /// at 32 ranks / 8 aggregators, byte conservation, decode accounting, trace
-/// read/prefetch events, contract failures on every engine), and the
+/// read/prefetch events, contract failures on every engine), the exactness
+/// of the zero-block `restart_hash` against byte-wise FNV-1a, and the
 /// plotfile restart read plan.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
+#include <string_view>
 
 #include "codec/codec.hpp"
 #include "codec/stats.hpp"
@@ -27,6 +30,7 @@
 #include "staging/aggregator.hpp"
 #include "staging/restage.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace cd = amrio::codec;
 namespace ex = amrio::exec;
@@ -136,7 +140,9 @@ TEST(RestagePlan, PlanAtScaleShape) {
       const auto& extent = plan.extents[slice.extent];
       ASSERT_EQ(extent.file, slice.file) << "rank " << r;
       ASSERT_EQ(slice.offset, expected_offset) << "rank " << r;
-      if (first_of_file) ASSERT_EQ(extent.reader, r);
+      if (first_of_file) {
+        ASSERT_EQ(extent.reader, r);
+      }
       expected_offset += slice.raw_bytes;
     }
     EXPECT_EQ(plan.raw_bytes(),
@@ -483,7 +489,8 @@ TEST_P(MacsioRestart, EnginesAgreeOnEveryRestartStatistic) {
 
 TEST_P(MacsioRestart, AccountingBackendKeepsExactSizes) {
   // Accounting-only backends (the bench path) degrade contents to zero
-  // bytes but keep every size and request exact.
+  // bytes but keep every size and request exact — and every hash is the
+  // hash of that many zero bytes.
   mc::Params params = restart_params(16, 4);
   p::MemoryBackend be(false);
   const auto engine = ex::make_engine(GetParam(), params.nprocs);
@@ -493,11 +500,69 @@ TEST_P(MacsioRestart, AccountingBackendKeepsExactSizes) {
   EXPECT_EQ(restart.raw_bytes,
             std::accumulate(restart.task_bytes.begin(),
                             restart.task_bytes.end(), std::uint64_t{0}));
+  ASSERT_EQ(restart.task_hash.size(), restart.task_bytes.size());
+  for (std::size_t r = 0; r < restart.task_bytes.size(); ++r) {
+    const std::vector<std::byte> zeros(restart.task_bytes[r]);
+    EXPECT_EQ(restart.task_hash[r], mc::restart_hash(zeros)) << "rank " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestart,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kSpmd,
+                                           ex::EngineKind::kEvent));
+
+// ----------------------------------------------------------- restart_hash
+
+namespace {
+
+/// Textbook byte-at-a-time FNV-1a-64: the value restart_hash must equal.
+std::uint64_t fnv1a_reference(std::span<const std::byte> data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::byte b : data) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::span<const std::byte> bytes_of(std::string_view text) {
+  return std::as_bytes(std::span<const char>(text.data(), text.size()));
+}
+
+}  // namespace
+
+TEST(RestartHash, MatchesPublishedFnv1a64Vectors) {
+  EXPECT_EQ(mc::restart_hash(bytes_of("")), 0xcbf29ce484222325ull);
+  EXPECT_EQ(mc::restart_hash(bytes_of("a")), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(mc::restart_hash(bytes_of("foobar")), 0x85944171f73967e8ull);
+  const std::vector<std::byte> zeros(std::size_t{1} << 20);
+  EXPECT_EQ(mc::restart_hash(zeros), 0xa96777069d622325ull);
+}
+
+TEST(RestartHash, ZeroBlockStrideMatchesBytewiseReference) {
+  // Every length 0–300 at every start offset 0–7, with bytes zero at shares
+  // 0, 3/4, 63/64 and 1: all-zero blocks, mixed blocks and ragged tails at
+  // every alignment. 11 rounds x 4 x 301 x 8 = 105,952 buffers.
+  amrio::util::Xoshiro256 rng(20);
+  std::vector<std::byte> buf(8 + 300);
+  std::size_t checked = 0;
+  for (int round = 0; round < 11; ++round)
+    for (const double zero_share : {0.0, 0.75, 63.0 / 64.0, 1.0})
+      for (std::size_t len = 0; len <= 300; ++len)
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+          for (auto& b : buf)
+            b = rng.uniform() < zero_share
+                    ? std::byte{0}
+                    : static_cast<std::byte>(1 + rng.uniform_int(255));
+          const std::span<const std::byte> view(buf.data() + offset, len);
+          ASSERT_EQ(mc::restart_hash(view), fnv1a_reference(view))
+              << "len " << len << " offset " << offset << " zero share "
+              << zero_share;
+          ++checked;
+        }
+  EXPECT_GE(checked, 100000u);
+}
 
 TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
   const auto params = mc::Params::from_cli(
