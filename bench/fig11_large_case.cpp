@@ -6,8 +6,8 @@
 ///
 /// Method: simulate the AMR dynamics at a tractable mesh, then *analytically
 /// upscale* every level layout to the paper's 8192² geometry and price the
-/// plotfiles byte-exactly with predict_plotfile (no data allocated) — the
-/// substitution DESIGN.md §2 documents.
+/// plotfiles byte-exactly with predict_plotfile (no data allocated), in place
+/// of simulating the 8192² mesh itself.
 
 #include <cstdio>
 

@@ -5,9 +5,10 @@
 /// steps, and schedules plotfile output every `amr.plot_int` steps — the
 /// workload whose I/O the paper characterizes.
 ///
-/// Deviations from Castro (see DESIGN.md §2): levels advance non-subcycled
-/// with a single global dt, and coarse-fine flux refluxing is omitted. Both
-/// leave the AMR hierarchy dynamics — and therefore the I/O footprint — intact.
+/// Deviations from Castro: levels advance non-subcycled with a single global
+/// dt (Castro subcycles, so its "step" is a coarse step), and coarse-fine
+/// flux refluxing is omitted. Both leave the AMR hierarchy dynamics — and
+/// therefore the I/O footprint — intact.
 
 #include <functional>
 #include <vector>

@@ -68,20 +68,18 @@ std::uint64_t get_u64(const std::byte* src) {
   return v;
 }
 
-/// Wrap raw bytes in the self-describing container: the payload round-trips
-/// byte-exactly while the modeled CompressResult travels alongside it.
-std::vector<std::byte> wrap(std::span<const std::byte> raw,
-                            const CompressResult& r) {
-  std::vector<std::byte> blob;
-  blob.reserve(kHeaderBytes + raw.size());
-  blob.resize(kHeaderBytes);
+/// Write the self-describing container header in place, over the first
+/// kHeaderBytes of a blob whose payload already follows it: the payload
+/// round-trips byte-exactly while the modeled CompressResult travels
+/// alongside it. The one header writer — encode, encode_as and seal use it.
+void wrap(std::span<std::byte> blob, const CompressResult& r) {
+  AMRIO_EXPECTS(blob.size() >= kHeaderBytes &&
+                r.raw_bytes == blob.size() - kHeaderBytes);
   std::memcpy(blob.data(), kMagic, sizeof(kMagic));
   put_u64(blob.data() + 8, r.raw_bytes);
   put_u64(blob.data() + 16, r.out_bytes);
   put_u64(blob.data() + 24,
           static_cast<std::uint64_t>(std::llround(r.cpu_seconds * 1e9)));
-  blob.insert(blob.end(), raw.begin(), raw.end());  // payload copied once
-  return blob;
 }
 
 CompressResult unwrap_header(std::span<const std::byte> blob,
@@ -144,6 +142,8 @@ class IdentityCodec final : public Codec {
                                    const CompressResult&) const override {
     return std::vector<std::byte>(raw.begin(), raw.end());
   }
+  std::size_t header_bytes() const override { return 0; }
+  void seal(std::span<std::byte>, const CompressResult&) const override {}
   std::span<const std::byte> payload(
       std::span<const std::byte> blob) const override {
     return blob;
@@ -336,13 +336,25 @@ std::vector<std::byte> Codec::encode(std::span<const std::byte> raw,
                                      CompressResult* result) const {
   const CompressResult r = plan(raw.size());
   if (result != nullptr) *result = r;
-  return wrap(raw, r);
+  return encode_as(raw, r);
 }
 
 std::vector<std::byte> Codec::encode_as(std::span<const std::byte> raw,
                                         const CompressResult& result) const {
   AMRIO_EXPECTS(result.raw_bytes == raw.size());
-  return wrap(raw, result);
+  std::vector<std::byte> blob;
+  blob.reserve(kHeaderBytes + raw.size());
+  blob.resize(kHeaderBytes);
+  blob.insert(blob.end(), raw.begin(), raw.end());  // payload copied once
+  wrap(blob, result);
+  return blob;
+}
+
+std::size_t Codec::header_bytes() const { return kHeaderBytes; }
+
+void Codec::seal(std::span<std::byte> blob,
+                 const CompressResult& result) const {
+  wrap(blob, result);
 }
 
 std::span<const std::byte> Codec::payload(

@@ -125,6 +125,16 @@ class Codec {
   /// Identity ignores the result and stays a passthrough.
   virtual std::vector<std::byte> encode_as(std::span<const std::byte> raw,
                                            const CompressResult& result) const;
+  /// Bytes a container puts before its payload: 32 for the modeling codecs,
+  /// 0 for identity, whose blob is the raw payload itself.
+  virtual std::size_t header_bytes() const;
+  /// Seal a container built in place — the no-copy form of `encode_as` for
+  /// writers that serialize straight into the wire buffer: `blob` is
+  /// `header_bytes()` bytes of scratch followed by the raw payload, and the
+  /// header carrying `result` (whose raw_bytes must equal the payload size)
+  /// is written over the scratch. Identity writes nothing.
+  virtual void seal(std::span<std::byte> blob,
+                    const CompressResult& result) const;
   /// The raw payload of an encoded blob, read in place: a view of `blob`
   /// past the 32-byte container header (identity: `blob` itself). The view
   /// aliases `blob` and is valid only while the blob's storage lives. Makes

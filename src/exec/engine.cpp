@@ -64,6 +64,11 @@ void SpmdEngine::run(const RankFn& fn) {
 // everyone before releasing, so a rank resumed later never observes staging
 // slots overwritten by the next collective (a full release requires all
 // nranks arrivals, which a still-suspended rank cannot contribute to).
+//
+// Byte hand-off (see SerialEngine in engine.hpp): without it every member of
+// an aggregation group would serialize and send its document before the
+// aggregator resumed once, so a whole dump's payloads would sit in the
+// mailboxes together.
 
 namespace {
 
@@ -103,6 +108,9 @@ struct SerialState {
   std::map<std::tuple<int, int, int>, std::deque<std::uint64_t>> mail;
   std::map<std::tuple<int, int, int>, std::deque<std::vector<std::byte>>>
       byte_mail;
+  /// Receivers a byte send fed while they were blocked in recv_bytes, in
+  /// send order; the scheduler resumes them when the sender yields.
+  std::vector<int> handoffs;
 
   std::exception_ptr first_error;
   bool aborted = false;
@@ -185,9 +193,13 @@ class FiberCtx final : public RankCtx {
     return v;
   }
 
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
-    st_->byte_mail[{rank_, dest, tag}].emplace_back(data.begin(), data.end());
+    const std::tuple<int, int, int> key{rank_, dest, tag};
+    st_->byte_mail[key].push_back(std::move(data));
+    const auto& f = st_->fibers[static_cast<std::size_t>(dest)];
+    if (f.state == SerialState::FiberState::kWaitBytes && f.wait_key == key)
+      st_->handoffs.push_back(dest);
   }
 
   std::vector<std::byte> recv_bytes(int src, int tag) override {
@@ -279,6 +291,32 @@ void fiber_trampoline(unsigned int hi, unsigned int lo) {
   }
 }
 
+/// Switch into fiber `r` until it yields or finishes; true once it is done.
+/// Out of line for the same reason as run_fibers.
+[[gnu::noinline]] bool resume_fiber(SerialState& st, int r) {
+  auto& f = st.fibers[static_cast<std::size_t>(r)];
+  st.current = r;
+  if (swapcontext(&st.main_ctx, &f.ctx) != 0)
+    throw std::runtime_error("SerialEngine: swapcontext failed");
+  return f.state == SerialState::FiberState::kDone;
+}
+
+/// Resume every receiver a byte send handed off to, in send order — and the
+/// receivers those fibers feed in turn — before the round-robin moves on.
+/// Returns how many of them finished.
+int run_handoffs(SerialState& st) {
+  int finished = 0;
+  for (std::size_t i = 0; i < st.handoffs.size(); ++i) {
+    const int h = st.handoffs[i];
+    auto& f = st.fibers[static_cast<std::size_t>(h)];
+    if (f.state != SerialState::FiberState::kWaitBytes) continue;
+    f.state = SerialState::FiberState::kReady;  // recv_bytes rechecks
+    if (resume_fiber(st, h)) ++finished;
+  }
+  st.handoffs.clear();
+  return finished;
+}
+
 /// Round-robin fiber scheduler. Kept free of nontrivial locals and out of
 /// line: swapcontext has setjmp-like control flow and must not share a frame
 /// with objects the compiler could cache in clobbered registers.
@@ -300,11 +338,9 @@ void fiber_trampoline(unsigned int hi, unsigned int lo) {
       if (st.aborted && f.state == SerialState::FiberState::kWaitCollective)
         f.state = SerialState::FiberState::kReady;  // resume to throw
       if (f.state != SerialState::FiberState::kReady) continue;
-      st.current = r;
-      if (swapcontext(&st.main_ctx, &f.ctx) != 0)
-        throw std::runtime_error("SerialEngine: swapcontext failed");
+      if (resume_fiber(st, r)) ++ndone;
+      ndone += run_handoffs(st);
       progressed = true;
-      if (f.state == SerialState::FiberState::kDone) ++ndone;
     }
     if (!progressed && ndone < nranks) {
       // Deadlock: don't throw over suspended fibers (their locals would
@@ -345,7 +381,7 @@ class SingleCtx final : public RankCtx {
   std::uint64_t recv_token(int, int) override {
     throw std::runtime_error("SerialEngine: recv_token with one rank");
   }
-  void send_bytes(std::span<const std::byte>, int, int) override {
+  void send_bytes(std::vector<std::byte>, int, int) override {
     throw std::runtime_error("SerialEngine: send_bytes with one rank");
   }
   std::vector<std::byte> recv_bytes(int, int) override {
@@ -394,9 +430,9 @@ void SerialEngine::run(const RankFn& fn) {
   if (st.first_error) std::rethrow_exception(st.first_error);
 }
 
-std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::span<const std::byte> mine, std::span<const int> members,
-    int root, int tag, obs::Probe probe) {
+void gatherv_group(RankCtx& ctx, std::vector<std::byte> mine,
+                   std::span<const int> members, int root, int tag,
+                   const LandFn& land, obs::Probe probe) {
   AMRIO_EXPECTS_MSG(!members.empty(), "gatherv_group: empty member list");
   bool in_group = false;
   bool root_in_group = false;
@@ -413,21 +449,22 @@ std::vector<std::vector<std::byte>> gatherv_group(
   AMRIO_EXPECTS_MSG(root_in_group, "gatherv_group: root not a member");
 
   if (ctx.rank() != root) {
-    ctx.send_bytes(mine, root, tag);
-    return {};
+    ctx.send_bytes(std::move(mine), root, tag);
+    return;
   }
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(members.size());
+  AMRIO_EXPECTS_MSG(land != nullptr, "gatherv_group: the root needs a visitor");
   std::uint64_t shipped = 0;
   std::int64_t nmessages = 0;
   for (int member : members) {
     if (member == root) {
-      payloads.emplace_back(mine.begin(), mine.end());
-    } else {
-      payloads.push_back(ctx.recv_bytes(member, tag));
-      shipped += payloads.back().size();
-      ++nmessages;
+      land(member, mine);
+      std::vector<std::byte>().swap(mine);  // landed: drop it now
+      continue;
     }
+    const std::vector<std::byte> payload = ctx.recv_bytes(member, tag);
+    shipped += payload.size();
+    ++nmessages;
+    land(member, payload);
   }
   if (probe.metrics != nullptr) {
     probe.metrics->add("exec.gatherv.calls", 1);
@@ -435,11 +472,10 @@ std::vector<std::vector<std::byte>> gatherv_group(
     probe.metrics->add("exec.gatherv.bytes",
                        static_cast<std::int64_t>(shipped));
   }
-  return payloads;
 }
 
 std::vector<std::byte> scatterv_group(
-    RankCtx& ctx, const std::vector<std::vector<std::byte>>& payloads,
+    RankCtx& ctx, std::vector<std::vector<std::byte>> payloads,
     std::span<const int> members, int root, int tag, obs::Probe probe) {
   AMRIO_EXPECTS_MSG(!members.empty(), "scatterv_group: empty member list");
   bool in_group = false;
@@ -464,11 +500,11 @@ std::vector<std::byte> scatterv_group(
   std::int64_t nmessages = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (members[i] == root) {
-      mine = payloads[i];
+      mine = std::move(payloads[i]);
     } else {
-      ctx.send_bytes(payloads[i], members[i], tag);
       shipped += payloads[i].size();
       ++nmessages;
+      ctx.send_bytes(std::move(payloads[i]), members[i], tag);
     }
   }
   if (probe.metrics != nullptr) {

@@ -75,37 +75,49 @@ class RankCtx {
   /// Blocking tagged token receive.
   virtual std::uint64_t recv_token(int src, int tag) = 0;
   /// Tagged point-to-point byte payload (staging shipments to aggregators):
-  /// buffered send, message boundaries preserved.
-  virtual void send_bytes(std::span<const std::byte> data, int dest,
-                          int tag) = 0;
+  /// buffered send, message boundaries preserved. The message owns `data`:
+  /// the serial and event engines move the buffer itself into the mailbox,
+  /// so the receiver gets the sender's allocation back from recv_bytes; the
+  /// spmd engine copies it into the simmpi communicator. SerialEngine also
+  /// hands the message to a receiver already blocked on it (see there).
+  virtual void send_bytes(std::vector<std::byte> data, int dest, int tag) = 0;
   /// Blocking tagged byte-payload receive (one message).
   virtual std::vector<std::byte> recv_bytes(int src, int tag) = 0;
 };
 
-/// Group gatherv over point-to-point messages: every rank in `members`
-/// (strictly ascending rank ids) contributes `mine`; `root` (which must be a
-/// member) receives one payload per member, in member order, and everyone
-/// else receives an empty vector. Unlike RankCtx::gatherv this is *not* a
-/// global collective — only the listed members participate, so several
+/// Root-side visitor of gatherv_group: called once per member, in member
+/// order, with that member's payload.
+using LandFn = std::function<void(int member, std::span<const std::byte>)>;
+
+/// Streaming group gatherv over point-to-point messages: every rank in
+/// `members` (strictly ascending rank ids) contributes the buffer `mine`,
+/// and `root` (which must be a member) lands each member's payload as it
+/// arrives by calling `land(member, payload)` in member order. The root's
+/// own buffer is visited in place, never copied; a received buffer is freed
+/// as soon as its visit returns, so the root holds one shipped payload at a
+/// time. Other members only send; `land` is called on the root alone (and
+/// may be empty elsewhere). Unlike RankCtx::gatherv this is *not* a global
+/// collective — only the listed members participate, so several
 /// aggregation groups can gather concurrently. This is the two-phase
 /// collective the staging layer uses to ship task documents to aggregators.
 /// A non-empty `probe` counts the ship on the metrics registry
 /// (exec.gatherv.{calls,messages,bytes}, root side) — pure commutative
 /// counter adds, so the snapshot stays engine-invariant.
-std::vector<std::vector<std::byte>> gatherv_group(
-    RankCtx& ctx, std::span<const std::byte> mine, std::span<const int> members,
-    int root, int tag, obs::Probe probe = {});
+void gatherv_group(RankCtx& ctx, std::vector<std::byte> mine,
+                   std::span<const int> members, int root, int tag,
+                   const LandFn& land, obs::Probe probe = {});
 
 /// Group scatterv — `gatherv_group` in reverse, the read-side ship: `root`
 /// holds one payload per member (member order, so payloads.size() ==
 /// members.size() at the root and is ignored elsewhere) and fans them back
-/// out over point-to-point messages; every member returns its own payload.
-/// Like gatherv_group this is not a global collective — several restage
-/// groups can scatter concurrently. Byte-conserving: the concatenation of
-/// what the members receive equals the concatenation of what the root held.
-/// `probe` counts exec.scatterv.{calls,messages,bytes} on the root side.
+/// out over point-to-point messages, each buffer moved into its send;
+/// every member returns its own payload. Like gatherv_group this is not a
+/// global collective — several restage groups can scatter concurrently.
+/// Byte-conserving: the concatenation of what the members receive equals
+/// the concatenation of what the root held. `probe` counts
+/// exec.scatterv.{calls,messages,bytes} on the root side.
 std::vector<std::byte> scatterv_group(
-    RankCtx& ctx, const std::vector<std::vector<std::byte>>& payloads,
+    RankCtx& ctx, std::vector<std::vector<std::byte>> payloads,
     std::span<const int> members, int root, int tag, obs::Probe probe = {});
 
 using RankFn = std::function<void(RankCtx&)>;
@@ -136,6 +148,15 @@ class Engine {
 
 /// Fiber-scheduled engine: ranks run as cooperatively scheduled ucontext
 /// fibers on the calling thread. Deterministic, no thread overhead.
+///
+/// The scheduler round-robins over runnable fibers, with one exception: a
+/// byte send that lands in the mailbox a fiber is blocked on in recv_bytes
+/// queues a hand-off, and when the sender next yields (or finishes) the
+/// scheduler resumes the receivers it fed, in send order, before it moves
+/// on. A gatherv_group root therefore lands each member's payload before the
+/// next member runs, and an aggregation group holds one payload in flight
+/// instead of the whole dump's. Collective semantics, deadlock detection
+/// and abort unwinding are unchanged.
 class SerialEngine final : public Engine {
  public:
   /// `stack_bytes` is the per-fiber stack size; the default comfortably fits
@@ -232,8 +253,8 @@ class CommCtx final : public RankCtx {
   std::uint64_t recv_token(int src, int tag) override {
     return comm_->recv<std::uint64_t>(src, tag).at(0);
   }
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
-    comm_->send(data, dest, tag);
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
+    comm_->send(std::span<const std::byte>(data), dest, tag);
   }
   std::vector<std::byte> recv_bytes(int src, int tag) override {
     return comm_->recv<std::byte>(src, tag);

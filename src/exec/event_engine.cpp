@@ -485,11 +485,11 @@ class EventCtx final : public RankCtx {
     return take(st_->mail, key);
   }
 
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
     check_tag(tag);
     const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
-    st_->byte_mail[key].emplace_back(data.begin(), data.end());
+    st_->byte_mail[key].push_back(std::move(data));  // the buffer itself
     st_->wake_receiver(key);
   }
 

@@ -208,45 +208,63 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
 /// the file system — the encoded documents cross the link, the aggregator
 /// writes their payloads in place, and the subfile holds the group's task
 /// documents concatenated in rank order, byte-identical to what the members
-/// would have written themselves. Returns the rank's raw document bytes.
+/// would have written themselves. Each document is handled once: it is
+/// serialized straight into an exact-size wire container (codec header +
+/// `task_doc_bytes`), moved through the mailbox, and landed in the subfile
+/// as it arrives. Returns the rank's raw document bytes.
 std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
                             pfs::StorageBackend& backend,
                             iostats::TraceRecorder* trace, obs::Probe probe,
                             int dump, const PartSpec& spec) {
+  const Params& params = run.params;
   const int rank = ctx.rank();
   const staging::AggTopology& topo = *run.topo;
   const int group = topo.group_of(rank);
   const int agg = topo.aggregator_of_group(group);
-  std::vector<std::byte> doc;
-  VectorSink vsink(doc);
-  serialize_task_doc(run, vsink, rank, dump, spec);
+  const std::uint64_t raw_bytes = run.iface->task_doc_bytes(
+      spec, rank, dump, params.parts_of_rank(rank), params.meta_size);
+  const std::size_t header = run.cdc->header_bytes();
   std::vector<std::byte> blob;
-  if (run.encoded) blob = run.cdc->encode(doc);
-  const auto payloads =
-      exec::gatherv_group(ctx, run.encoded ? blob : doc, topo.members_of(group),
-                          agg, kShipTag, probe);
-  if (rank == agg) {
-    const std::string path =
-        aggregated_file_path_for(run.params, *run.iface, group, dump);
-    std::uint64_t encoded_bytes = 0;
-    double codec_cpu = 0.0;
-    pfs::OutFile out(backend, path);
-    for (const auto& shipped : payloads) {
-      if (run.encoded) {
-        const codec::CompressResult enc = run.cdc->peek(shipped);
-        encoded_bytes += enc.out_bytes;
-        codec_cpu += enc.cpu_seconds;
-      }
-      out.write(run.cdc->payload(shipped));  // in place; identity: as shipped
-    }
-    const std::uint64_t subfile_bytes = out.bytes_written();
-    out.close();  // surface flush errors (destructor closes quietly)
-    if (trace != nullptr)
-      trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
-                                  encoded_bytes, codec_cpu, run.write_tier,
-                                  group);
+  blob.reserve(header + raw_bytes);
+  blob.resize(header);
+  VectorSink vsink(blob);
+  serialize_task_doc(run, vsink, rank, dump, spec);
+  AMRIO_ENSURES_MSG(vsink.bytes() == raw_bytes,
+                    "ship_task_doc: rank " << rank << " serialized "
+                                           << vsink.bytes()
+                                           << " bytes, task_doc_bytes says "
+                                           << raw_bytes);
+  run.cdc->seal(blob, run.cdc->plan(raw_bytes));
+
+  const auto members = topo.members_of(group);
+  if (rank != agg) {
+    exec::gatherv_group(ctx, std::move(blob), members, agg, kShipTag, {},
+                        probe);
+    return raw_bytes;
   }
-  return doc.size();
+  const std::string path =
+      aggregated_file_path_for(params, *run.iface, group, dump);
+  std::uint64_t encoded_bytes = 0;
+  double codec_cpu = 0.0;
+  pfs::OutFile out(backend, path);
+  exec::gatherv_group(
+      ctx, std::move(blob), members, agg, kShipTag,
+      [&](int, std::span<const std::byte> shipped) {
+        if (run.encoded) {
+          const codec::CompressResult enc = run.cdc->peek(shipped);
+          encoded_bytes += enc.out_bytes;
+          codec_cpu += enc.cpu_seconds;
+        }
+        out.write(run.cdc->payload(shipped));  // in place; identity: as is
+      },
+      probe);
+  const std::uint64_t subfile_bytes = out.bytes_written();
+  out.close();  // surface flush errors (destructor closes quietly)
+  if (trace != nullptr)
+    trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
+                                encoded_bytes, codec_cpu, run.write_tier,
+                                group);
+  return raw_bytes;
 }
 
 /// One rank's share of a dump: its task document, written behind the file's
@@ -650,8 +668,8 @@ struct RecoveredDoc {
                                                             piece.end()));
       }
     }
-    recovered =
-        exec::scatterv_group(ctx, payloads, members, agg, kRestageTag, probe);
+    recovered = exec::scatterv_group(ctx, std::move(payloads), members, agg,
+                                     kRestageTag, probe);
     doc = cdc->payload(recovered);  // identity: the blob itself
   } else {
     // Every rank reads its own byte range of its dump file (concurrent

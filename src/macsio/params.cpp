@@ -25,7 +25,8 @@ const char* to_string(FileMode m) {
 Interface interface_from_string(const std::string& s) {
   const std::string v = util::to_lower(s);
   if (v == "miftmpl" || v == "json") return Interface::kMiftmpl;
-  // hdf5 maps onto our self-describing binary stand-in (DESIGN.md §2)
+  // hdf5 maps onto h5lite, our self-describing binary stand-in for HDF5
+  // (see macsio/interfaces.hpp)
   if (v == "h5lite" || v == "hdf5") return Interface::kH5Lite;
   if (v == "raw" || v == "binary") return Interface::kRaw;
   throw std::invalid_argument("macsio: unknown interface '" + s + "'");

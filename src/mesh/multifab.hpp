@@ -7,7 +7,8 @@
 /// The driver runs serially, so the MultiFab owns *all* Fabs; the
 /// DistributionMapping records which virtual rank each box belongs to, which
 /// is exactly what the N-to-N plotfile writer needs to reproduce Summit's
-/// per-task output files (see DESIGN.md §3).
+/// per-task output files (one Cell_D file per owning rank; see
+/// plotfile/writer.hpp).
 
 #include <vector>
 

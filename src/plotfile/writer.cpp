@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "codec/codec.hpp"
@@ -354,43 +355,46 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
             level_ranks, level_groups(spec.aggregators, level_ranks));
         const int group = topo.group_of(rank);
         const int agg = topo.aggregator_of_group(group);
-        std::vector<std::byte> payload;
+        std::vector<std::byte> payload(cdc->header_bytes());
         const auto& mf = *levels[l].data;
         for (std::size_t bi : my_boxes)
           written += write_fab(payload, mf.fab(bi), mf.valid_box(bi));
         // Encoded chunks cross the link; the aggregator decodes them, so the
         // subfile stays the raw rank-order concatenation either way.
         if (encoded) enc = plan_chunk(written, my_boxes, mf);
-        const auto payloads = exec::gatherv_group(
-            ctx, encoded ? cdc->encode_as(payload, enc) : std::move(payload),
-            topo.members_of(group), agg, kShipTag);
-        if (rank == agg) {
-          std::uint64_t group_total = 0;
-          std::uint64_t group_encoded = 0;
-          double group_cpu = 0.0;
-          for (const auto& pl : payloads) {
-            if (encoded) {
-              const codec::CompressResult member = cdc->peek(pl);
-              group_total += member.raw_bytes;
-              group_encoded += member.out_bytes;
-              group_cpu += member.cpu_seconds;
-            } else {
-              group_total += pl.size();
-            }
+        cdc->seal(payload, enc);
+        // The aggregator lands each chunk as it arrives and opens the
+        // Cell_D file at the first one that carries bytes, so a group with
+        // no data on this level writes no file.
+        std::optional<pfs::OutFile> out;
+        std::string path;
+        std::uint64_t group_total = 0;
+        std::uint64_t group_encoded = 0;
+        double group_cpu = 0.0;
+        const auto land = [&](int, std::span<const std::byte> pl) {
+          const std::span<const std::byte> raw = cdc->payload(pl);
+          if (encoded) {
+            const codec::CompressResult member = cdc->peek(pl);
+            group_encoded += member.out_bytes;
+            group_cpu += member.cpu_seconds;
           }
-          if (group_total > 0) {
-            const std::string path =
-                spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
-                util::zero_pad(static_cast<std::uint64_t>(group), 5);
-            pfs::OutFile out(backend, path);
-            for (const auto& pl : payloads) out.write(cdc->payload(pl));
-            out.close();  // surface flush errors
-            ++my_files;
-            if (trace != nullptr)
-              trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
-                                          path, group_total, group_encoded,
-                                          group_cpu, /*tier=*/0, group);
+          group_total += raw.size();
+          if (!out && !raw.empty()) {
+            path = spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
+                   util::zero_pad(static_cast<std::uint64_t>(group), 5);
+            out.emplace(backend, path);
           }
+          if (out) out->write(raw);
+        };
+        exec::gatherv_group(ctx, std::move(payload), topo.members_of(group),
+                            agg, kShipTag, land);
+        if (out) {
+          out->close();  // surface flush errors
+          ++my_files;
+          if (trace != nullptr)
+            trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
+                                        path, group_total, group_encoded,
+                                        group_cpu, /*tier=*/0, group);
         }
       }
     } else if (!my_boxes.empty()) {

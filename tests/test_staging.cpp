@@ -16,6 +16,7 @@
 #include "macsio/interfaces.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/multifab.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
 #include "plotfile/reader.hpp"
@@ -143,8 +144,15 @@ TEST_P(GathervGroup, GathersMemberPayloadsInRankOrder) {
     std::vector<std::byte> mine(static_cast<std::size_t>(ctx.rank() + 1),
                                 static_cast<std::byte>(ctx.rank()));
     const auto members = topo.members_of(group);
-    const auto got = ex::gatherv_group(ctx, mine, members, root, 91);
+    std::vector<int> landed;
+    std::vector<std::vector<std::byte>> got;
+    ex::gatherv_group(ctx, std::move(mine), members, root, 91,
+                      [&](int member, std::span<const std::byte> payload) {
+                        landed.push_back(member);
+                        got.emplace_back(payload.begin(), payload.end());
+                      });
     if (ctx.rank() == root) {
+      EXPECT_EQ(landed, members);
       ASSERT_EQ(got.size(), members.size());
       for (std::size_t i = 0; i < members.size(); ++i) {
         EXPECT_EQ(got[i].size(), static_cast<std::size_t>(members[i] + 1));
@@ -157,9 +165,80 @@ TEST_P(GathervGroup, GathersMemberPayloadsInRankOrder) {
   });
 }
 
+TEST_P(GathervGroup, RejectsMalformedGroups) {
+  const int n = 4;
+  const auto engine = ex::make_engine(GetParam(), n);
+  // Each case makes every rank fail the same check before it sends or
+  // receives anything, so the message is the same whichever rank fails first.
+  const auto violation = [&](auto&& group_of) -> std::string {
+    try {
+      engine->run([&](ex::RankCtx& ctx) {
+        const auto [members, root] = group_of(ctx.rank());
+        ex::gatherv_group(ctx, std::vector<std::byte>(4), members, root, 91,
+                          [](int, std::span<const std::byte>) {});
+      });
+    } catch (const amrio::ContractViolation& e) {
+      return e.what();
+    }
+    return "no ContractViolation";
+  };
+  using Group = std::pair<std::vector<int>, int>;
+  const std::string out_of_range =
+      violation([&](int) { return Group{{0, 1, 2, 3, n}, 0}; });
+  EXPECT_NE(out_of_range.find("member rank out of range"), std::string::npos)
+      << out_of_range;
+  const std::string unordered =
+      violation([](int) { return Group{{0, 2, 1, 3}, 0}; });
+  EXPECT_NE(unordered.find("strictly ascending"), std::string::npos)
+      << unordered;
+  const std::string outsider = violation([&](int rank) {
+    std::vector<int> others;
+    for (int r = 0; r < n; ++r)
+      if (r != rank) others.push_back(r);
+    return Group{others, others.front()};
+  });
+  EXPECT_NE(outsider.find("calling rank not a member"), std::string::npos)
+      << outsider;
+  const std::string rootless =
+      violation([&](int) { return Group{{0, 1, 2, 3}, n}; });
+  EXPECT_NE(rootless.find("root not a member"), std::string::npos) << rootless;
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, GathervGroup,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kSpmd,
+                                           ex::EngineKind::kEvent));
+
+// The cooperative engines hand a shipped payload to its blocked root before
+// the next member runs: the root lands member m before member m+1 has
+// serialized, so a group holds one payload in flight, not the group's.
+class GathervHandOff : public ::testing::TestWithParam<ex::EngineKind> {};
+
+TEST_P(GathervHandOff, RootLandsEachMemberBeforeTheNextSerializes) {
+  const int n = 8;
+  const auto engine = ex::make_engine(GetParam(), n);
+  std::vector<std::string> log;
+  engine->run([&](ex::RankCtx& ctx) {
+    std::vector<int> members(n);
+    std::iota(members.begin(), members.end(), 0);
+    log.push_back("serialize " + std::to_string(ctx.rank()));
+    ex::gatherv_group(ctx, std::vector<std::byte>(64), members, 0, 91,
+                      [&](int member, std::span<const std::byte> payload) {
+                        EXPECT_EQ(payload.size(), 64u);
+                        log.push_back("land " + std::to_string(member));
+                      });
+  });
+  std::vector<std::string> expected;
+  for (int m = 0; m < n; ++m) {
+    expected.push_back("serialize " + std::to_string(m));
+    expected.push_back("land " + std::to_string(m));
+  }
+  EXPECT_EQ(log, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, GathervHandOff,
+                         ::testing::Values(ex::EngineKind::kSerial,
+                                           ex::EngineKind::kEvent));
 
 // ----------------------------------------- aggregated MACSio dump loop
 
@@ -233,6 +312,44 @@ TEST(AggregatedMif, ByteIdenticalAcrossEngines) {
   for (const auto& path : paths)
     EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
 }
+
+// The ship's counters and the subfiles it lands, pinned to values taken
+// before the ship streamed (vector-of-vectors gatherv, copying mailboxes):
+// a 64-rank, 8-aggregator, 3-dump ebl dump, on every engine.
+class AggregatedShipPins : public ::testing::TestWithParam<ex::EngineKind> {};
+
+TEST_P(AggregatedShipPins, CountersAndSubfileBytesAreUnchanged) {
+  auto params = agg_params(64, 8);
+  params.codec = "ebl";
+  p::MemoryBackend be(false);
+  amrio::obs::MetricsRegistry metrics;
+  amrio::obs::Probe probe;
+  probe.metrics = &metrics;
+  const auto engine = ex::make_engine(GetParam(), params.nprocs);
+  mc::run_macsio(*engine, params, be, nullptr, probe);
+
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.at("exec.gatherv.calls"), 24);
+  EXPECT_EQ(snap.counters.at("exec.gatherv.messages"), 168);
+  EXPECT_EQ(snap.counters.at("exec.gatherv.bytes"), 1274424);
+  // per (dump, group): raw task documents in rank order
+  const std::vector<std::uint64_t> expected = {
+      76832, 76838, 76840, 76840, 38648, 38648, 38648, 38648,  // dump 0
+      82208, 82214, 82216, 82216, 41336, 41336, 41336, 41336,  // dump 1
+      82208, 82214, 82216, 82216, 41336, 41336, 41336, 41336,  // dump 2
+  };
+  std::vector<std::uint64_t> subfile_bytes;
+  for (int dump = 0; dump < params.num_dumps; ++dump)
+    for (int g = 0; g < params.aggregators; ++g)
+      subfile_bytes.push_back(
+          be.size(mc::aggregated_file_path(params, g, dump)));
+  EXPECT_EQ(subfile_bytes, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, AggregatedShipPins,
+                         ::testing::Values(ex::EngineKind::kSerial,
+                                           ex::EngineKind::kEvent,
+                                           ex::EngineKind::kSpmd));
 
 TEST(AggregatedMif, SubfilesConcatenateTaskDocsInRankOrder) {
   // aggregated subfile contents == the concatenation of what an unaggregated
