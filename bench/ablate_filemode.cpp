@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     params.file_mode = mode.mode;
     params.mif_files = mode.mif_files;
     pfs::MemoryBackend be(false);
-    exec::SerialEngine engine(params.nprocs);
-    const auto stats = macsio::run_macsio(engine, params, be);
+    const auto engine = ctx.make_engine(params.nprocs);
+    const auto stats = macsio::run_macsio(*engine, params, be);
     pfs::SimFs fs(fscfg);
     const auto burst = pfs::burst_stats(fs.run(stats.requests));
     busy[mode.label] = burst.busy_time;

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
         row_tracer = obs::Tracer();
         const obs::Probe probe = ctx.probe(row_tracer);
         const auto stats =
-            macsio::run_macsio(*engine, params, backend, nullptr, probe);
+            macsio::run_macsio(*engine, params, backend, probe);
 
         std::uint64_t encoded_bytes = 0;  // what travels/lands (data files)
         for (const auto& req : stats.requests) {

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
         const obs::Probe probe = ctx.probe(row_tracer);
         (void)macsio::run_macsio(*engine, params, backend);
         const auto restart =
-            macsio::run_restart(*engine, params, backend, nullptr, probe);
+            macsio::run_restart(*engine, params, backend, probe);
 
         if (restart.encoded_bytes > restart.raw_bytes) {
           std::printf("MISMATCH: %d ranks %s %s: fetched > raw\n", ranks,

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       row_tracer = obs::Tracer();
       obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
-          macsio::run_macsio(*engine, params, backend, nullptr, probe);
+          macsio::run_macsio(*engine, params, backend, probe);
 
       std::uint64_t data_files = 0;
       std::uint64_t data_bytes = 0;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
           pfs::MemoryBackend probe_backend(false);
           const auto probe_engine = ctx.make_engine(params.nprocs);
           (void)macsio::run_macsio(*probe_engine, params, probe_backend,
-                                   nullptr, probe);
+                                   probe);
         }
         // only meaningful when aggregators exist; 0 otherwise
         const int agg_nodes = config.aggregate ? data_nodes(fs, requests) : 0;

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   params.output_dir = "macsio_out";
 
   pfs::MemoryBackend backend(false);
-  exec::SerialEngine engine(params.nprocs);
-  const auto stats = macsio::run_macsio(engine, params, backend);
+  const auto engine = ctx.make_engine(params.nprocs);
+  const auto stats = macsio::run_macsio(*engine, params, backend);
 
   std::printf("MACSio data output (nprocs=%d, nsteps=%d)\n", params.nprocs,
               params.num_dumps);

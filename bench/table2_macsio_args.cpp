@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   std::printf("parsed invocation:\n  %s\n\n", params.to_command_line().c_str());
 
   pfs::MemoryBackend backend(false);
-  exec::SerialEngine engine(params.nprocs);
-  const auto stats = macsio::run_macsio(engine, params, backend);
+  const auto engine = ctx.make_engine(params.nprocs);
+  const auto stats = macsio::run_macsio(*engine, params, backend);
   util::TextTable out({"dump", "bytes", "human"});
   for (std::size_t d = 0; d < stats.bytes_per_dump.size(); ++d)
     out.add_row({std::to_string(d), std::to_string(stats.bytes_per_dump[d]),

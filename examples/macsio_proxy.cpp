@@ -26,7 +26,6 @@
 #include "campaign/executor.hpp"
 #include "core/run_flags.hpp"
 #include "exec/engine.hpp"
-#include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
@@ -196,7 +195,6 @@ int main(int argc, char** argv) {
     backend = std::make_unique<pfs::PosixBackend>(cli.get("out"));
   else backend = std::make_unique<pfs::MemoryBackend>(false);
 
-  iostats::TraceRecorder trace;
   const bool sampling = trace_sample > 0;
   const bool observe = !run.trace_out.empty() || !run.metrics_out.empty() ||
                        !util_out.empty() || cli.flag("critical_path") ||
@@ -243,7 +241,7 @@ int main(int argc, char** argv) {
   macsio::DumpStats stats;
   {
     obs::SelfProfiler::ScopedPhase ph(prof_ptr, "proxy.dump");
-    stats = macsio::run_macsio(*engine, params, *backend, &trace, probe);
+    stats = macsio::run_macsio(*engine, params, *backend, probe);
   }
 
   util::TextTable table({"dump", "bytes", "max task bytes", "min task bytes"});
@@ -289,7 +287,7 @@ int main(int argc, char** argv) {
   if (params.restart) {
     ledger.begin_epoch();  // the restart is a fresh virtual timeline
     obs::SelfProfiler::ScopedPhase ph(prof_ptr, "proxy.restart");
-    restart = macsio::run_restart(*engine, params, *backend, &trace, probe);
+    restart = macsio::run_restart(*engine, params, *backend, probe);
     std::printf(
         "restart (dump %d, %s): %s decoded image, %s fetched off the %s, "
         "decode gate %.3gs, scatter %.3gs\n",

@@ -63,11 +63,10 @@ int main(int argc, char** argv) {
     std::printf("backend: POSIX at %s/\n", cli.get("out").c_str());
   }
 
-  iostats::TraceRecorder trace;
   util::WallTimer timer;
   amr::AmrCore core(inputs);
   core.run([&](const amr::AmrCore& c, std::int64_t step, double time) {
-    core::write_plot_for(c, step, time, *backend, &trace);
+    core::write_plot_for(c, step, time, *backend);
     std::printf("  wrote %s at t=%.5e\n", c.plotfile_name(step).c_str(), time);
   });
   std::printf("\nran %lld steps to t=%.5e in %.2fs; hierarchy: ",

@@ -48,7 +48,7 @@ CellResult run_cell(const CellConfig& cell) {
   obs::MetricsRegistry metrics;
   const obs::Probe probe{&tracer, &metrics};
   const macsio::DumpStats stats =
-      macsio::run_macsio(*engine, params, backend, nullptr, probe);
+      macsio::run_macsio(*engine, params, backend, probe);
 
   CellResult r;
   r.raw_bytes = stats.codec.total.raw_bytes;
@@ -76,7 +76,7 @@ CellResult run_cell(const CellConfig& cell) {
 
   if (params.restart) {
     const macsio::RestartStats restart =
-        macsio::run_restart(*engine, params, backend, nullptr, probe);
+        macsio::run_restart(*engine, params, backend, probe);
     pfs::SimFs rfs(reference_fs_config(params.nprocs, params.restart_from_bb));
     const staging::StagingReport rreport =
         staging::staging_report(rfs.run(restart.requests, probe));

@@ -71,7 +71,7 @@ std::uint64_t get_u64(const std::byte* src) {
 /// Write the self-describing container header in place, over the first
 /// kHeaderBytes of a blob whose payload already follows it: the payload
 /// round-trips byte-exactly while the modeled CompressResult travels
-/// alongside it. The one header writer — encode, encode_as and seal use it.
+/// alongside it. The one header writer — encode and seal use it.
 void wrap(std::span<std::byte> blob, const CompressResult& r) {
   AMRIO_EXPECTS(blob.size() >= kHeaderBytes &&
                 r.raw_bytes == blob.size() - kHeaderBytes);
@@ -82,20 +82,17 @@ void wrap(std::span<std::byte> blob, const CompressResult& r) {
           static_cast<std::uint64_t>(std::llround(r.cpu_seconds * 1e9)));
 }
 
-CompressResult unwrap_header(std::span<const std::byte> blob,
-                             const std::string& codec_name) {
+/// The container checks behind payload/decode: the magic, and a recorded raw
+/// size equal to the payload that follows the header.
+void check_container(std::span<const std::byte> blob,
+                     const std::string& codec_name) {
   if (blob.size() < kHeaderBytes ||
       std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error("codec '" + codec_name +
                              "': blob is not an encoded container");
-  CompressResult r;
-  r.raw_bytes = get_u64(blob.data() + 8);
-  r.out_bytes = get_u64(blob.data() + 16);
-  r.cpu_seconds = static_cast<double>(get_u64(blob.data() + 24)) * 1e-9;
-  if (r.raw_bytes != blob.size() - kHeaderBytes)
+  if (get_u64(blob.data() + 8) != blob.size() - kHeaderBytes)
     throw std::runtime_error("codec '" + codec_name +
                              "': container payload size mismatch");
-  return r;
 }
 
 double cpu_cost(std::uint64_t raw_bytes, double throughput) {
@@ -138,18 +135,11 @@ class IdentityCodec final : public Codec {
     if (result != nullptr) *result = plan(raw.size());
     return std::vector<std::byte>(raw.begin(), raw.end());
   }
-  std::vector<std::byte> encode_as(std::span<const std::byte> raw,
-                                   const CompressResult&) const override {
-    return std::vector<std::byte>(raw.begin(), raw.end());
-  }
   std::size_t header_bytes() const override { return 0; }
   void seal(std::span<std::byte>, const CompressResult&) const override {}
   std::span<const std::byte> payload(
       std::span<const std::byte> blob) const override {
     return blob;
-  }
-  CompressResult peek(std::span<const std::byte> blob) const override {
-    return plan(blob.size());
   }
 };
 
@@ -336,17 +326,11 @@ std::vector<std::byte> Codec::encode(std::span<const std::byte> raw,
                                      CompressResult* result) const {
   const CompressResult r = plan(raw.size());
   if (result != nullptr) *result = r;
-  return encode_as(raw, r);
-}
-
-std::vector<std::byte> Codec::encode_as(std::span<const std::byte> raw,
-                                        const CompressResult& result) const {
-  AMRIO_EXPECTS(result.raw_bytes == raw.size());
   std::vector<std::byte> blob;
   blob.reserve(kHeaderBytes + raw.size());
   blob.resize(kHeaderBytes);
   blob.insert(blob.end(), raw.begin(), raw.end());  // payload copied once
-  wrap(blob, result);
+  wrap(blob, r);
   return blob;
 }
 
@@ -359,12 +343,8 @@ void Codec::seal(std::span<std::byte> blob,
 
 std::span<const std::byte> Codec::payload(
     std::span<const std::byte> blob) const {
-  (void)unwrap_header(blob, name());
+  check_container(blob, name());
   return blob.subspan(kHeaderBytes);
-}
-
-CompressResult Codec::peek(std::span<const std::byte> blob) const {
-  return unwrap_header(blob, name());
 }
 
 // -------------------------------------------------------------- registry

@@ -119,16 +119,10 @@ class Codec {
   /// carrying the CompressResult.
   virtual std::vector<std::byte> encode(std::span<const std::byte> raw,
                                         CompressResult* result = nullptr) const;
-  /// Encode with a caller-computed result (content-aware callers: the
-  /// plotfile hook measures FAB smoothness before shipping) — the container
-  /// carries `result` verbatim so `peek` at the receiver sees the same model.
-  /// Identity ignores the result and stays a passthrough.
-  virtual std::vector<std::byte> encode_as(std::span<const std::byte> raw,
-                                           const CompressResult& result) const;
   /// Bytes a container puts before its payload: 32 for the modeling codecs,
   /// 0 for identity, whose blob is the raw payload itself.
   virtual std::size_t header_bytes() const;
-  /// Seal a container built in place — the no-copy form of `encode_as` for
+  /// Seal a container built in place — the no-copy form of `encode` for
   /// writers that serialize straight into the wire buffer: `blob` is
   /// `header_bytes()` bytes of scratch followed by the raw payload, and the
   /// header carrying `result` (whose raw_bytes must equal the payload size)
@@ -147,9 +141,6 @@ class Codec {
     const std::span<const std::byte> raw = payload(blob);
     return std::vector<std::byte>(raw.begin(), raw.end());
   }
-  /// The CompressResult embedded in an encoded blob (what the encoder
-  /// modeled), without copying the payload. Identity plans the blob itself.
-  virtual CompressResult peek(std::span<const std::byte> blob) const;
 };
 
 /// Selection + tuning of a codec stage; the cross-layer currency (MACSio

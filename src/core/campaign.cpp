@@ -29,8 +29,7 @@ model::RunMeasurements RunRecord::measurements() const {
 }
 
 void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
-                    pfs::StorageBackend& backend,
-                    iostats::TraceRecorder* trace) {
+                    pfs::StorageBackend& backend) {
   plotfile::PlotfileSpec spec;
   spec.dir = core.plotfile_name(step);
   spec.var_names = hydro::plot_var_names();
@@ -49,7 +48,7 @@ void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
   }
   // Serial-engine write (fiber ranks sized to the widest level distribution);
   // campaigns needing threaded writes can call the exec::Engine overload.
-  plotfile::write_plotfile(backend, spec, levels, trace);
+  plotfile::write_plotfile(backend, spec, levels);
 }
 
 RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
@@ -63,14 +62,13 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
     owned = std::make_unique<pfs::MemoryBackend>(opts.store_contents);
     backend = owned.get();
   }
-  iostats::TraceRecorder trace;
 
   util::WallTimer timer;
   amr::AmrCore core(rec.inputs);
   core.init();
   core.run(
       [&](const amr::AmrCore& c, std::int64_t step, double time) {
-        write_plot_for(c, step, time, *backend, &trace);
+        write_plot_for(c, step, time, *backend);
       },
       [&](const amr::AmrCore& c, std::int64_t step, double time) {
         if (opts.check_int <= 0 || step % opts.check_int != 0 || step == 0)
@@ -88,7 +86,7 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
         for (int l = 0; l < c.num_levels(); ++l)
           levels.push_back(
               plotfile::LevelPlotData{c.level(l).geom, &c.level(l).state});
-        plotfile::write_checkpoint(*backend, spec, levels, nullptr);
+        plotfile::write_checkpoint(*backend, spec, levels);
       });
   rec.wall_seconds = timer.elapsed();
   rec.steps = core.history();

@@ -53,7 +53,6 @@ std::vector<RunRecord> run_campaign(std::span<const CaseConfig> cases,
 /// The plot hook used by run_case, exposed so examples can compose it with a
 /// live AmrCore: derives plot variables and writes one plotfile.
 void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
-                    pfs::StorageBackend& backend,
-                    iostats::TraceRecorder* trace);
+                    pfs::StorageBackend& backend);
 
 }  // namespace amrio::core

@@ -33,12 +33,12 @@ ValidationResult validate_translation(const RunRecord& run,
   pfs::MemoryBackend backend(/*store_contents=*/false);
   const auto proxy_engine = exec::make_engine(engine, params.nprocs);
   result.proxy_stats =
-      macsio::run_macsio(*proxy_engine, params, backend, nullptr, probe);
+      macsio::run_macsio(*proxy_engine, params, backend, probe);
   for (auto b : result.proxy_stats.bytes_per_dump)
     result.proxy_per_step.push_back(static_cast<double>(b));
   if (params.restart)
     result.restart_stats =
-        macsio::run_restart(*proxy_engine, params, backend, nullptr, probe);
+        macsio::run_restart(*proxy_engine, params, backend, probe);
 
   AMRIO_EXPECTS(result.proxy_per_step.size() == result.sim_per_step.size());
   double acc = 0.0;

@@ -19,6 +19,44 @@ namespace amrio::exec {
 
 // ---------------------------------------------------------------- SpmdEngine
 
+namespace {
+
+/// SpmdEngine's RankCtx: one rank thread's view of the simmpi communicator.
+class CommCtx final : public RankCtx {
+ public:
+  explicit CommCtx(simmpi::Comm& comm) : comm_(&comm) {}
+  int rank() const override { return comm_->rank(); }
+  int nranks() const override { return comm_->size(); }
+  void barrier() override { comm_->barrier(); }
+  std::uint64_t exscan_sum(std::uint64_t v) override {
+    return comm_->exscan_sum(v);
+  }
+  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
+    return comm_->gather(v, root);
+  }
+  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
+                                 int root) override {
+    return comm_->gatherv(bytes, root);
+  }
+  void send_token(std::uint64_t value, int dest, int tag) override {
+    comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);
+  }
+  std::uint64_t recv_token(int src, int tag) override {
+    return comm_->recv<std::uint64_t>(src, tag).at(0);
+  }
+  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
+    comm_->send(std::span<const std::byte>(data), dest, tag);
+  }
+  std::vector<std::byte> recv_bytes(int src, int tag) override {
+    return comm_->recv<std::byte>(src, tag);
+  }
+
+ private:
+  simmpi::Comm* comm_;
+};
+
+}  // namespace
+
 int SpmdEngine::thread_cap() {
   constexpr int kDefaultCap = 1024;
   if (const char* env = std::getenv("AMRIO_SPMD_THREAD_CAP")) {

@@ -228,42 +228,6 @@ class EventEngine final : public Engine {
   std::size_t stack_bytes_;
 };
 
-/// RankCtx over an existing simmpi communicator — lets code that is already
-/// inside `simmpi::run_spmd` (the legacy `run_*_spmd` entry points) reuse the
-/// engine-parameterized driver bodies.
-class CommCtx final : public RankCtx {
- public:
-  explicit CommCtx(simmpi::Comm& comm) : comm_(&comm) {}
-  int rank() const override { return comm_->rank(); }
-  int nranks() const override { return comm_->size(); }
-  void barrier() override { comm_->barrier(); }
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    return comm_->exscan_sum(v);
-  }
-  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
-    return comm_->gather(v, root);
-  }
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    return comm_->gatherv(bytes, root);
-  }
-  void send_token(std::uint64_t value, int dest, int tag) override {
-    comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);
-  }
-  std::uint64_t recv_token(int src, int tag) override {
-    return comm_->recv<std::uint64_t>(src, tag).at(0);
-  }
-  void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
-    comm_->send(std::span<const std::byte>(data), dest, tag);
-  }
-  std::vector<std::byte> recv_bytes(int src, int tag) override {
-    return comm_->recv<std::byte>(src, tag);
-  }
-
- private:
-  simmpi::Comm* comm_;
-};
-
 enum class EngineKind { kSerial, kSpmd, kEvent };
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks);

@@ -169,7 +169,8 @@ class SliceArena {
     const std::size_t bytes = static_cast<std::size_t>(cls) * kGrain;
     if (bump_left_ < bytes) {
       const std::size_t chunk = bytes > kChunk ? bytes : kChunk;
-      chunks_.push_back(std::make_unique<std::byte[]>(chunk));
+      // uninitialized by design: every slice is written before it is read
+      chunks_.emplace_back(new std::byte[chunk]);
       bump_ = chunks_.back().get();
       bump_left_ = chunk;
       allocated_ += chunk;
@@ -240,7 +241,9 @@ struct EventState {
         bytev_slots(static_cast<std::size_t>(n)) {
     coll_waiters.reserve(static_cast<std::size_t>(n));
 #ifndef AMRIO_EVENT_COMPAT_STACKS
-    stack_mem = std::make_unique<std::byte[]>(stack_bytes + 64);
+    // uninitialized by design: the canary and each seeded entry frame are
+    // written explicitly, and a rank writes every frame before reading it
+    stack_mem.reset(new std::byte[stack_bytes + 64]);
     std::byte* raw = stack_mem.get();
     auto top = reinterpret_cast<std::uintptr_t>(raw + stack_bytes + 64);
     stack_top = reinterpret_cast<std::byte*>(top & ~std::uintptr_t{63});

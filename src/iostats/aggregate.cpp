@@ -8,15 +8,6 @@
 
 namespace amrio::iostats {
 
-SizeTable aggregate(const std::vector<IoEvent>& events) {
-  SizeTable table;
-  for (const auto& e : events) {
-    if (e.op != IoEvent::Op::kWrite) continue;
-    table[{e.step, e.level, e.rank}] += e.bytes;
-  }
-  return table;
-}
-
 std::vector<std::int64_t> output_steps(const SizeTable& table) {
   std::set<std::int64_t> steps;
   for (const auto& [key, bytes] : table) steps.insert(std::get<0>(key));

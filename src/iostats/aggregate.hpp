@@ -1,7 +1,7 @@
 #pragma once
 /// \file aggregate.hpp
-/// Aggregation of I/O traces (or plotfile scans) into the quantities the
-/// paper plots:
+/// Aggregation of plotfile scans (plotfile::scan_plotfiles) into the
+/// quantities the paper plots:
 ///   Eq. (1):  x = output_counter × ncells   (cumulative independent variable)
 ///   Eq. (2):  y = data_output_i, i = (time step, level, task)
 /// plus per-level splits (Fig. 7), per-task matrices (Fig. 8), and
@@ -13,15 +13,10 @@
 #include <tuple>
 #include <vector>
 
-#include "iostats/trace.hpp"
-
 namespace amrio::iostats {
 
 /// bytes keyed by (step, level, rank); metadata rows use level/rank = -1.
 using SizeTable = std::map<std::tuple<std::int64_t, int, int>, std::uint64_t>;
-
-/// Collapse write events into a SizeTable.
-SizeTable aggregate(const std::vector<IoEvent>& events);
 
 /// Output steps present, ascending (steps at which any bytes were produced).
 std::vector<std::int64_t> output_steps(const SizeTable& table);

@@ -211,11 +211,13 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
 /// would have written themselves. Each document is handled once: it is
 /// serialized straight into an exact-size wire container (codec header +
 /// `task_doc_bytes`), moved through the mailbox, and landed in the subfile
-/// as it arrives. Returns the rank's raw document bytes.
-std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
-                            pfs::StorageBackend& backend,
-                            iostats::TraceRecorder* trace, obs::Probe probe,
-                            int dump, const PartSpec& spec) {
+/// as it arrives. Returns the rank's raw document bytes. Out of line, so its
+/// frame is not in write_task_doc's when a MIF rank waits for the baton.
+[[gnu::noinline]] std::uint64_t ship_task_doc(exec::RankCtx& ctx,
+                                              const RankSetup& run,
+                                              pfs::StorageBackend& backend,
+                                              obs::Probe probe, int dump,
+                                              const PartSpec& spec) {
   const Params& params = run.params;
   const int rank = ctx.rank();
   const staging::AggTopology& topo = *run.topo;
@@ -242,28 +244,15 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
                         probe);
     return raw_bytes;
   }
-  const std::string path =
-      aggregated_file_path_for(params, *run.iface, group, dump);
-  std::uint64_t encoded_bytes = 0;
-  double codec_cpu = 0.0;
-  pfs::OutFile out(backend, path);
+  pfs::OutFile out(backend,
+                  aggregated_file_path_for(params, *run.iface, group, dump));
   exec::gatherv_group(
       ctx, std::move(blob), members, agg, kShipTag,
       [&](int, std::span<const std::byte> shipped) {
-        if (run.encoded) {
-          const codec::CompressResult enc = run.cdc->peek(shipped);
-          encoded_bytes += enc.out_bytes;
-          codec_cpu += enc.cpu_seconds;
-        }
         out.write(run.cdc->payload(shipped));  // in place; identity: as is
       },
       probe);
-  const std::uint64_t subfile_bytes = out.bytes_written();
   out.close();  // surface flush errors (destructor closes quietly)
-  if (trace != nullptr)
-    trace->record_encoded_write(dump, 0, rank, path, subfile_bytes,
-                                encoded_bytes, codec_cpu, run.write_tier,
-                                group);
   return raw_bytes;
 }
 
@@ -274,13 +263,12 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
 [[gnu::noinline]] std::uint64_t write_task_doc(exec::RankCtx& ctx,
                                                const RankSetup& run,
                                                pfs::StorageBackend& backend,
-                                               iostats::TraceRecorder* trace,
                                                obs::Probe probe, int dump) {
   const Params& params = run.params;
   const PartSpec spec =
       make_part_spec(params.part_bytes_at_dump(dump), params.vars_per_part);
   if (run.topo)
-    return ship_task_doc(ctx, run, backend, trace, probe, dump, spec);
+    return ship_task_doc(ctx, run, backend, probe, dump, spec);
 
   const int rank = ctx.rank();
   const std::string path = dump_file_path_for(params, *run.iface, rank, dump);
@@ -304,12 +292,6 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
     out.close();  // surface flush errors (destructor closes quietly)
   }
   if (same_file_successor) ctx.send_token(written, rank + 1, kBatonTag);
-  if (trace != nullptr) {
-    const codec::CompressResult enc =
-        run.encoded ? run.cdc->plan(written) : codec::CompressResult{};
-    trace->record_encoded_write(dump, 0, rank, path, written, enc.out_bytes,
-                                enc.cpu_seconds, run.write_tier, -1);
-  }
   return written;
 }
 
@@ -320,8 +302,7 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
 /// it writes. Out of line, like write_task_doc.
 [[gnu::noinline]] void record_dump(
     const RankSetup& run, DumpStats& stats, pfs::StorageBackend& backend,
-    iostats::TraceRecorder* trace, obs::Probe probe, int dump,
-    const std::vector<std::uint64_t>& all_bytes) {
+    obs::Probe probe, int dump, const std::vector<std::uint64_t>& all_bytes) {
   const Params& params = run.params;
   const IoInterface& iface = *run.iface;
   const bool aggregated = run.topo.has_value();
@@ -410,16 +391,11 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
       index_out.close();
     }
     dump_bytes += index.size();
-    if (trace != nullptr)
-      trace->record_staged_write(dump, -1, 0, index_path, index.size(), tier,
-                                 -1);
     stats.requests.push_back(
         pfs::IoRequest{0, submit_time, index_path, index.size(), tier});
     ++stats.nfiles;
   }
   dump_bytes += root.size();
-  if (trace != nullptr)
-    trace->record_staged_write(dump, -1, 0, root_path, root.size(), tier, -1);
   stats.requests.push_back(
       pfs::IoRequest{0, submit_time, root_path, root.size(), tier});
   ++stats.nfiles;
@@ -538,7 +514,8 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
 }
 
 /// The single SPMD dump-loop body shared by every execution mode. Rank 0
-/// passes `stats` and accumulates the full statistics into it; every other
+/// passes `stats` (validated parameters, `task_bytes` already sized by
+/// run_macsio) and accumulates the full statistics into it; every other
 /// rank passes null.
 ///
 /// The gather is MACSio's end-of-dump collective and a dump's only global
@@ -547,25 +524,15 @@ std::uint64_t ship_task_doc(exec::RankCtx& ctx, const RankSetup& run,
 /// so no barrier surrounds it: on EventEngine a MIF/SIF rank suspends once
 /// per dump.
 void run_macsio_rank(exec::RankCtx& ctx, const Params& params,
-                     pfs::StorageBackend& backend,
-                     iostats::TraceRecorder* trace, obs::Probe probe,
+                     pfs::StorageBackend& backend, obs::Probe probe,
                      DumpStats* stats) {
-  params.validate();
-  AMRIO_EXPECTS_MSG(ctx.nranks() == params.nprocs,
-                    "run_macsio: engine ranks " << ctx.nranks()
-                                                << " != nprocs " << params.nprocs);
   const auto run = std::make_unique<const RankSetup>(params);
-  if (stats != nullptr) {
-    stats->task_bytes.assign(static_cast<std::size_t>(params.num_dumps),
-                             std::vector<std::uint64_t>(
-                                 static_cast<std::size_t>(params.nprocs), 0));
-  }
   for (int dump = 0; dump < params.num_dumps; ++dump) {
     const std::uint64_t written =
-        write_task_doc(ctx, *run, backend, trace, probe, dump);
+        write_task_doc(ctx, *run, backend, probe, dump);
     const auto all_bytes = ctx.gather(written, 0);
     if (stats != nullptr)
-      record_dump(*run, *stats, backend, trace, probe, dump, all_bytes);
+      record_dump(*run, *stats, backend, probe, dump, all_bytes);
   }
 }
 
@@ -604,24 +571,19 @@ struct RecoveredDoc {
 };
 
 /// Recover this rank's task document of the last written dump along the
-/// shared `plan`, record the read, and hash the recovered bytes. Out of line,
-/// like write_task_doc: the subfile, payloads, wire blobs and the document
-/// itself die here, so only its size and hash wait at the restart gathers.
+/// shared `plan` and hash the recovered bytes. Out of line, like
+/// write_task_doc: the subfile, payloads, wire blobs and the document itself
+/// die here, so only its size and hash wait at the restart gathers.
 [[gnu::noinline]] RecoveredDoc read_task_doc(
     exec::RankCtx& ctx, const RankSetup& run, const staging::RestagePlan& plan,
-    pfs::StorageBackend& backend, iostats::TraceRecorder* trace,
-    obs::Probe probe) {
-  const Params& params = run.params;
+    pfs::StorageBackend& backend, obs::Probe probe) {
   const int rank = ctx.rank();
   constexpr int kRestageTag = 74;
-  const int dump = params.num_dumps - 1;  // restart from the last checkpoint
 
   const auto& topo = run.topo;
   const bool aggregated = topo.has_value();
   const auto& cdc = run.cdc;
   const bool encoded = run.encoded;
-  const int read_tier =
-      params.restart_from_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs;
   const staging::RestageSlice& mine =
       plan.slices[static_cast<std::size_t>(rank)];
   const staging::RestageExtent& my_extent = plan.extents[mine.extent];
@@ -686,10 +648,6 @@ struct RecoveredDoc {
                     "run_restart: recovered document size mismatch on rank "
                         << rank);
 
-  if (trace != nullptr)
-    trace->record_read(dump, 0, rank, mine.file, mine.raw_bytes,
-                       encoded ? mine.encoded_bytes : 0, mine.decode_seconds,
-                       read_tier, aggregated ? topo->group_of(rank) : -1);
   return {doc.size(), restart_hash(doc)};
 }
 
@@ -700,7 +658,6 @@ struct RecoveredDoc {
                                       const staging::RestagePlan& plan,
                                       RestartStats& stats,
                                       pfs::StorageBackend& backend,
-                                      iostats::TraceRecorder* trace,
                                       obs::Probe probe,
                                       std::vector<std::uint64_t> all_bytes,
                                       std::vector<std::uint64_t> all_hash) {
@@ -750,19 +707,9 @@ struct RecoveredDoc {
   // Metadata read-back: the root document, and under aggregation the index
   // locating every task document — always cold PFS reads (metadata never
   // stages).
-  if (trace != nullptr)
-    for (const auto& req : stats.requests)
-      if (req.op == pfs::kOpPrefetch)
-        trace->record_prefetch(dump, 0, req.client, req.file, req.bytes,
-                               req.tier,
-                               aggregated ? topo->group_of(req.client) : -1);
   auto read_meta = [&](const std::string& path) {
-    const std::uint64_t meta_bytes = backend.size(path);
-    stats.requests.push_back(pfs::IoRequest{0, 0.0, path, meta_bytes,
+    stats.requests.push_back(pfs::IoRequest{0, 0.0, path, backend.size(path),
                                             pfs::kTierPfs, pfs::kOpRead});
-    if (trace != nullptr)
-      trace->record_read(dump, -1, 0, path, meta_bytes, 0, 0.0, pfs::kTierPfs,
-                         -1);
   };
   read_meta(root_file_path(params, dump));
   if (aggregated)
@@ -870,17 +817,15 @@ struct RecoveredDoc {
 /// collectives — engine.run joins the ranks, so no barrier follows them.
 void run_restart_rank(exec::RankCtx& ctx, const Params& params,
                       const staging::RestagePlan& plan,
-                      pfs::StorageBackend& backend,
-                      iostats::TraceRecorder* trace, obs::Probe probe,
+                      pfs::StorageBackend& backend, obs::Probe probe,
                       RestartStats* stats) {
   const auto run = std::make_unique<const RankSetup>(params);
-  const RecoveredDoc doc =
-      read_task_doc(ctx, *run, plan, backend, trace, probe);
+  const RecoveredDoc doc = read_task_doc(ctx, *run, plan, backend, probe);
   auto all_bytes = ctx.gather(doc.bytes, 0);
   auto all_hash = ctx.gather(doc.hash, 0);
   if (stats != nullptr)
-    record_restart(*run, plan, *stats, backend, trace, probe,
-                   std::move(all_bytes), std::move(all_hash));
+    record_restart(*run, plan, *stats, backend, probe, std::move(all_bytes),
+                   std::move(all_hash));
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
@@ -925,8 +870,7 @@ std::uint64_t restart_hash(std::span<const std::byte> data) {
 }
 
 RestartStats run_restart(exec::Engine& engine, const Params& params,
-                         pfs::StorageBackend& backend,
-                         iostats::TraceRecorder* trace, obs::Probe probe) {
+                         pfs::StorageBackend& backend, obs::Probe probe) {
   params.validate();
   AMRIO_EXPECTS_MSG(engine.nranks() == params.nprocs,
                     "run_restart: engine ranks " << engine.nranks()
@@ -935,37 +879,34 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
   const staging::RestagePlan plan = make_restart_plan(params);
   RestartStats result;
   engine.run([&](exec::RankCtx& ctx) {
-    run_restart_rank(ctx, params, plan, backend, trace, probe,
+    run_restart_rank(ctx, params, plan, backend, probe,
                      ctx.rank() == 0 ? &result : nullptr);
   });
   return result;
 }
 
 DumpStats run_macsio(exec::Engine& engine, const Params& params,
-                     pfs::StorageBackend& backend,
-                     iostats::TraceRecorder* trace, obs::Probe probe) {
+                     pfs::StorageBackend& backend, obs::Probe probe) {
+  params.validate();
+  AMRIO_EXPECTS_MSG(engine.nranks() == params.nprocs,
+                    "run_macsio: engine ranks " << engine.nranks()
+                                                << " != nprocs "
+                                                << params.nprocs);
   DumpStats result;
+  result.task_bytes.assign(static_cast<std::size_t>(params.num_dumps),
+                           std::vector<std::uint64_t>(
+                               static_cast<std::size_t>(params.nprocs), 0));
   engine.run([&](exec::RankCtx& ctx) {
-    run_macsio_rank(ctx, params, backend, trace, probe,
+    run_macsio_rank(ctx, params, backend, probe,
                     ctx.rank() == 0 ? &result : nullptr);
   });
   return result;
 }
 
 DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
-                     iostats::TraceRecorder* trace, obs::Probe probe) {
+                     obs::Probe probe) {
   exec::SerialEngine engine(params.nprocs);
-  return run_macsio(engine, params, backend, trace, probe);
-}
-
-DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
-                          pfs::StorageBackend& backend,
-                          iostats::TraceRecorder* trace, obs::Probe probe) {
-  exec::CommCtx ctx(comm);
-  DumpStats stats;
-  run_macsio_rank(ctx, params, backend, trace, probe,
-                  comm.rank() == 0 ? &stats : nullptr);
-  return stats;
+  return run_macsio(engine, params, backend, probe);
 }
 
 }  // namespace amrio::macsio

@@ -28,19 +28,18 @@
 /// `exec::SpmdEngine` runs them as real simmpi threads — byte-identical by
 /// construction.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "codec/stats.hpp"
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/params.hpp"
 #include "macsio/part.hpp"
 #include "obs/probe.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
-#include "simmpi/comm.hpp"
 #include "staging/restage.hpp"
 
 namespace amrio::macsio {
@@ -69,9 +68,9 @@ struct DumpStats {
 };
 
 /// Run the dump loop on `engine` (engine.nranks() must equal params.nprocs)
-/// and return the full statistics. Trace events use step = dump index,
-/// level = 0 for task data and level = -1 for root metadata (MACSio has no
-/// AMR-level concept — the granularity gap the paper discusses in §III-B).
+/// and return the full statistics. Everything is keyed by dump index and
+/// rank: MACSio has no AMR-level concept — the granularity gap the paper
+/// discusses in §III-B.
 ///
 /// `probe` (optional) turns on observability: per-rank "encode" spans
 /// [submit, submit + modeled cpu], per-group "ship" spans for the two-phase
@@ -83,9 +82,17 @@ struct DumpStats {
 /// Metrics: macsio.dumps / macsio.dump_bytes counters plus the
 /// exec.gatherv.* ship counters from the collectives themselves.
 DumpStats run_macsio(exec::Engine& engine, const Params& params,
-                     pfs::StorageBackend& backend,
-                     iostats::TraceRecorder* trace = nullptr,
-                     obs::Probe probe = {});
+                     pfs::StorageBackend& backend, obs::Probe probe = {});
+
+/// Forwarding overload for callers that still pass `nullptr` in the slot of
+/// the I/O event log this driver no longer keeps (perfbench). The next
+/// benchmark change moves those callers to the overload above and deletes
+/// this one.
+inline DumpStats run_macsio(exec::Engine& engine, const Params& params,
+                            pfs::StorageBackend& backend, std::nullptr_t,
+                            obs::Probe probe = {}) {
+  return run_macsio(engine, params, backend, probe);
+}
 
 /// Checkpoint-restart read-back statistics — the write-side DumpStats in
 /// reverse. Byte-conserving by construction: `task_bytes` equals the written
@@ -133,9 +140,7 @@ struct RestartStats {
 /// engine-invariant. Metrics: macsio.restarts, restart.raw_bytes /
 /// restart.encoded_bytes, plus exec.scatterv.* from the collective.
 RestartStats run_restart(exec::Engine& engine, const Params& params,
-                         pfs::StorageBackend& backend,
-                         iostats::TraceRecorder* trace = nullptr,
-                         obs::Probe probe = {});
+                         pfs::StorageBackend& backend, obs::Probe probe = {});
 
 /// Deterministic content hash used for `RestartStats::task_hash` — exposed
 /// so tests can hash expected documents with the same function. The value is
@@ -147,20 +152,7 @@ std::uint64_t restart_hash(std::span<const std::byte> data);
 
 /// Convenience: run on a fiber-scheduled SerialEngine sized params.nprocs.
 DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
-                     iostats::TraceRecorder* trace = nullptr,
                      obs::Probe probe = {});
-
-/// Per-rank entry point for code already inside simmpi::run_spmd with
-/// comm.size() == params.nprocs. Rank 0's return value carries the full
-/// statistics; other ranks return empty stats. The end-of-dump gather is the
-/// only collective, and rank 0 writes a dump's root (and index) metadata
-/// after it: a non-root rank's return does not mean rank 0 has finished the
-/// metadata. Synchronize on the communicator (or join the threads) before
-/// reading it.
-DumpStats run_macsio_spmd(simmpi::Comm& comm, const Params& params,
-                          pfs::StorageBackend& backend,
-                          iostats::TraceRecorder* trace = nullptr,
-                          obs::Probe probe = {});
 
 /// Path of a task's dump file (group file under MIF, shared file under SIF,
 /// the rank's group subfile under two-phase aggregation).

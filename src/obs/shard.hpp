@@ -1,11 +1,11 @@
 #pragma once
 /// \file shard.hpp
-/// Shared rank→sink sharding for the contention-free observability sinks
-/// (obs::Tracer) and the I/O event log (iostats::TraceRecorder). A plain
-/// `rank % nsinks` serializes stride-N rank patterns — at the 7-digit rank
-/// counts exec::EventEngine enables, every aggregator of a 64-group topology
-/// can land on one sink — so the rank is mixed through a splitmix64-style
-/// finalizer first: any stride maps onto well-spread shards.
+/// Rank→sink sharding for the contention-free observability sinks
+/// (obs::Tracer, obs::TraceStream). A plain `rank % nsinks` serializes
+/// stride-N rank patterns — at the 7-digit rank counts exec::EventEngine
+/// enables, every aggregator of a 64-group topology can land on one sink — so
+/// the rank is mixed through a splitmix64-style finalizer first: any stride
+/// maps onto well-spread shards.
 
 #include <cstddef>
 #include <cstdint>

@@ -5,10 +5,10 @@
 /// owned by a rank track, optionally nested under a parent span and linked to
 /// other spans by happens-before edges (absorb→drain, prefetch→bb_read).
 ///
-/// Determinism contract — the same one `iostats::TraceRecorder::events()`
-/// gives: ranks append to sharded, contention-free sinks; span ids are
-/// `(rank+1) << 32 | per-rank-seq`, so they depend only on per-rank program
-/// order (engine-invariant); `spans()` merges the sinks under a total order.
+/// Determinism contract: ranks append to sharded, contention-free sinks;
+/// span ids are `(rank+1) << 32 | per-rank-seq`, so they depend only on
+/// per-rank program order (engine-invariant); `spans()` merges the sinks
+/// under a total order.
 /// The merged stream is byte-identical across the serial, spmd, and event
 /// engines for the same configuration.
 

@@ -167,16 +167,11 @@ std::string header_text(const PlotfileSpec& spec,
   return os.str();
 }
 
-void trace_meta(iostats::TraceRecorder* trace, std::int64_t step, int level,
-                const std::string& path, std::uint64_t bytes) {
-  if (trace != nullptr) trace->record_write(step, level, -1, path, bytes);
-}
-
 /// Size-prediction implementation: no backend is touched, min/max
 /// placeholders stand in for field data, byte counts come from the plan.
 WriteStats predict_impl(const PlotfileSpec& spec,
                         const std::vector<LevelLayout>& layouts, int ncomp,
-                        iostats::TraceRecorder* trace, bool checkpoint) {
+                        bool checkpoint) {
   AMRIO_EXPECTS(!layouts.empty());
   AMRIO_EXPECTS(ncomp >= 1);
   AMRIO_EXPECTS_MSG(spec.aggregators >= 0,
@@ -199,64 +194,22 @@ WriteStats predict_impl(const PlotfileSpec& spec,
     stats.rank_level_bytes[l].assign(static_cast<std::size_t>(nranks), 0);
     const LevelPlan plan = plan_level(layout.ba, layout.dm, ncomp,
                                       spec.aggregators);
-    const std::string level_dir = spec.dir + "/Level_" + std::to_string(l);
 
-    for (const auto& [rank, boxes] : plan.rank_boxes) {
-      (void)boxes;
-      const std::uint64_t written = plan.rank_bytes.at(rank);
+    for (const auto& [rank, written] : plan.rank_bytes) {
       stats.rank_level_bytes[l][static_cast<std::size_t>(rank)] = written;
       stats.data_bytes += written;
       if (encoded && written > 0)
         stats.codec.add(static_cast<int>(spec.step), static_cast<int>(l),
                         cdc->plan(written));
     }
-    if (spec.aggregators > 0) {
-      const auto topo = staging::AggTopology::make(
-          nranks, level_groups(spec.aggregators, nranks));
-      // Per-group codec sums over member chunks (the write-path aggregator
-      // records the same sums from the shipped containers).
-      std::map<int, codec::CompressResult> group_enc;
-      if (encoded) {
-        for (const auto& [r, bytes] : plan.rank_bytes) {
-          const codec::CompressResult e = cdc->plan(bytes);
-          auto& acc = group_enc[topo.group_of(r)];
-          acc.raw_bytes += e.raw_bytes;
-          acc.out_bytes += e.out_bytes;
-          acc.cpu_seconds += e.cpu_seconds;
-        }
-      }
-      for (const auto& [g, bytes] : plan.group_bytes) {
-        const std::string path =
-            level_dir + "/Cell_D_" +
-            util::zero_pad(static_cast<std::uint64_t>(g), 5);
-        ++stats.nfiles;
-        if (trace != nullptr)
-          trace->record_encoded_write(spec.step, static_cast<int>(l),
-                                      topo.aggregator_of_group(g), path, bytes,
-                                      group_enc[g].out_bytes,
-                                      group_enc[g].cpu_seconds, /*tier=*/0, g);
-      }
-    } else {
-      for (const auto& [rank, boxes] : plan.rank_boxes) {
-        const std::string path = level_dir + "/" + plan.fabs[boxes.front()].file;
-        ++stats.nfiles;
-        if (trace != nullptr) {
-          const std::uint64_t written = plan.rank_bytes.at(rank);
-          const codec::CompressResult e =
-              encoded ? cdc->plan(written) : codec::CompressResult{};
-          trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
-                                      path, written, e.out_bytes,
-                                      e.cpu_seconds, /*tier=*/0, -1);
-        }
-      }
-    }
+    // One Cell_D file per aggregation group with data, or per owning rank.
+    stats.nfiles += spec.aggregators > 0 ? plan.group_bytes.size()
+                                         : plan.rank_boxes.size();
 
     const std::string cell_h = cell_h_text(
         layout.ba, ncomp, plan, [](std::size_t, int, bool) { return 0.0; });
-    const std::string cell_h_path = level_dir + "/Cell_H";
     stats.metadata_bytes += cell_h.size();
     ++stats.nfiles;
-    trace_meta(trace, spec.step, static_cast<int>(l), cell_h_path, cell_h.size());
   }
 
   // ---- top-level Header and job_info
@@ -264,12 +217,9 @@ WriteStats predict_impl(const PlotfileSpec& spec,
   if (checkpoint) header = "CheckPointVersion_1.0\n" + header;
   stats.metadata_bytes += header.size();
   ++stats.nfiles;
-  trace_meta(trace, spec.step, -1, spec.dir + "/Header", header.size());
 
   stats.metadata_bytes += spec.job_info.size();
   ++stats.nfiles;
-  trace_meta(trace, spec.step, -1, spec.dir + "/job_info",
-             spec.job_info.size());
 
   stats.total_bytes = stats.metadata_bytes + stats.data_bytes;
   return stats;
@@ -295,8 +245,7 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
                                const PlotfileSpec& spec,
                                const std::vector<LevelPlotData>& levels,
                                const std::vector<LevelLayout>& layouts,
-                               int ncomp, iostats::TraceRecorder* trace,
-                               bool checkpoint) {
+                               int ncomp, bool checkpoint) {
   const int rank = ctx.rank();
   AMRIO_EXPECTS_MSG(spec.aggregators >= 0,
                     "plotfile: spec.aggregators must be >= 0");
@@ -367,23 +316,12 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
         // Cell_D file at the first one that carries bytes, so a group with
         // no data on this level writes no file.
         std::optional<pfs::OutFile> out;
-        std::string path;
-        std::uint64_t group_total = 0;
-        std::uint64_t group_encoded = 0;
-        double group_cpu = 0.0;
         const auto land = [&](int, std::span<const std::byte> pl) {
           const std::span<const std::byte> raw = cdc->payload(pl);
-          if (encoded) {
-            const codec::CompressResult member = cdc->peek(pl);
-            group_encoded += member.out_bytes;
-            group_cpu += member.cpu_seconds;
-          }
-          group_total += raw.size();
-          if (!out && !raw.empty()) {
-            path = spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
-                   util::zero_pad(static_cast<std::uint64_t>(group), 5);
-            out.emplace(backend, path);
-          }
+          if (!out && !raw.empty())
+            out.emplace(backend,
+                        spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
+                            util::zero_pad(static_cast<std::uint64_t>(group), 5));
           if (out) out->write(raw);
         };
         exec::gatherv_group(ctx, std::move(payload), topo.members_of(group),
@@ -391,10 +329,6 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
         if (out) {
           out->close();  // surface flush errors
           ++my_files;
-          if (trace != nullptr)
-            trace->record_encoded_write(spec.step, static_cast<int>(l), rank,
-                                        path, group_total, group_encoded,
-                                        group_cpu, /*tier=*/0, group);
         }
       }
     } else if (!my_boxes.empty()) {
@@ -408,10 +342,6 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
       out.close();  // surface flush errors (destructor closes quietly)
       ++my_files;
       if (encoded) enc = plan_chunk(written, my_boxes, mf);
-      if (trace != nullptr)
-        trace->record_encoded_write(spec.step, static_cast<int>(l), rank, path,
-                                    written, enc.out_bytes, enc.cpu_seconds,
-                                    /*tier=*/0, -1);
     }
     // Gather per-rank data bytes — the collective AMReX performs so the
     // metadata writer knows every FabOnDisk offset is consistent.
@@ -475,7 +405,6 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
       out.close();
       stats.metadata_bytes += cell_h.size();
       ++stats.nfiles;
-      trace_meta(trace, spec.step, static_cast<int>(l), path, cell_h.size());
     }
     std::string header = header_text(spec, layouts);
     if (checkpoint) header = "CheckPointVersion_1.0\n" + header;
@@ -486,7 +415,6 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
     }
     stats.metadata_bytes += header.size();
     ++stats.nfiles;
-    trace_meta(trace, spec.step, -1, spec.dir + "/Header", header.size());
     {
       pfs::OutFile out(backend, spec.dir + "/job_info");
       out.write(spec.job_info);
@@ -494,8 +422,6 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
     }
     stats.metadata_bytes += spec.job_info.size();
     ++stats.nfiles;
-    trace_meta(trace, spec.step, -1, spec.dir + "/job_info",
-               spec.job_info.size());
   }
   ctx.barrier();
   stats.total_bytes = stats.metadata_bytes + stats.data_bytes;
@@ -523,13 +449,13 @@ WriteStats write_on_engine(exec::Engine& engine, pfs::StorageBackend& backend,
                            const PlotfileSpec& spec,
                            const std::vector<LevelPlotData>& levels,
                            const std::vector<LevelLayout>& layouts,
-                           iostats::TraceRecorder* trace, bool checkpoint) {
+                           bool checkpoint) {
   const int ncomp = checked_ncomp(spec, levels,
                                   checkpoint ? "checkpoint" : "plotfile");
   WriteStats result;
   engine.run([&](exec::RankCtx& ctx) {
     WriteStats local = write_plotfile_rank(ctx, backend, spec, levels, layouts,
-                                           ncomp, trace, checkpoint);
+                                           ncomp, checkpoint);
     if (ctx.rank() == 0) result = std::move(local);
   });
   return result;
@@ -539,54 +465,34 @@ WriteStats write_on_engine(exec::Engine& engine, pfs::StorageBackend& backend,
 
 WriteStats write_plotfile(exec::Engine& engine, pfs::StorageBackend& backend,
                           const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels,
-                          iostats::TraceRecorder* trace) {
+                          const std::vector<LevelPlotData>& levels) {
   AMRIO_EXPECTS(!levels.empty());
   return write_on_engine(engine, backend, spec, levels, layouts_of(levels),
-                         trace, /*checkpoint=*/false);
+                         /*checkpoint=*/false);
 }
 
 WriteStats write_plotfile(pfs::StorageBackend& backend, const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels,
-                          iostats::TraceRecorder* trace) {
+                          const std::vector<LevelPlotData>& levels) {
   AMRIO_EXPECTS(!levels.empty());
   const auto layouts = layouts_of(levels);
   exec::SerialEngine engine(engine_ranks_for(layouts));
-  return write_on_engine(engine, backend, spec, levels, layouts, trace,
+  return write_on_engine(engine, backend, spec, levels, layouts,
                          /*checkpoint=*/false);
 }
 
 WriteStats predict_plotfile(const PlotfileSpec& spec,
-                            const std::vector<LevelLayout>& levels, int ncomp,
-                            iostats::TraceRecorder* trace) {
-  return predict_impl(spec, levels, ncomp, trace, /*checkpoint=*/false);
+                            const std::vector<LevelLayout>& levels, int ncomp) {
+  return predict_impl(spec, levels, ncomp, /*checkpoint=*/false);
 }
 
 WriteStats write_checkpoint(pfs::StorageBackend& backend,
                             const PlotfileSpec& spec,
-                            const std::vector<LevelPlotData>& levels,
-                            iostats::TraceRecorder* trace) {
+                            const std::vector<LevelPlotData>& levels) {
   AMRIO_EXPECTS(!levels.empty());
   const auto layouts = layouts_of(levels);
   exec::SerialEngine engine(engine_ranks_for(layouts));
-  return write_on_engine(engine, backend, spec, levels, layouts, trace,
+  return write_on_engine(engine, backend, spec, levels, layouts,
                          /*checkpoint=*/true);
-}
-
-WriteStats write_plotfile_spmd(simmpi::Comm& comm, pfs::StorageBackend& backend,
-                               const PlotfileSpec& spec,
-                               const std::vector<LevelPlotData>& levels,
-                               iostats::TraceRecorder* trace) {
-  const int ncomp = checked_ncomp(spec, levels, "plotfile");
-  const auto layouts = layouts_of(levels);
-  for (const auto& lay : layouts)
-    AMRIO_EXPECTS_MSG(lay.dm.nranks() == comm.size(),
-                      "write_plotfile_spmd: DM ranks " << lay.dm.nranks()
-                                                       << " != comm size "
-                                                       << comm.size());
-  exec::CommCtx ctx(comm);
-  return write_plotfile_rank(ctx, backend, spec, levels, layouts, ncomp, trace,
-                             /*checkpoint=*/false);
 }
 
 }  // namespace amrio::plotfile

@@ -27,12 +27,10 @@
 
 #include "codec/stats.hpp"
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/geometry.hpp"
 #include "mesh/multifab.hpp"
 #include "pfs/backend.hpp"
-#include "simmpi/comm.hpp"
 
 namespace amrio::plotfile {
 
@@ -65,7 +63,7 @@ struct PlotfileSpec {
   int aggregators = 0;
   /// Per-Cell_D codec hook: each rank's Cell_D chunk passes through this
   /// codec before it leaves the node — encoded bytes cross the aggregation
-  /// link and fill `WriteStats::codec` / trace codec dimensions, while file
+  /// link and fill `WriteStats::codec`, while file
   /// contents stay raw (reader-compatible; the modeled PFS stores the
   /// decoded image). With `codec.smoothness < 0` (auto) the ebl model
   /// estimates smoothness from the rank's real FAB data; pin the smoothness
@@ -92,44 +90,28 @@ struct WriteStats {
 /// `Cell_D` files (concurrently under `exec::SpmdEngine`, as fibers under
 /// `exec::SerialEngine`), per-rank byte counts are gathered to rank 0, which
 /// writes all metadata. One write body serves every execution mode, so the
-/// engines are byte-identical by construction. Events are recorded into
-/// `trace` when given, keyed by (spec.step, level, rank); metadata uses
-/// level/rank = -1.
+/// engines are byte-identical by construction. `scan_plotfiles` reads the
+/// written tree back at (step, level, task) granularity.
 WriteStats write_plotfile(exec::Engine& engine, pfs::StorageBackend& backend,
                           const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels,
-                          iostats::TraceRecorder* trace = nullptr);
+                          const std::vector<LevelPlotData>& levels);
 
 /// Convenience: write on a fiber-scheduled SerialEngine sized to the widest
 /// level distribution.
 WriteStats write_plotfile(pfs::StorageBackend& backend, const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels,
-                          iostats::TraceRecorder* trace = nullptr);
+                          const std::vector<LevelPlotData>& levels);
 
 /// Byte-exact size prediction of write_plotfile for the same spec/layouts —
 /// no field data is read or written, so it runs at paper scale (8192² and
-/// beyond) in microseconds. When `trace` is given the same events are
-/// recorded as a real write would produce.
+/// beyond) in microseconds.
 WriteStats predict_plotfile(const PlotfileSpec& spec,
-                            const std::vector<LevelLayout>& levels, int ncomp,
-                            iostats::TraceRecorder* trace = nullptr);
+                            const std::vector<LevelLayout>& levels, int ncomp);
 
 /// Checkpoint variant (amr.check_file / amr.check_int): same N-to-N tree with
 /// a checkpoint Header carrying restart state description.
 WriteStats write_checkpoint(pfs::StorageBackend& backend,
                             const PlotfileSpec& spec,
-                            const std::vector<LevelPlotData>& levels,
-                            iostats::TraceRecorder* trace = nullptr);
-
-/// Per-rank entry point for code already inside simmpi::run_spmd
-/// (comm.size() must equal the DistributionMapping rank count). Runs the
-/// same write body as the engine overloads; rank 0 returns the full
-/// statistics, other ranks return stats with only their own contributions.
-/// Byte-identical to write_plotfile (tested).
-WriteStats write_plotfile_spmd(simmpi::Comm& comm, pfs::StorageBackend& backend,
-                               const PlotfileSpec& spec,
-                               const std::vector<LevelPlotData>& levels,
-                               iostats::TraceRecorder* trace = nullptr);
+                            const std::vector<LevelPlotData>& levels);
 
 /// Fixed-width (26 char) scientific rendering used for all reals in metadata.
 std::string fixed_real(double v);

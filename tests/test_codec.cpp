@@ -21,7 +21,6 @@
 #include "codec/codec.hpp"
 #include "codec/stats.hpp"
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "mesh/distribution.hpp"
@@ -58,7 +57,7 @@ TEST(CodecModel, IdentityIsExactPassthrough) {
   const auto blob = codec->encode(raw, &enc);
   EXPECT_EQ(blob, raw);  // no container, no copy semantics change
   EXPECT_EQ(codec->decode(blob), raw);
-  EXPECT_EQ(codec->peek(blob).out_bytes, raw.size());
+  EXPECT_EQ(enc.out_bytes, raw.size());
 }
 
 TEST(CodecModel, LosslessRatioIsDeterministicAndSizeCalibrated) {
@@ -121,10 +120,7 @@ TEST(CodecModel, ContainerRoundTripsByteExactly) {
   const auto blob = codec->encode(raw, &enc);
   EXPECT_EQ(enc.raw_bytes, raw.size());
   EXPECT_LT(enc.out_bytes, raw.size());
-  const auto peeked = codec->peek(blob);
-  EXPECT_EQ(peeked.raw_bytes, enc.raw_bytes);
-  EXPECT_EQ(peeked.out_bytes, enc.out_bytes);
-  EXPECT_NEAR(peeked.cpu_seconds, enc.cpu_seconds, 1e-9);
+  EXPECT_EQ(blob.size(), codec->header_bytes() + raw.size());
   EXPECT_EQ(codec->decode(blob), raw);
   // a blob this codec did not produce is rejected loudly
   EXPECT_THROW(codec->decode(raw), std::runtime_error);
@@ -370,9 +366,8 @@ TEST_P(CodecMacsio, IdentityIsByteIdenticalToUncodedStaging) {
 TEST_P(CodecMacsio, RawAccountingConservedWhileWireAndTierShrink) {
   const auto params = codec_params(16, 4, "ebl");
   p::MemoryBackend be(true);
-  amrio::iostats::TraceRecorder trace;
   const auto engine = ex::make_engine(GetParam(), params.nprocs);
-  const auto stats = mc::run_macsio(*engine, params, be, &trace);
+  const auto stats = mc::run_macsio(*engine, params, be);
 
   const auto codec = cd::make_codec(params.codec_spec());
   const auto iface = mc::make_interface(params.interface);
@@ -426,18 +421,6 @@ TEST_P(CodecMacsio, RawAccountingConservedWhileWireAndTierShrink) {
   EXPECT_DOUBLE_EQ(stats.codec.total.decode_seconds, 0.0);  // write side only
   EXPECT_EQ(stats.codec.total.chunks,
             static_cast<std::uint64_t>(params.nprocs * params.num_dumps));
-
-  // trace events grow codec dimensions: raw bytes stay in `bytes`, the
-  // encoded size and encode cpu ride alongside
-  int subfile_events = 0;
-  for (const auto& e : trace.events()) {
-    if (e.level != 0) continue;
-    ++subfile_events;
-    EXPECT_GT(e.encoded_bytes, 0u) << e.path;
-    EXPECT_LT(e.encoded_bytes, e.bytes) << e.path;
-    EXPECT_GT(e.codec_seconds, 0.0) << e.path;
-  }
-  EXPECT_EQ(subfile_events, params.aggregators * params.num_dumps);
 }
 
 TEST_P(CodecMacsio, UnaggregatedRequestsCarryEncodedSizesAndCpuDelay) {
@@ -639,18 +622,16 @@ TEST_P(CodecPlotfile, PinnedSmoothnessKeepsPredictParity) {
   auto c = make_plot_case(nranks, "ebl", /*smoothness=*/0.9);
   c.spec.aggregators = 4;
   p::MemoryBackend be(true);
-  amrio::iostats::TraceRecorder write_trace;
   const auto engine = ex::make_engine(GetParam(), nranks);
   const auto written =
-      pf::write_plotfile(*engine, be, c.spec, {{c.geom, &c.mf}}, &write_trace);
+      pf::write_plotfile(*engine, be, c.spec, {{c.geom, &c.mf}});
 
   const pf::LevelLayout layout{c.geom, c.mf.box_array(), c.mf.distribution()};
-  amrio::iostats::TraceRecorder predict_trace;
-  const auto predicted =
-      pf::predict_plotfile(c.spec, {layout}, 2, &predict_trace);
+  const auto predicted = pf::predict_plotfile(c.spec, {layout}, 2);
 
   EXPECT_EQ(predicted.total_bytes, written.total_bytes);
   EXPECT_EQ(predicted.nfiles, written.nfiles);
+  EXPECT_EQ(predicted.rank_level_bytes, written.rank_level_bytes);
   EXPECT_EQ(predicted.codec.total.raw_bytes, written.codec.total.raw_bytes);
   EXPECT_EQ(predicted.codec.total.encoded_bytes,
             written.codec.total.encoded_bytes);
@@ -659,20 +640,6 @@ TEST_P(CodecPlotfile, PinnedSmoothnessKeepsPredictParity) {
               written.codec.total.encode_seconds, 1e-6);
   EXPECT_GT(written.codec.total.encoded_bytes, 0u);
   EXPECT_LT(written.codec.total.encoded_bytes, written.codec.total.raw_bytes);
-
-  // the codec dimensions of the Cell_D trace events match event-for-event
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_path;
-  for (const auto& e : write_trace.events())
-    if (e.encoded_bytes > 0) by_path[e.path] = {e.bytes, e.encoded_bytes};
-  int matched = 0;
-  for (const auto& e : predict_trace.events()) {
-    if (e.encoded_bytes == 0) continue;
-    ASSERT_TRUE(by_path.count(e.path)) << e.path;
-    EXPECT_EQ(by_path[e.path].first, e.bytes) << e.path;
-    EXPECT_EQ(by_path[e.path].second, e.encoded_bytes) << e.path;
-    ++matched;
-  }
-  EXPECT_EQ(matched, static_cast<int>(by_path.size()));
 }
 
 TEST_P(CodecPlotfile, AutoSmoothnessReadsRealFabData) {

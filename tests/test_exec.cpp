@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/driver.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/multifab.hpp"
@@ -243,30 +242,24 @@ TEST(EngineParity, StoredContentsIdenticalAcrossEngines) {
     EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
 }
 
-TEST(EngineParity, TraceStreamsIdenticalAcrossEngines) {
-  // per-rank sinks + (step, rank) stable merge ⇒ the merged event stream is
-  // engine-independent, event by event
+TEST(EngineParity, RequestStreamsIdenticalAcrossEngines) {
+  // the SimFs request stream is built by rank 0 from gathered byte counts,
+  // so it is engine-independent, request by request
   const auto params = stress_params(mc::FileMode::kMif, 16, 0);
   p::MemoryBackend be_a(false);
   p::MemoryBackend be_b(false);
-  amrio::iostats::TraceRecorder tr_a;
-  amrio::iostats::TraceRecorder tr_b;
   ex::SerialEngine serial(params.nprocs);
   ex::SpmdEngine spmd(params.nprocs);
-  mc::run_macsio(serial, params, be_a, &tr_a);
-  mc::run_macsio(spmd, params, be_b, &tr_b);
+  const auto ra = mc::run_macsio(serial, params, be_a).requests;
+  const auto rb = mc::run_macsio(spmd, params, be_b).requests;
 
-  const auto ea = tr_a.events();
-  const auto eb = tr_b.events();
-  ASSERT_EQ(ea.size(), eb.size());
-  EXPECT_EQ(tr_a.size(), ea.size());
-  EXPECT_EQ(tr_a.total_bytes(), tr_b.total_bytes());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].step, eb[i].step) << i;
-    EXPECT_EQ(ea[i].level, eb[i].level) << i;
-    EXPECT_EQ(ea[i].rank, eb[i].rank) << i;
-    EXPECT_EQ(ea[i].path, eb[i].path) << i;
-    EXPECT_EQ(ea[i].bytes, eb[i].bytes) << i;
+  ASSERT_EQ(ra.size(), rb.size());
+  ASSERT_FALSE(ra.empty());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].client, rb[i].client) << i;
+    EXPECT_DOUBLE_EQ(ra[i].submit_time, rb[i].submit_time) << i;
+    EXPECT_EQ(ra[i].file, rb[i].file) << i;
+    EXPECT_EQ(ra[i].bytes, rb[i].bytes) << i;
   }
 }
 

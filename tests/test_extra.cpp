@@ -83,9 +83,8 @@ TEST(SpmdWriter, RanksWithoutBoxesWriteNothing) {
   spec.dir = "gap_plt00000";
   spec.var_names = {"v"};
   p::MemoryBackend be(false);
-  amrio::simmpi::run_spmd(4, [&](amrio::simmpi::Comm& comm) {
-    pf::write_plotfile_spmd(comm, be, spec, {{geom, &mf}});
-  });
+  amrio::exec::SpmdEngine engine(4);
+  pf::write_plotfile(engine, be, spec, {{geom, &mf}});
   int cell_d_files = 0;
   for (const auto& path : be.list("gap_plt00000/Level_0"))
     if (path.find("Cell_D_") != std::string::npos) ++cell_d_files;

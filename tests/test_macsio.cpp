@@ -6,12 +6,10 @@
 
 #include <cmath>
 
-#include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "macsio/params.hpp"
 #include "macsio/part.hpp"
-#include "simmpi/comm.hpp"
 #include "util/assert.hpp"
 
 namespace mc = amrio::macsio;
@@ -295,20 +293,33 @@ TEST(Driver, ComputeTimeSpacesRequests) {
   EXPECT_DOUBLE_EQ(max_t, 3.0);
 }
 
-TEST(Driver, TraceRecordsPerTaskBytes) {
+TEST(Driver, RequestsCarryPerTaskBytes) {
   mc::Params params;
   params.nprocs = 3;
   params.num_dumps = 2;
   params.part_size = 5000;
   p::MemoryBackend be(false);
-  amrio::iostats::TraceRecorder trace;
-  const auto stats = mc::run_macsio(params, be, &trace);
-  EXPECT_EQ(trace.total_bytes(), stats.total_bytes);
-  const auto table = amrio::iostats::aggregate(trace.events());
-  // per-task data rows at level 0
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(table.at({0, 0, r}),
-              stats.task_bytes[0][static_cast<std::size_t>(r)]);
+  const auto stats = mc::run_macsio(params, be);
+  // identity codec: the requests carry every written byte, and each rank's
+  // data request carries exactly its task document
+  std::uint64_t requested = 0;
+  for (const auto& req : stats.requests) requested += req.bytes;
+  EXPECT_EQ(requested, stats.total_bytes);
+  for (int dump = 0; dump < params.num_dumps; ++dump) {
+    for (int r = 0; r < params.nprocs; ++r) {
+      const std::string path = mc::dump_file_path(params, r, dump);
+      int matches = 0;
+      for (const auto& req : stats.requests) {
+        if (req.file != path) continue;
+        ++matches;
+        EXPECT_EQ(req.client, r) << path;
+        EXPECT_EQ(req.bytes, stats.task_bytes[static_cast<std::size_t>(dump)]
+                                             [static_cast<std::size_t>(r)])
+            << path;
+        EXPECT_EQ(req.bytes, be.size(path)) << path;
+      }
+      EXPECT_EQ(matches, 1) << path;
+    }
   }
 }
 
@@ -340,11 +351,8 @@ TEST(DriverSpmd, MatchesSerialByteForByte) {
   const auto serial = mc::run_macsio(params, serial_be);
 
   p::MemoryBackend spmd_be(false);
-  mc::DumpStats spmd;
-  amrio::simmpi::run_spmd(4, [&](amrio::simmpi::Comm& comm) {
-    auto stats = mc::run_macsio_spmd(comm, params, spmd_be);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
+  amrio::exec::SpmdEngine engine(params.nprocs);
+  const auto spmd = mc::run_macsio(engine, params, spmd_be);
 
   EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
   EXPECT_EQ(spmd.nfiles, serial.nfiles);
@@ -369,9 +377,8 @@ TEST(DriverSpmd, MifGroupBatonOrdering) {
   p::MemoryBackend serial_be(true);
   mc::run_macsio(params, serial_be);
   p::MemoryBackend spmd_be(true);
-  amrio::simmpi::run_spmd(6, [&](amrio::simmpi::Comm& comm) {
-    mc::run_macsio_spmd(comm, params, spmd_be);
-  });
+  amrio::exec::SpmdEngine engine(params.nprocs);
+  mc::run_macsio(engine, params, spmd_be);
   for (const auto& path : serial_be.list("")) {
     EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
   }
@@ -381,10 +388,6 @@ TEST(DriverSpmd, WrongCommSizeRejected) {
   mc::Params params;
   params.nprocs = 3;
   p::MemoryBackend be(false);
-  EXPECT_THROW(amrio::simmpi::run_spmd(
-                   2,
-                   [&](amrio::simmpi::Comm& comm) {
-                     mc::run_macsio_spmd(comm, params, be);
-                   }),
-               amrio::ContractViolation);
+  amrio::exec::SpmdEngine engine(2);
+  EXPECT_THROW(mc::run_macsio(engine, params, be), amrio::ContractViolation);
 }

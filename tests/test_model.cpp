@@ -247,27 +247,6 @@ TEST(GrowthGuess, EmptyTableThrows) {
 
 // ----------------------------------------------------------- iostats Eq.1
 
-TEST(Aggregate, SizeTableFromEvents) {
-  std::vector<io::IoEvent> events;
-  io::IoEvent e;
-  e.op = io::IoEvent::Op::kWrite;
-  e.step = 0;
-  e.level = 0;
-  e.rank = 0;
-  e.bytes = 100;
-  events.push_back(e);
-  events.push_back(e);  // second write to same key accumulates
-  e.rank = 1;
-  e.bytes = 50;
-  events.push_back(e);
-  e.op = io::IoEvent::Op::kCreate;  // non-write ignored
-  events.push_back(e);
-  const auto table = io::aggregate(events);
-  EXPECT_EQ(table.at({0, 0, 0}), 200u);
-  EXPECT_EQ(table.at({0, 0, 1}), 50u);
-  EXPECT_EQ(table.size(), 2u);
-}
-
 TEST(Aggregate, CumulativeSeriesEq1) {
   io::SizeTable table;
   table[{0, 0, 0}] = 1000;

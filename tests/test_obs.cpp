@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
@@ -77,14 +76,6 @@ TEST(RankShard, StableAndInRange) {
     EXPECT_LT(shard, 7u);
     EXPECT_EQ(shard, obs::rank_shard(rank, 7));  // pure function
   }
-}
-
-TEST(TraceRecorder, TunableSinkCountStillMergesDeterministically) {
-  amrio::iostats::TraceRecorder narrow(4);
-  EXPECT_EQ(narrow.nsinks(), 4u);
-  for (int rank = 0; rank < 128; ++rank)
-    narrow.record_write(0, 0, rank, "f", 1);
-  EXPECT_EQ(narrow.events().size(), 128u);
 }
 
 // --------------------------------------------------------------- tracer
@@ -713,10 +704,10 @@ void run_pipeline(amrio::exec::Engine& engine, const obs::Probe& probe) {
   cfg.bb.capacity = 1 << 20;
   p::SimFs fs(cfg);
 
-  const auto dump = mc::run_macsio(engine, params, backend, nullptr, probe);
+  const auto dump = mc::run_macsio(engine, params, backend, probe);
   (void)fs.run(dump.requests, probe);
   if (probe.ledger != nullptr) probe.ledger->begin_epoch();
-  const auto restart = mc::run_restart(engine, params, backend, nullptr, probe);
+  const auto restart = mc::run_restart(engine, params, backend, probe);
   (void)fs.run(restart.requests, probe);
 }
 
@@ -1286,7 +1277,7 @@ GridTrace run_grid(const mc::Params& params, const p::SimFsConfig& cfg) {
   probe.tracer = &tracer;
   p::MemoryBackend backend(false);
   EngineT engine(params.nprocs);
-  const auto dump = mc::run_macsio(engine, params, backend, nullptr, probe);
+  const auto dump = mc::run_macsio(engine, params, backend, probe);
   p::SimFs fs(cfg);
   (void)fs.run(dump.requests, probe);
   return {tracer.spans(), tracer.edges()};
@@ -1494,7 +1485,7 @@ TEST(TraceStreamScale, EventEngine131kSampledExportStaysBounded) {
 
   p::MemoryBackend backend(false);
   amrio::exec::EventEngine engine(kRanks);
-  const auto dump = mc::run_macsio(engine, params, backend, nullptr, probe);
+  const auto dump = mc::run_macsio(engine, params, backend, probe);
   p::SimFsConfig cfg;
   p::SimFs fs(cfg);
   (void)fs.run(dump.requests, probe);  // one pfs_write span per rank

@@ -193,24 +193,6 @@ TEST(Writer, PredictMatchesActualByteForByte) {
   EXPECT_EQ(predicted.rank_level_bytes, actual.rank_level_bytes);
 }
 
-TEST(Writer, PredictTracesSameEvents) {
-  Fixture fx;
-  p::MemoryBackend be(true);
-  amrio::iostats::TraceRecorder t_actual;
-  amrio::iostats::TraceRecorder t_predict;
-  pf::write_plotfile(be, fx.spec, fx.levels, &t_actual);
-  pf::predict_plotfile(fx.spec, fx.layouts, 2, &t_predict);
-  const auto ea = t_actual.events();
-  const auto ep = t_predict.events();
-  ASSERT_EQ(ea.size(), ep.size());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].path, ep[i].path);
-    EXPECT_EQ(ea[i].bytes, ep[i].bytes);
-    EXPECT_EQ(ea[i].level, ep[i].level);
-    EXPECT_EQ(ea[i].rank, ep[i].rank);
-  }
-}
-
 TEST(Writer, FixedRealWidthIsStable) {
   EXPECT_EQ(pf::fixed_real(0.0).size(), 26u);
   EXPECT_EQ(pf::fixed_real(-1.23456789e-300).size(), 26u);
@@ -353,7 +335,7 @@ TEST(PlotfileIntegration, AmrCoreWriteScanReadAgree) {
   amrio::amr::AmrCore core(in);
   p::MemoryBackend be(true);
   core.run([&](const amrio::amr::AmrCore& c, std::int64_t step, double time) {
-    amrio::core::write_plot_for(c, step, time, be, nullptr);
+    amrio::core::write_plot_for(c, step, time, be);
   });
   const auto scan = pf::scan_plotfiles(be, in.plot_file);
   EXPECT_EQ(scan.plotfile_dirs.size(), 2u);  // steps 0 and 4

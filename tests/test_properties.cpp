@@ -1,7 +1,7 @@
 /// Property-based sweeps over randomized inputs (seeded, deterministic):
 ///  * predict_plotfile == write_plotfile over random hierarchies;
 ///  * SPMD writer == serial writer over rank counts;
-///  * scanner ⟷ trace agreement;
+///  * scanner ⟷ writer statistics agreement;
 ///  * Berger–Rigoutsos coverage/disjointness over random tag fields;
 ///  * MACSio sizing identities over random parameter draws;
 ///  * SimFs conservation & monotonicity properties.
@@ -17,7 +17,6 @@
 #include "pfs/simfs.hpp"
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
@@ -108,11 +107,8 @@ TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
   const auto serial = pf::write_plotfile(serial_be, h.spec(0), h.levels);
 
   p::MemoryBackend spmd_be(true);
-  pf::WriteStats spmd;
-  amrio::simmpi::run_spmd(nranks, [&](amrio::simmpi::Comm& comm) {
-    auto stats = pf::write_plotfile_spmd(comm, spmd_be, h.spec(0), h.levels);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
+  amrio::exec::SpmdEngine engine(nranks);
+  const auto spmd = pf::write_plotfile(engine, spmd_be, h.spec(0), h.levels);
   EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
   EXPECT_EQ(spmd.rank_level_bytes, serial.rank_level_bytes);
   ASSERT_EQ(spmd_be.list(""), serial_be.list(""));
@@ -120,15 +116,33 @@ TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
     EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
 }
 
-TEST_P(HierarchyProperty, ScannerMatchesTrace) {
+TEST_P(HierarchyProperty, ScannerMatchesWriteStats) {
+  // the (step, level, task) table read back from the tree holds exactly the
+  // per-rank Cell_D bytes the writer reports, and metadata on rank -1 rows
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   RandomHierarchy h(seed * 13 + 1, 4);
   p::MemoryBackend be(false);
-  amrio::iostats::TraceRecorder trace;
-  pf::write_plotfile(be, h.spec(20), h.levels, &trace);
+  const auto written = pf::write_plotfile(be, h.spec(20), h.levels);
   const auto scanned = pf::scan_plotfiles(be, "prop_plt").table;
-  const auto traced = amrio::iostats::aggregate(trace.events());
-  EXPECT_EQ(scanned, traced);
+  std::uint64_t meta = 0;
+  for (const auto& [key, bytes] : scanned) {
+    const auto [step, level, rank] = key;
+    EXPECT_EQ(step, 20);
+    if (rank < 0) {
+      meta += bytes;
+      continue;
+    }
+    EXPECT_EQ(bytes, written.rank_level_bytes.at(static_cast<std::size_t>(level))
+                         .at(static_cast<std::size_t>(rank)));
+  }
+  for (std::size_t l = 0; l < written.rank_level_bytes.size(); ++l) {
+    for (std::size_t r = 0; r < written.rank_level_bytes[l].size(); ++r) {
+      if (written.rank_level_bytes[l][r] == 0) continue;
+      EXPECT_TRUE(scanned.count({20, static_cast<int>(l), static_cast<int>(r)}))
+          << "level " << l << " rank " << r;
+    }
+  }
+  EXPECT_EQ(meta, written.metadata_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyProperty,

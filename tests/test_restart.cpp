@@ -2,10 +2,10 @@
 /// slices, extents, cold/prefetched request shapes), the scatterv_group
 /// reverse ship, the codec decode model and the CodecStats encode/decode
 /// split, the MACSio restart loop (byte-identical read-back across engines
-/// at 32 ranks / 8 aggregators, byte conservation, decode accounting, trace
-/// read/prefetch events, contract failures on every engine), the exactness
-/// of the zero-block `restart_hash` against byte-wise FNV-1a, and the
-/// plotfile restart read plan.
+/// at 32 ranks / 8 aggregators, byte conservation, decode accounting, the
+/// read/prefetch request streams, contract failures on every engine), the
+/// exactness of the zero-block `restart_hash` against byte-wise FNV-1a, and
+/// the plotfile restart read plan.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "codec/codec.hpp"
 #include "codec/stats.hpp"
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "mesh/distribution.hpp"
@@ -34,7 +33,6 @@
 
 namespace cd = amrio::codec;
 namespace ex = amrio::exec;
-namespace io = amrio::iostats;
 namespace mc = amrio::macsio;
 namespace m = amrio::mesh;
 namespace p = amrio::pfs;
@@ -328,8 +326,7 @@ TEST_P(MacsioRestart, AggregatedRestartIsByteIdenticalAt32Ranks) {
   p::MemoryBackend be(true);
   const auto engine = ex::make_engine(GetParam(), params.nprocs);
   const auto written = mc::run_macsio(*engine, params, be);
-  io::TraceRecorder trace;
-  const auto restart = mc::run_restart(*engine, params, be, &trace);
+  const auto restart = mc::run_restart(*engine, params, be);
 
   EXPECT_EQ(restart.dump, params.num_dumps - 1);
   const auto docs = expected_docs(params);
@@ -356,29 +353,30 @@ TEST_P(MacsioRestart, AggregatedRestartIsByteIdenticalAt32Ranks) {
   EXPECT_GT(restart.codec.total.decode_seconds, 0.0);
   EXPECT_EQ(restart.codec.total.raw_bytes, restart.raw_bytes);
 
-  // trace: one kRead per rank document (raw bytes, encoded alongside,
-  // decode cpu on the rank) plus the root/index metadata reads
-  int doc_reads = 0;
-  int meta_reads = 0;
-  for (const auto& e : trace.events()) {
-    if (e.op != io::IoEvent::Op::kRead) continue;
-    if (e.level == 0) {
-      ++doc_reads;
-      EXPECT_GT(e.encoded_bytes, 0u);
-      EXPECT_LT(e.encoded_bytes, e.bytes);
-      EXPECT_GT(e.codec_seconds, 0.0);
-    } else {
-      ++meta_reads;
-    }
+  // the read plan: one slice per rank document (raw bytes, the encoded
+  // bytes fetched for it, decode cpu on the rank) ...
+  ASSERT_EQ(restart.slices.size(), 32u);
+  for (int r = 0; r < 32; ++r) {
+    const auto& slice = restart.slices[static_cast<std::size_t>(r)];
+    EXPECT_EQ(slice.raw_bytes, restart.task_bytes[static_cast<std::size_t>(r)])
+        << "rank " << r;
+    EXPECT_GT(slice.encoded_bytes, 0u) << "rank " << r;
+    EXPECT_LT(slice.encoded_bytes, slice.raw_bytes) << "rank " << r;
+    EXPECT_GT(slice.decode_seconds, 0.0) << "rank " << r;
   }
-  EXPECT_EQ(doc_reads, 32);
+  // ... and the requests: encoded subfile fetches plus the root/index
+  // metadata reads
+  int meta_reads = 0;
+  std::uint64_t data_bytes = 0;
+  for (const auto& req : restart.requests) {
+    ASSERT_EQ(req.op, p::kOpRead);
+    if (req.file.find("/metadata/") != std::string::npos)
+      ++meta_reads;
+    else
+      data_bytes += req.bytes;
+  }
   EXPECT_EQ(meta_reads, 2);  // root + aggregation index
-  std::uint64_t meta_bytes = 0;
-  for (const auto& req : restart.requests)
-    if (req.op == p::kOpRead &&
-        req.file.find("/metadata/") != std::string::npos)
-      meta_bytes += req.bytes;
-  EXPECT_EQ(trace.total_read_bytes(), restart.raw_bytes + meta_bytes);
+  EXPECT_EQ(data_bytes, restart.encoded_bytes);
 }
 
 TEST_P(MacsioRestart, UnaggregatedRestartReadsOwnByteRanges) {
@@ -414,8 +412,7 @@ TEST_P(MacsioRestart, PrefetchedRestartEmitsPrefetchReadPairs) {
   p::MemoryBackend be(true);
   const auto engine = ex::make_engine(GetParam(), params.nprocs);
   (void)mc::run_macsio(*engine, params, be);
-  io::TraceRecorder trace;
-  const auto restart = mc::run_restart(*engine, params, be, &trace);
+  const auto restart = mc::run_restart(*engine, params, be);
 
   int prefetches = 0;
   int bb_reads = 0;
@@ -431,10 +428,6 @@ TEST_P(MacsioRestart, PrefetchedRestartEmitsPrefetchReadPairs) {
   EXPECT_EQ(prefetches, 8);  // one per subfile
   EXPECT_EQ(bb_reads, 8);
   EXPECT_EQ(prefetched_bytes, restart.encoded_bytes);
-  int prefetch_events = 0;
-  for (const auto& e : trace.events())
-    if (e.op == io::IoEvent::Op::kPrefetch) ++prefetch_events;
-  EXPECT_EQ(prefetch_events, 8);
 
   // the tagged request stream replays against a BB-enabled SimFs: every BB
   // read lands after its extent's prefetch

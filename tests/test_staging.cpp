@@ -11,7 +11,6 @@
 
 #include "codec/codec.hpp"
 #include "exec/engine.hpp"
-#include "iostats/trace.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "mesh/distribution.hpp"
@@ -326,7 +325,7 @@ TEST_P(AggregatedShipPins, CountersAndSubfileBytesAreUnchanged) {
   amrio::obs::Probe probe;
   probe.metrics = &metrics;
   const auto engine = ex::make_engine(GetParam(), params.nprocs);
-  mc::run_macsio(*engine, params, be, nullptr, probe);
+  mc::run_macsio(*engine, params, be, probe);
 
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("exec.gatherv.calls"), 24);
@@ -404,24 +403,26 @@ TEST(AggregatedMif, RequestsTargetAggregatorsAndCarryShipCost) {
   EXPECT_EQ(data_requests, params.aggregators * params.num_dumps);
 }
 
-TEST(AggregatedMif, TraceCarriesTierAndAggregatorDimensions) {
+TEST(AggregatedMif, RequestsCarryTierAndAggregator) {
   auto params = agg_params(16, 4);
   params.stage_to_bb = true;
   p::MemoryBackend be(false);
-  amrio::iostats::TraceRecorder trace;
-  mc::run_macsio(params, be, &trace);
-  int subfile_events = 0;
-  for (const auto& e : trace.events()) {
-    EXPECT_EQ(e.tier, p::kTierBurstBuffer);
-    if (e.level == 0) {
-      ++subfile_events;
-      EXPECT_GE(e.aggregator, 0);
-      EXPECT_LT(e.aggregator, params.aggregators);
-    } else {
-      EXPECT_EQ(e.aggregator, -1);
+  const auto stats = mc::run_macsio(params, be);
+  const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
+  int subfile_requests = 0;
+  for (const auto& req : stats.requests) {
+    EXPECT_EQ(req.tier, p::kTierBurstBuffer) << req.file;
+    if (req.file.find("/data/") == std::string::npos) {
+      EXPECT_EQ(req.client, 0) << req.file;  // rank 0 writes the metadata
+      continue;
     }
+    ++subfile_requests;
+    const int group = topo.group_of(req.client);
+    EXPECT_EQ(req.client, topo.aggregator_of_group(group)) << req.file;
+    const int dump = (subfile_requests - 1) / topo.ngroups();
+    EXPECT_EQ(req.file, mc::aggregated_file_path(params, group, dump));
   }
-  EXPECT_EQ(subfile_events, params.aggregators * params.num_dumps);
+  EXPECT_EQ(subfile_requests, params.aggregators * params.num_dumps);
 }
 
 // --------------------------------------------- aggregated plotfile MIF

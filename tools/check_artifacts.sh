@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Regenerate the pinned paper-artifact CSVs at default size and check them
+# against bench/baselines/ARTIFACTS.sha256.
+#
+# Usage:
+#   tools/check_artifacts.sh [BUILD_DIR] [--engine NAME]
+#
+# BUILD_DIR defaults to ./build. Without --engine every pinned bench runs with
+# its defaults. With --engine NAME only the MACSio benches run (the ones whose
+# byte path goes through an exec::Engine), each with `--engine NAME`, and only
+# their manifest lines are checked: the artifacts must not depend on the
+# engine. Exits non-zero when a bench fails or a digest differs.
+set -euo pipefail
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+manifest="$root/bench/baselines/ARTIFACTS.sha256"
+build="$root/build"
+engine=""
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --engine) engine="${2:?--engine needs a value}"; shift 2 ;;
+    --engine=*) engine="${1#--engine=}"; shift ;;
+    -h|--help) sed -n '2,12p' "$0"; exit 0 ;;
+    *) build=$(cd "$1" && pwd); shift ;;
+  esac
+done
+
+macsio_benches="fig03_macsio_tree table2_macsio_args ablate_filemode"
+if [ -n "$engine" ]; then
+  benches="$macsio_benches"
+  engine_args=(--engine "$engine")
+else
+  benches="fig02_plotfile_tree $macsio_benches fig07_per_level fig08_per_task"
+  engine_args=()
+fi
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+for b in $benches; do
+  "$build/$b" --out "$out" "${engine_args[@]}" > "$out/$b.log" ||
+    { echo "$b failed:"; cat "$out/$b.log"; exit 1; }
+done
+
+lines=""
+for b in $benches; do
+  line=$(grep "  $b\.csv\$" "$manifest") ||
+    { echo "ARTIFACTS.sha256 has no line for $b.csv"; exit 1; }
+  lines+="$line"$'\n'
+done
+cd "$out"
+printf '%s' "$lines" | sha256sum -c -
