@@ -4,18 +4,14 @@
 ///
 /// The drivers in this repository (the MACSio dump loop, the AMReX plotfile
 /// writer) are SPMD programs: every rank executes the same body, synchronizing
-/// through a small set of collectives and MIF baton messages. Historically the
-/// repo carried two divergent implementations of each driver — a serial loop
-/// over virtual ranks and a threaded path over simmpi — which had to be kept
-/// byte-identical by hand. This layer collapses them: drivers are written once
-/// against `RankCtx` (rank id, barrier, exscan_sum, gather/gatherv, tagged
-/// token and byte-payload send/recv) and an `Engine` decides how the ranks
-/// execute:
+/// through a small set of collectives and MIF baton messages. The drivers are
+/// written once against `RankCtx` (rank id, barrier, gather, tagged token and
+/// byte-payload send/recv) and an `Engine` decides how the ranks execute:
 ///
-///  * `SpmdEngine`  — real concurrency: one OS thread per rank via
-///    `simmpi::run_spmd`, collectives through the shared-memory communicator.
-///    Fails fast above a configurable thread cap (see `SpmdEngine::thread_cap`)
-///    instead of exhausting the machine mid-run.
+///  * `SpmdEngine`  — real concurrency: one OS thread per rank over one
+///    mutex-guarded shared state (gather slots and mailboxes). Fails fast
+///    above a thread cap (see `SpmdEngine::thread_cap`) instead of
+///    exhausting the machine mid-run.
 ///  * `SerialEngine` — zero threads: each rank is a cooperatively scheduled
 ///    fiber (ucontext). Collectives suspend a fiber until every rank arrives,
 ///    so MPI lockstep semantics hold exactly, deterministically, and cheaply —
@@ -27,28 +23,40 @@
 ///    queue makes each step O(active events) rather than O(nranks). This is
 ///    the engine for 100k+ simulated ranks (`--engine=event`).
 ///
-/// Because both engines run the *same* driver body, serial and threaded runs
-/// are byte-identical by construction (asserted by tests/test_exec.cpp).
+/// Because all three engines run the *same* driver body, their outputs are
+/// byte-identical by construction (asserted by tests/test_exec.cpp and
+/// tests/test_event_engine.cpp).
 ///
-/// Error semantics mirror `simmpi::run_spmd`: if any rank throws, peers
-/// blocked on a collective or recv observe `simmpi::CommAborted` and
-/// `Engine::run` rethrows the first rank's exception.
+/// Error semantics are shared: if any rank throws, peers blocked on a
+/// collective or recv observe `CommAborted` and `Engine::run` rethrows the
+/// first rank's exception. When every unfinished rank is blocked
+/// (mismatched collectives, or a recv with no matching send) the run fails
+/// with a "deadlock" error the same way.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/probe.hpp"
-#include "simmpi/comm.hpp"
 
 namespace amrio::obs {
 class SelfProfiler;
 }
 
 namespace amrio::exec {
+
+/// Thrown on surviving ranks when a peer rank failed or the run deadlocked;
+/// `Engine::run` rethrows the original error, never this.
+class CommAborted : public std::runtime_error {
+ public:
+  CommAborted()
+      : std::runtime_error("exec: communicator aborted by peer failure") {}
+};
 
 /// Per-rank execution context handed to the driver body. Provides the
 /// collective operations the I/O drivers need; every rank must call the same
@@ -62,23 +70,17 @@ class RankCtx {
 
   /// Synchronize all ranks.
   virtual void barrier() = 0;
-  /// Exclusive prefix sum; rank 0 receives 0 (MPI_Exscan with MPI_SUM).
-  virtual std::uint64_t exscan_sum(std::uint64_t v) = 0;
   /// Gather one value per rank to `root` (root receives nranks() values in
   /// rank order; other ranks receive an empty vector).
   virtual std::vector<std::uint64_t> gather(std::uint64_t v, int root) = 0;
-  /// Variable-length byte gather, concatenated in rank order at `root`.
-  virtual std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                         int root) = 0;
   /// Tagged point-to-point token (the MIF baton): buffered send.
   virtual void send_token(std::uint64_t value, int dest, int tag) = 0;
   /// Blocking tagged token receive.
   virtual std::uint64_t recv_token(int src, int tag) = 0;
   /// Tagged point-to-point byte payload (staging shipments to aggregators):
   /// buffered send, message boundaries preserved. The message owns `data`:
-  /// the serial and event engines move the buffer itself into the mailbox,
-  /// so the receiver gets the sender's allocation back from recv_bytes; the
-  /// spmd engine copies it into the simmpi communicator. SerialEngine also
+  /// every engine moves the buffer itself into the mailbox, so the receiver
+  /// gets the sender's allocation back from recv_bytes. SerialEngine also
   /// hands the message to a receiver already blocked on it (see there).
   virtual void send_bytes(std::vector<std::byte> data, int dest, int tag) = 0;
   /// Blocking tagged byte-payload receive (one message).
@@ -96,10 +98,10 @@ using LandFn = std::function<void(int member, std::span<const std::byte>)>;
 /// own buffer is visited in place, never copied; a received buffer is freed
 /// as soon as its visit returns, so the root holds one shipped payload at a
 /// time. Other members only send; `land` is called on the root alone (and
-/// may be empty elsewhere). Unlike RankCtx::gatherv this is *not* a global
-/// collective — only the listed members participate, so several
-/// aggregation groups can gather concurrently. This is the two-phase
-/// collective the staging layer uses to ship task documents to aggregators.
+/// may be empty elsewhere). This is *not* a global collective — only the
+/// listed members participate, so several aggregation groups can gather
+/// concurrently. This is the two-phase collective the staging layer uses to
+/// ship task documents to aggregators.
 /// A non-empty `probe` counts the ship on the metrics registry
 /// (exec.gatherv.{calls,messages,bytes}, root side) — pure commutative
 /// counter adds, so the snapshot stays engine-invariant.
@@ -174,22 +176,23 @@ class SerialEngine final : public Engine {
   std::size_t stack_bytes_;
 };
 
-/// Thread-per-rank engine over simmpi::run_spmd.
+/// Thread-per-rank engine: rank 0 runs on the calling thread and every other
+/// rank on its own OS thread, all synchronizing through one mutex and one
+/// condition variable. Collectives follow SerialEngine's: the last rank to
+/// arrive computes the result and releases the others.
 class SpmdEngine final : public Engine {
  public:
   /// Throws (ContractViolation) when `nranks` exceeds `thread_cap()` — one OS
   /// thread per rank does not survive machine-scale rank counts, and dying on
   /// pthread_create mid-run loses the error; the message points at
-  /// `--engine=event` instead.
+  /// `--engine=event` instead. Spawns no thread: that is run()'s job.
   explicit SpmdEngine(int nranks);
   int nranks() const override { return nranks_; }
   const char* name() const override { return "spmd"; }
   void run(const RankFn& fn) override;
 
-  /// Most ranks this engine will agree to run as real threads. Defaults to
-  /// 1024; override with the AMRIO_SPMD_THREAD_CAP environment variable
-  /// (read per construction, so tests can adjust it).
-  static int thread_cap();
+  /// Most ranks this engine will agree to run as real threads.
+  static constexpr int thread_cap() { return 1024; }
 
  private:
   int nranks_;

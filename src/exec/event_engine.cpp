@@ -41,7 +41,7 @@
 /// dependencies (which the MIF baton and aggregation protocols guarantee).
 ///
 /// Error semantics mirror SerialEngine: the first rank exception aborts the
-/// communicator, every blocked rank is resumed to throw simmpi::CommAborted,
+/// communicator, every blocked rank is resumed to throw exec::CommAborted,
 /// and run() rethrows the original error once all ranks unwound. A deadlock
 /// (ready queue empty, every rank started, none done) is detected in O(1)
 /// and reported the same way.
@@ -237,8 +237,7 @@ struct EventState {
       : n(n), stack_bytes(stack_bytes), vr(static_cast<std::size_t>(n)),
         ready(static_cast<std::size_t>(n) + 1),
         u64_slots(static_cast<std::size_t>(n)),
-        u64_result(static_cast<std::size_t>(n)),
-        bytev_slots(static_cast<std::size_t>(n)) {
+        u64_result(static_cast<std::size_t>(n)) {
     coll_waiters.reserve(static_cast<std::size_t>(n));
 #ifndef AMRIO_EVENT_COMPAT_STACKS
     // uninitialized by design: the canary and each seeded entry frame are
@@ -279,8 +278,6 @@ struct EventState {
   std::vector<int> coll_waiters;  ///< suspended arrivals, in arrival order
   std::vector<std::uint64_t> u64_slots;
   std::vector<std::uint64_t> u64_result;
-  std::vector<std::vector<std::byte>> bytev_slots;
-  std::vector<std::byte> bytes_result;
 
   // Mailboxes keyed by packed (src, dst, tag); at most one rank (dst) can
   // block per key, so a send wakes its receiver by direct lookup. A receive
@@ -427,46 +424,12 @@ class EventCtx final : public RankCtx {
 
   void barrier() override { arrive([](EventState&) {}); }
 
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    st_->u64_slots[static_cast<std::size_t>(rank_)] = v;
-    arrive([](EventState& st) {
-      std::uint64_t acc = 0;
-      for (int r = 0; r < st.n; ++r) {
-        const std::uint64_t x = st.u64_slots[static_cast<std::size_t>(r)];
-        st.u64_result[static_cast<std::size_t>(r)] = acc;
-        acc += x;
-      }
-    });
-    return st_->u64_result[static_cast<std::size_t>(rank_)];
-  }
-
   std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
     AMRIO_EXPECTS(root >= 0 && root < st_->n);
     st_->u64_slots[static_cast<std::size_t>(rank_)] = v;
     arrive([](EventState& st) { st.u64_result = st.u64_slots; });
     if (rank_ != root) return {};
     return st_->u64_result;
-  }
-
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    AMRIO_EXPECTS(root >= 0 && root < st_->n);
-    // The contribution must be copied at arrival: `bytes` may point into this
-    // rank's stack, which is swapped out while it waits for the release.
-    st_->bytev_slots[static_cast<std::size_t>(rank_)].assign(bytes.begin(),
-                                                             bytes.end());
-    arrive([](EventState& st) {
-      std::size_t total = 0;
-      for (const auto& s : st.bytev_slots) total += s.size();
-      st.bytes_result.clear();
-      st.bytes_result.reserve(total);
-      for (auto& s : st.bytev_slots) {
-        st.bytes_result.insert(st.bytes_result.end(), s.begin(), s.end());
-        std::vector<std::byte>().swap(s);  // drop capacity, not just size
-      }
-    });
-    if (rank_ != root) return {};
-    return st_->bytes_result;
   }
 
   void send_token(std::uint64_t value, int dest, int tag) override {
@@ -555,7 +518,7 @@ class EventCtx final : public RankCtx {
   }
 
   void check_abort() const {
-    if (st_->aborted) throw simmpi::CommAborted();
+    if (st_->aborted) throw CommAborted();
   }
 
   static void check_tag(int tag) {

@@ -25,7 +25,7 @@
 /// rank 0 — the only global collective of a dump).
 /// How the ranks execute is the engine's choice: `exec::SerialEngine` runs
 /// them as fibers on one thread (the calibrator's fast path), and
-/// `exec::SpmdEngine` runs them as real simmpi threads — byte-identical by
+/// `exec::SpmdEngine` runs them as real OS threads — byte-identical by
 /// construction.
 
 #include <cstddef>

@@ -8,7 +8,7 @@
 ///
 /// Paths are logical, '/'-separated, relative to the backend root. Backends
 /// are thread-safe and designed to be contention-free on the write hot path:
-/// simmpi ranks dumping N files concurrently (the paper's N-to-N pattern)
+/// rank threads dumping N files concurrently (the paper's N-to-N pattern)
 /// never serialize on a shared lock. `MemoryBackend` shards its path table by
 /// path hash and its open-handle table by handle id, and file byte counters
 /// are atomics; `PosixBackend` gets the same handle-sharded treatment, with

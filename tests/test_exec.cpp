@@ -1,13 +1,18 @@
 /// Tests for the unified execution engine (exec::SerialEngine fibers,
-/// exec::SpmdEngine threads): collective semantics, error propagation, and
-/// the headline guarantee — serial and SPMD executions of the MACSio and
-/// plotfile drivers are byte-identical because they run the same body.
+/// exec::SpmdEngine threads, exec::EventEngine virtual ranks): collective and
+/// messaging semantics, error propagation and deadlock detection on every
+/// engine, and the headline guarantee — serial and SPMD executions of the
+/// MACSio and plotfile drivers are byte-identical because they run the same
+/// body.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
@@ -15,6 +20,7 @@
 #include "mesh/multifab.hpp"
 #include "pfs/backend.hpp"
 #include "plotfile/writer.hpp"
+#include "util/assert.hpp"
 #include "util/path.hpp"
 
 namespace ex = amrio::exec;
@@ -42,17 +48,6 @@ TEST_P(EngineCollectives, BarrierAndRankIdentity) {
   });
 }
 
-TEST_P(EngineCollectives, ExscanSum) {
-  const int n = 9;
-  const auto engine = ex::make_engine(GetParam(), n);
-  engine->run([&](ex::RankCtx& ctx) {
-    const auto r = static_cast<std::uint64_t>(ctx.rank());
-    const std::uint64_t prefix = ctx.exscan_sum(r + 1);
-    // sum of (1..rank): rank 0 gets 0
-    EXPECT_EQ(prefix, r * (r + 1) / 2);
-  });
-}
-
 TEST_P(EngineCollectives, GatherDeliversAtRootOnly) {
   const int n = 6;
   const auto engine = ex::make_engine(GetParam(), n);
@@ -63,26 +58,6 @@ TEST_P(EngineCollectives, GatherDeliversAtRootOnly) {
       for (int r = 0; r < n; ++r)
         EXPECT_EQ(got[static_cast<std::size_t>(r)],
                   static_cast<std::uint64_t>(r * 10));
-    } else {
-      EXPECT_TRUE(got.empty());
-    }
-  });
-}
-
-TEST_P(EngineCollectives, GathervConcatenatesInRankOrder) {
-  const int n = 5;
-  const auto engine = ex::make_engine(GetParam(), n);
-  engine->run([&](ex::RankCtx& ctx) {
-    // rank r contributes r+1 bytes with value r
-    std::vector<std::byte> mine(static_cast<std::size_t>(ctx.rank() + 1),
-                                static_cast<std::byte>(ctx.rank()));
-    const auto got = ctx.gatherv(mine, 0);
-    if (ctx.rank() == 0) {
-      ASSERT_EQ(got.size(), static_cast<std::size_t>(n * (n + 1) / 2));
-      std::size_t i = 0;
-      for (int r = 0; r < n; ++r)
-        for (int k = 0; k <= r; ++k)
-          EXPECT_EQ(got[i++], static_cast<std::byte>(r));
     } else {
       EXPECT_TRUE(got.empty());
     }
@@ -103,14 +78,149 @@ TEST_P(EngineCollectives, TokenPassingChain) {
   });
 }
 
+TEST_P(EngineCollectives, TagsKeepMessagesSeparate) {
+  const auto engine = ex::make_engine(GetParam(), 2);
+  engine->run([](ex::RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.send_token(1, 1, 100);
+      ctx.send_token(2, 1, 200);
+      ctx.send_bytes({std::byte{7}}, 1, 100);
+      ctx.send_bytes({std::byte{8}, std::byte{9}}, 1, 200);
+    } else {
+      // receive in reverse tag order
+      EXPECT_EQ(ctx.recv_token(0, 200), 2u);
+      EXPECT_EQ(ctx.recv_token(0, 100), 1u);
+      EXPECT_EQ(ctx.recv_bytes(0, 200).size(), 2u);
+      EXPECT_EQ(ctx.recv_bytes(0, 100),
+                std::vector<std::byte>{std::byte{7}});
+    }
+  });
+}
+
+TEST_P(EngineCollectives, FifoWithinTag) {
+  const auto engine = ex::make_engine(GetParam(), 2);
+  engine->run([](ex::RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      for (std::uint64_t i = 0; i < 10; ++i) {
+        ctx.send_token(i, 1, 7);
+        ctx.send_bytes(std::vector<std::byte>(i), 1, 7);
+      }
+    } else {
+      for (std::uint64_t i = 0; i < 10; ++i) {
+        EXPECT_EQ(ctx.recv_token(0, 7), i);
+        EXPECT_EQ(ctx.recv_bytes(0, 7).size(), i);
+      }
+    }
+  });
+}
+
+TEST_P(EngineCollectives, MessageDoesNotReleaseABarrier) {
+  // rank 1 waits in a barrier after a recv on the same mailbox rank 0 sends
+  // to next; that message must not let rank 1 leave the barrier before
+  // rank 0 arrives (the sleeps order the threads on spmd)
+  const auto engine = ex::make_engine(GetParam(), 2);
+  std::atomic<bool> passed{false};
+  engine->run([&](ex::RankCtx& ctx) {
+    const auto pause = std::chrono::milliseconds(20);
+    if (ctx.rank() == 0) {
+      std::this_thread::sleep_for(pause);  // rank 1 blocks in recv_token
+      ctx.send_token(1, 1, 5);
+      std::this_thread::sleep_for(pause);  // rank 1 blocks in the barrier
+      ctx.send_token(2, 1, 5);
+      std::this_thread::sleep_for(pause);
+      EXPECT_FALSE(passed.load());
+      ctx.barrier();
+    } else {
+      EXPECT_EQ(ctx.recv_token(0, 5), 1u);
+      ctx.barrier();
+      passed.store(true);
+      EXPECT_EQ(ctx.recv_token(0, 5), 2u);
+    }
+  });
+}
+
+TEST_P(EngineCollectives, EmptyByteMessage) {
+  const auto engine = ex::make_engine(GetParam(), 2);
+  engine->run([](ex::RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.send_bytes({}, 1, 3);
+    } else {
+      EXPECT_TRUE(ctx.recv_bytes(0, 3).empty());
+    }
+  });
+}
+
+TEST_P(EngineCollectives, SingleRankRunsInline) {
+  const auto engine = ex::make_engine(GetParam(), 1);
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  engine->run([&](ex::RankCtx& ctx) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(ctx.rank(), 0);
+    EXPECT_EQ(ctx.nranks(), 1);
+    ctx.barrier();
+    EXPECT_EQ(ctx.gather(5, 0), std::vector<std::uint64_t>{5});
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST_P(EngineCollectives, RejectsRankCountBelowOne) {
+  EXPECT_THROW((void)ex::make_engine(GetParam(), 0), amrio::ContractViolation);
+  EXPECT_THROW((void)ex::make_engine(GetParam(), -3),
+               amrio::ContractViolation);
+}
+
 TEST_P(EngineCollectives, RankExceptionPropagates) {
+  // peers blocked in a barrier must be released, and run() must rethrow the
+  // rank's own error, not the CommAborted its peers observe
   const auto engine = ex::make_engine(GetParam(), 4);
-  EXPECT_THROW(engine->run([&](ex::RankCtx& ctx) {
-                 if (ctx.rank() == 2) throw std::runtime_error("rank 2 died");
-                 ctx.barrier();  // peers must not hang
-                 ctx.barrier();
-               }),
-               std::runtime_error);
+  try {
+    engine->run([&](ex::RankCtx& ctx) {
+      if (ctx.rank() == 2) throw std::logic_error("rank 2 died");
+      ctx.barrier();  // peers must not hang
+      ctx.barrier();
+    });
+    FAIL() << "expected the rank error to propagate";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 2 died");
+  }
+}
+
+namespace {
+
+/// Run `body` on three ranks and require the run to fail promptly with the
+/// engine's deadlock error.
+void expect_deadlock(ex::EngineKind kind, const ex::RankFn& body) {
+  const auto engine = ex::make_engine(kind, 3);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    engine->run(body);
+    ADD_FAILURE() << "expected the deadlock to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+        << e.what();
+  }
+  const std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(waited.count(), 1.0);
+}
+
+}  // namespace
+
+TEST_P(EngineCollectives, MismatchedCollectivesDeadlockDetected) {
+  // rank 0 waits in a second barrier its peers never reach
+  expect_deadlock(GetParam(), [](ex::RankCtx& ctx) {
+    ctx.barrier();
+    if (ctx.rank() == 0) ctx.barrier();
+  });
+}
+
+TEST_P(EngineCollectives, RecvWithNoSendDeadlockDetected) {
+  expect_deadlock(GetParam(), [](ex::RankCtx& ctx) {
+    if (ctx.rank() == 0) (void)ctx.recv_token(1, 9);  // never sent
+    if (ctx.rank() == 2) (void)ctx.recv_bytes(1, 9);  // never sent
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineCollectives,
@@ -132,14 +242,6 @@ TEST(SerialEngine, DeterministicSchedule) {
     return order;
   };
   EXPECT_EQ(order_of(), order_of());
-}
-
-TEST(SerialEngine, MismatchedCollectivesDeadlockDetected) {
-  ex::SerialEngine engine(3);
-  EXPECT_THROW(engine.run([](ex::RankCtx& ctx) {
-                 if (ctx.rank() == 0) (void)ctx.recv_token(1, 9);  // never sent
-               }),
-               std::runtime_error);
 }
 
 // ------------------------------------------------- driver byte-identity

@@ -14,7 +14,6 @@
 #include "pfs/timeline.hpp"
 #include "plotfile/reader.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
 
@@ -160,15 +159,6 @@ TEST(Morton, CurveVisitsQuadrantsInOrder) {
       min_ur = std::min(min_ur, m::morton_encode(i + 2, j + 2));
     }
   EXPECT_LT(max_ll, min_ur);
-}
-
-TEST(Comm, BcastLargePayload) {
-  amrio::simmpi::run_spmd(3, [](amrio::simmpi::Comm& comm) {
-    std::vector<double> data(10000, comm.rank() == 1 ? 3.25 : 0.0);
-    comm.bcast(std::span<double>(data), 1);
-    EXPECT_DOUBLE_EQ(data.front(), 3.25);
-    EXPECT_DOUBLE_EQ(data.back(), 3.25);
-  });
 }
 
 TEST(Geometry, RefineChainsCompose) {

@@ -16,7 +16,6 @@
 #include "plotfile/reader.hpp"
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
 
@@ -254,7 +253,7 @@ TEST(FailureWriter, RootMetadataFaultUnwindsEveryEngine) {
     try {
       (void)amrio::macsio::run_macsio(*engine, params, faulty);
       ADD_FAILURE() << "expected the injected fault to propagate";
-    } catch (const amrio::simmpi::CommAborted& e) {
+    } catch (const amrio::exec::CommAborted& e) {
       ADD_FAILURE() << "a peer's abort surfaced instead: " << e.what();
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), "injected fault: write to " + root);

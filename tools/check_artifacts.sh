@@ -6,10 +6,11 @@
 #   tools/check_artifacts.sh [BUILD_DIR] [--engine NAME]
 #
 # BUILD_DIR defaults to ./build. Without --engine every pinned bench runs with
-# its defaults. With --engine NAME only the MACSio benches run (the ones whose
-# byte path goes through an exec::Engine), each with `--engine NAME`, and only
-# their manifest lines are checked: the artifacts must not depend on the
-# engine. Exits non-zero when a bench fails or a digest differs.
+# its defaults. With --engine NAME only the engine-routed benches run (the
+# MACSio and ext studies, whose byte path goes through an exec::Engine), each
+# with `--engine NAME`, and only their manifest lines are checked: the
+# artifacts must not depend on the engine. Exits non-zero when a bench fails
+# or a digest differs.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -20,17 +21,18 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --engine) engine="${2:?--engine needs a value}"; shift 2 ;;
     --engine=*) engine="${1#--engine=}"; shift ;;
-    -h|--help) sed -n '2,12p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,13p' "$0"; exit 0 ;;
     *) build=$(cd "$1" && pwd); shift ;;
   esac
 done
 
-macsio_benches="fig03_macsio_tree table2_macsio_args ablate_filemode"
+engine_benches="fig03_macsio_tree table2_macsio_args ablate_filemode
+  ext_staging_study ext_codec_study ext_restart_study ext_burst_dynamics"
 if [ -n "$engine" ]; then
-  benches="$macsio_benches"
+  benches="$engine_benches"
   engine_args=(--engine "$engine")
 else
-  benches="fig02_plotfile_tree $macsio_benches fig07_per_level fig08_per_task"
+  benches="fig02_plotfile_tree $engine_benches fig07_per_level fig08_per_task"
   engine_args=()
 fi
 
