@@ -2,9 +2,9 @@
 /// The MACSio-compatible proxy I/O executable — accepts the paper's Table II
 /// argument set (Listing-1 invocations work verbatim, minus jsrun) and runs
 /// the dump loop over virtual ranks. --engine picks the execution substrate:
-/// serial fibers (default), spmd OS threads through the simulated MPI layer
-/// (including MIF baton-passing), or the discrete-event engine for
-/// machine-scale rank counts (--engine event handles 100k+ virtual ranks).
+/// serial (default: the cooperative scheduler with one stack per rank),
+/// spmd (one OS thread per rank), or event (the same cooperative scheduler
+/// on one shared stack; it handles 100k+ virtual ranks).
 ///
 ///   macsio_proxy --interface miftmpl --parallel_file_mode MIF 8
 ///     --num_dumps 20 --part_size 1550000 --avg_num_parts 1

@@ -12,16 +12,15 @@
 ///    mutex-guarded shared state (gather slots and mailboxes). Fails fast
 ///    above a thread cap (see `SpmdEngine::thread_cap`) instead of
 ///    exhausting the machine mid-run.
-///  * `SerialEngine` — zero threads: each rank is a cooperatively scheduled
-///    fiber (ucontext). Collectives suspend a fiber until every rank arrives,
-///    so MPI lockstep semantics hold exactly, deterministically, and cheaply —
-///    this is what the calibrator uses when it replays MACSio many times.
 ///  * `EventEngine` — discrete-event scheduling for machine-scale rank counts:
 ///    ranks are virtual (no per-rank stack or thread — suspended ranks are
 ///    compact stack slices in arena pools), collectives are batched events
 ///    resolved when the last participant arrives, and the scheduler's ready
 ///    queue makes each step O(active events) rather than O(nranks). This is
 ///    the engine for 100k+ simulated ranks (`--engine=event`).
+///  * `SerialEngine` — the same scheduler with one ucontext stack per rank
+///    instead of the shared stack: zero threads, MPI lockstep semantics,
+///    deterministic. Kept for the campaign grid's serial axis.
 ///
 /// Because all three engines run the *same* driver body, their outputs are
 /// byte-identical by construction (asserted by tests/test_exec.cpp and
@@ -80,8 +79,8 @@ class RankCtx {
   /// Tagged point-to-point byte payload (staging shipments to aggregators):
   /// buffered send, message boundaries preserved. The message owns `data`:
   /// every engine moves the buffer itself into the mailbox, so the receiver
-  /// gets the sender's allocation back from recv_bytes. SerialEngine also
-  /// hands the message to a receiver already blocked on it (see there).
+  /// gets the sender's allocation back from recv_bytes. The cooperative
+  /// engines run a receiver already blocked on it next (see EventEngine).
   virtual void send_bytes(std::vector<std::byte> data, int dest, int tag) = 0;
   /// Blocking tagged byte-payload receive (one message).
   virtual std::vector<std::byte> recv_bytes(int src, int tag) = 0;
@@ -148,37 +147,30 @@ class Engine {
   obs::SelfProfiler* profiler_ = nullptr;
 };
 
-/// Fiber-scheduled engine: ranks run as cooperatively scheduled ucontext
-/// fibers on the calling thread. Deterministic, no thread overhead.
-///
-/// The scheduler round-robins over runnable fibers, with one exception: a
-/// byte send that lands in the mailbox a fiber is blocked on in recv_bytes
-/// queues a hand-off, and when the sender next yields (or finishes) the
-/// scheduler resumes the receivers it fed, in send order, before it moves
-/// on. A gatherv_group root therefore lands each member's payload before the
-/// next member runs, and an aggregation group holds one payload in flight
-/// instead of the whole dump's. Collective semantics, deadlock detection
-/// and abort unwinding are unchanged.
+/// EventEngine's scheduler on per-rank stacks: every rank runs on its own
+/// ucontext stack on the calling thread, with EventEngine's
+/// scheduling order, collectives, mailboxes, deadlock detection and abort
+/// unwinding (it has none of its own). Deterministic, no thread overhead.
+/// Same restrictions as EventEngine: nranks < 2^24, p2p tags in [0, 65535].
 class SerialEngine final : public Engine {
  public:
-  /// `stack_bytes` is the per-fiber stack size; the default comfortably fits
-  /// the plotfile/MACSio writer bodies. Fiber stacks are plain heap blocks
-  /// with no guard page (unlike SpmdEngine's OS thread stacks), so bodies
-  /// with very deep frames should raise `stack_bytes` rather than rely on a
-  /// fault to catch overflow.
-  explicit SerialEngine(int nranks, std::size_t stack_bytes = 128 * 1024);
+  /// Per-rank stack size; it comfortably fits the plotfile/MACSio writer
+  /// bodies. The stacks are adjacent slices of one anonymous mapping with no
+  /// guard pages (unlike SpmdEngine's OS thread stacks).
+  static constexpr std::size_t kStackBytes = 128 * 1024;
+
+  explicit SerialEngine(int nranks);
   int nranks() const override { return nranks_; }
   const char* name() const override { return "serial"; }
   void run(const RankFn& fn) override;
 
  private:
   int nranks_;
-  std::size_t stack_bytes_;
 };
 
 /// Thread-per-rank engine: rank 0 runs on the calling thread and every other
 /// rank on its own OS thread, all synchronizing through one mutex and one
-/// condition variable. Collectives follow SerialEngine's: the last rank to
+/// condition variable. Collectives follow EventEngine's: the last rank to
 /// arrive computes the result and releases the others.
 class SpmdEngine final : public Engine {
  public:
@@ -206,21 +198,25 @@ class SpmdEngine final : public Engine {
 /// pool and the stack is reused, so a 516k-rank dump costs megabytes of
 /// engine state plus the suspended slices instead of 516k fiber stacks or OS
 /// threads. Mailboxes are drained: a receive that empties its (src, dst,
-/// tag) mailbox erases it. Wake-ups go through a FIFO ready queue
-/// (collective release wakes arrivals in order, a send wakes exactly the
-/// matching receiver), and fresh ranks start only when nothing is ready, so
-/// one scheduling step is O(1) and a full run is O(total events), not
-/// O(nranks) per step. Deterministic by construction; byte- and stats-parity
-/// with SerialEngine is asserted by tests/test_event_engine.cpp.
+/// tag) mailbox erases it. Wake-ups go through a ready queue: a collective
+/// release wakes the other ranks in rank order, a token send wakes the
+/// matching receiver at the back, and a byte send wakes it at the front, so
+/// a gatherv_group root lands each payload before the next member runs and
+/// an aggregation group holds one shipped document in flight. Fresh ranks
+/// start only when nothing is ready, so one scheduling step is O(1) and a
+/// full run is O(total events), not O(nranks) per step. Deterministic by
+/// construction; byte- and stats-parity with SpmdEngine is asserted by
+/// tests/test_event_engine.cpp.
 ///
 /// Restrictions (checked): nranks < 2^24 and p2p tags in [0, 65535] — the
-/// mailbox key packs (src, dst, tag) into 64 bits. Under AddressSanitizer or
-/// on non-x86-64 targets the engine transparently falls back to pooled
-/// per-rank ucontext fibers (same semantics, more memory per suspended rank).
+/// mailbox key packs (src, dst, tag) into 64 bits. Under Address- or
+/// ThreadSanitizer and on non-x86-64 targets the engine transparently runs
+/// on per-rank ucontext stacks, as SerialEngine always does (same semantics,
+/// more memory per suspended rank).
 class EventEngine final : public Engine {
  public:
   /// `exec_stack_bytes` sizes the shared execution stack (the deepest live
-  /// rank must fit; the default is double SerialEngine's per-fiber default).
+  /// rank must fit; the default is double SerialEngine's per-rank stack).
   explicit EventEngine(int nranks, std::size_t exec_stack_bytes = 256 * 1024);
   int nranks() const override { return nranks_; }
   const char* name() const override { return "event"; }

@@ -1,59 +1,61 @@
 /// \file event_engine.cpp
-/// Discrete-event execution engine: O(active) scheduling for 100k+ ranks.
+/// The cooperative scheduler behind SerialEngine and EventEngine: virtual
+/// ranks on one thread, event-driven wake-ups, O(active) scheduling.
 ///
-/// The problem with one-fiber-per-rank (SerialEngine) at machine scale is not
-/// the scheduling discipline — it is the per-rank footprint: a 128 KiB stack
-/// per rank is 66 GB at 516k ranks, and the round-robin scan over all fibers
-/// makes every scheduling step O(nranks). This engine removes both:
-///
-///  * **One shared execution stack.** A rank executes on a single reusable
-///    stack. When it blocks (collective arrival, empty mailbox) only its
-///    *live* slice — [current stack pointer, stack top), under 1 KiB at
-///    the MACSio dump body's one end-of-dump gather — is copied out into a
-///    size-classed arena pool. Resuming copies the slice back to the
-///    identical addresses, so every pointer into the stack stays valid.
-///    Suspended state per rank is one saved stack pointer plus the slice;
-///    516k suspended ranks cost well under a gigabyte, not tens.
+///  * **Two ways to hold a suspended rank.** EventEngine runs every rank on
+///    one shared execution stack. When a rank blocks (collective arrival,
+///    empty mailbox) only its *live* slice — [current stack pointer, stack
+///    top), under 1 KiB at the MACSio dump body's one end-of-dump gather —
+///    is copied out into a size-classed arena pool. Resuming copies the
+///    slice back to the identical addresses, so every pointer into the stack
+///    stays valid. Suspended state per rank is one saved stack pointer plus
+///    the slice; 516k suspended ranks cost well under a gigabyte, not tens.
+///    SerialEngine gives every rank its own ucontext stack instead (a
+///    `Fiber` record, allocated only in this mode). The event engine uses
+///    the same per-rank stacks where the shared stack cannot work: off
+///    x86-64, and under Address- or ThreadSanitizer, whose shadow-memory
+///    bookkeeping cannot follow a multiplexed stack. The two modes differ
+///    only in the resume/yield primitives; scheduling, collectives, mailboxes
+///    and error handling are one code path.
 ///
 ///  * **Event-driven wake-ups.** Blocked ranks are never polled. A collective
-///    keeps an arrival counter plus the list of arrivals; the last participant
-///    computes the result and moves the waiters to a FIFO ready queue. A
-///    tagged send wakes exactly the receiver registered for that (src, dst,
-///    tag) key. One scheduling step is: pop the ready queue, or start the
-///    next fresh rank if nothing is ready — O(1) either way. Resuming before
-///    starting fresh ranks also bounds in-flight aggregation payloads to
-///    roughly one group's worth.
+///    keeps an arrival counter; the last participant computes the result and
+///    moves every waiter to the ready queue in rank order. A tagged send
+///    wakes exactly the receiver registered for that (src, dst, tag) key; a
+///    byte send puts it at the *front* of the queue, so a gatherv_group root
+///    lands each member's document before the next member runs. One
+///    scheduling step is: pop the ready queue, or start the next fresh rank
+///    if nothing is ready — O(1) either way. Together the two rules bound an
+///    aggregation group to one shipped document in flight, dump after dump:
+///    after the end-of-dump gather the aggregator (the group's lowest rank)
+///    resumes before its members and is already waiting for the first one.
 ///
-///  * **No syscalls on the switch path.** The context switch is ~20
-///    instructions of assembly (callee-saved registers pushed to the stack
-///    slice, stack pointer swapped) instead of ucontext's swapcontext, which
-///    performs two sigprocmask system calls per switch.
+///  * **No syscalls on the shared-stack switch path.** The context switch is
+///    ~20 instructions of assembly (callee-saved registers pushed to the
+///    stack slice, stack pointer swapped) instead of ucontext's swapcontext,
+///    which performs two sigprocmask system calls per switch.
 ///
 /// The logical clock of the simulated file system needs no integration hook:
 /// drivers collect tier-tagged `pfs::IoRequest`s and `pfs::SimFs::run` plays
 /// them through its own discrete-event queue after the ranks finish, so no
-/// fiber ever waits on (or polls) a simulated I/O completion.
+/// rank ever waits on (or polls) a simulated I/O completion.
 ///
 /// Determinism: fresh ranks start in ascending order, collective releases
-/// wake in arrival order, and sends wake exactly one receiver — the schedule
-/// is a pure function of the driver body, so repeated runs are identical and
-/// byte-parity with SerialEngine holds wherever output order is fixed by data
+/// wake in rank order, and sends wake exactly one receiver — the schedule is
+/// a pure function of the driver body, so repeated runs are identical and
+/// byte-parity with SpmdEngine holds wherever output order is fixed by data
 /// dependencies (which the MIF baton and aggregation protocols guarantee).
 ///
-/// Error semantics mirror SerialEngine: the first rank exception aborts the
-/// communicator, every blocked rank is resumed to throw exec::CommAborted,
-/// and run() rethrows the original error once all ranks unwound. A deadlock
-/// (ready queue empty, every rank started, none done) is detected in O(1)
-/// and reported the same way.
-///
-/// Portability: the shared-stack fast path requires x86-64. Elsewhere — and
-/// under AddressSanitizer, whose shadow-memory bookkeeping cannot follow a
-/// multiplexed stack — the engine falls back to pooled per-rank ucontext
-/// fibers with identical scheduling and semantics (just more memory per
-/// suspended rank). The fallback is the same code modulo the four
-/// start/resume/yield/finish primitives.
+/// Error semantics: the first rank exception aborts the communicator, every
+/// blocked rank is resumed to throw exec::CommAborted, and run() rethrows
+/// the original error once all ranks unwound. A deadlock (ready queue empty,
+/// every rank started, none done) is detected in O(1) and reported the same
+/// way.
 
 #include "exec/engine.hpp"
+
+#include <sys/mman.h>
+#include <ucontext.h>
 
 #include <chrono>
 #include <cstdint>
@@ -61,26 +63,26 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <new>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/selfprof.hpp"
 #include "util/assert.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AMRIO_EVENT_COMPAT_STACKS 1
-#elif defined(__has_feature)
+// The shared execution stack needs x86-64 and a build without ASan/TSan;
+// everywhere else every engine runs on per-rank stacks.
+#if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define AMRIO_EVENT_SHARED_STACK 1
+#if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AMRIO_EVENT_COMPAT_STACKS 1
+#undef AMRIO_EVENT_SHARED_STACK
 #endif
 #endif
-#if !defined(AMRIO_EVENT_COMPAT_STACKS) && !defined(__x86_64__)
-#define AMRIO_EVENT_COMPAT_STACKS 1
 #endif
-
-#ifdef AMRIO_EVENT_COMPAT_STACKS
-#include <ucontext.h>
 
 // Under AddressSanitizer the fiber switches must be announced, or ASan keeps
 // using the OS thread's stack bounds while code runs (and throws — see
@@ -103,7 +105,7 @@
 #define AMRIO_FIBER_FINISH_SWITCH(save, bottom, size) (void)0
 #endif
 
-#else
+#ifdef AMRIO_EVENT_SHARED_STACK
 
 /// amrio_event_fctx_switch(save_sp, next_sp): park the current execution
 /// context and continue at `next_sp`. The callee-saved registers and the FPU
@@ -146,7 +148,7 @@ amrio_event_fctx_switch:
 .size amrio_event_fctx_switch, .-amrio_event_fctx_switch
 )");
 
-#endif  // AMRIO_EVENT_COMPAT_STACKS
+#endif  // AMRIO_EVENT_SHARED_STACK
 
 namespace amrio::exec {
 
@@ -202,7 +204,7 @@ class SliceArena {
 
 struct EventState;
 
-/// Engine state of the innermost EventEngine::run on this thread (the fresh-
+/// Engine state of the innermost shared-stack run on this thread (the fresh-
 /// start entry point has no argument channel). Saved/restored around nested
 /// runs; a nested run is legal because its scheduler executes synchronously
 /// within the outer rank's time slice.
@@ -226,34 +228,56 @@ struct EventState {
     void* sp = nullptr;        ///< saved stack pointer while suspended
     std::byte* slice = nullptr;  ///< saved stack bytes [sp, stack_top)
     std::uint64_t wait_key = 0;
-#ifdef AMRIO_EVENT_COMPAT_STACKS
-    ucontext_t ctx{};
-    std::unique_ptr<char[]> stack;
-    void* asan_fake = nullptr;  ///< ASan fake-stack handle across suspensions
-#endif
   };
 
-  EventState(int n, std::size_t stack_bytes)
-      : n(n), stack_bytes(stack_bytes), vr(static_cast<std::size_t>(n)),
+  /// A rank's ucontext, for per-rank-stack runs only. Kept out of VRank: a
+  /// ucontext_t alone is about 1 KB, which a shared-stack run at 131k ranks
+  /// must not pay per rank.
+  struct Fiber {
+    ucontext_t ctx{};
+    void* asan_fake = nullptr;  ///< ASan fake-stack handle across suspensions
+  };
+
+  /// `per_rank_stacks` picks the stack mode; builds without the shared stack
+  /// always use per-rank stacks.
+  EventState(const char* engine, int n, std::size_t stack_bytes,
+             [[maybe_unused]] bool per_rank_stacks)
+      : engine(engine), n(n), stack_bytes(stack_bytes),
+        vr(static_cast<std::size_t>(n)),
         ready(static_cast<std::size_t>(n) + 1),
         u64_slots(static_cast<std::size_t>(n)),
         u64_result(static_cast<std::size_t>(n)) {
-    coll_waiters.reserve(static_cast<std::size_t>(n));
-#ifndef AMRIO_EVENT_COMPAT_STACKS
-    // uninitialized by design: the canary and each seeded entry frame are
-    // written explicitly, and a rank writes every frame before reading it
-    stack_mem.reset(new std::byte[stack_bytes + 64]);
-    std::byte* raw = stack_mem.get();
-    auto top = reinterpret_cast<std::uintptr_t>(raw + stack_bytes + 64);
-    stack_top = reinterpret_cast<std::byte*>(top & ~std::uintptr_t{63});
-    std::memcpy(raw, &kCanary, sizeof kCanary);
-    std::uint32_t mxcsr = 0;
-    std::uint16_t fcw = 0;
-    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
-    fpu_word = mxcsr | (static_cast<std::uint64_t>(fcw) << 32);
+#ifdef AMRIO_EVENT_SHARED_STACK
+    if (!per_rank_stacks) {
+      // uninitialized by design: the canary and each seeded entry frame are
+      // written explicitly, and a rank writes every frame before reading it
+      stack_mem.reset(new std::byte[stack_bytes + 64]);
+      std::byte* raw = stack_mem.get();
+      auto top = reinterpret_cast<std::uintptr_t>(raw + stack_bytes + 64);
+      stack_top = reinterpret_cast<std::byte*>(top & ~std::uintptr_t{63});
+      std::memcpy(raw, &kCanary, sizeof kCanary);
+      std::uint32_t mxcsr = 0;
+      std::uint16_t fcw = 0;
+      asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
+      fpu_word = mxcsr | (static_cast<std::uint64_t>(fcw) << 32);
+      return;
+    }
 #endif
+    fibers.resize(static_cast<std::size_t>(n));
+    stacks_len = static_cast<std::size_t>(n) * stack_bytes;
+    void* p = mmap(nullptr, stacks_len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    stacks = static_cast<char*>(p);
   }
 
+  ~EventState() {
+    if (stacks != nullptr) munmap(stacks, stacks_len);
+  }
+  EventState(const EventState&) = delete;
+  EventState& operator=(const EventState&) = delete;
+
+  const char* const engine;  ///< Engine::name(), for reports and errors
   const int n;
   const std::size_t stack_bytes;
   const RankFn* fn = nullptr;
@@ -263,8 +287,8 @@ struct EventState {
   std::vector<VRank> vr;
   // Ready queue: a fixed ring of capacity n+1. Each rank appears at most once
   // (wake() only enqueues suspended ranks, and enqueueing leaves the
-  // suspended states), so the ring can never overflow — FIFO order with no
-  // allocation on the scheduling hot path.
+  // suspended states), so the ring can never overflow — no allocation on the
+  // scheduling hot path.
   std::vector<int> ready;
   std::size_t ready_head = 0;
   std::size_t ready_tail = 0;
@@ -275,7 +299,6 @@ struct EventState {
   // clobbered early: the next release needs all n arrivals, which a rank that
   // has not yet consumed this result cannot contribute to.
   int arrived = 0;
-  std::vector<int> coll_waiters;  ///< suspended arrivals, in arrival order
   std::vector<std::uint64_t> u64_slots;
   std::vector<std::uint64_t> u64_result;
 
@@ -297,19 +320,27 @@ struct EventState {
   std::uint64_t prof_resumes = 0;     ///< context switches into ranks
   std::size_t prof_ready_peak = 0;    ///< ready-queue depth high-water
 
-#ifndef AMRIO_EVENT_COMPAT_STACKS
+  // Per-rank-stack mode: one Fiber per rank (empty in shared-stack mode),
+  // the scheduler's own context, and the ranks' stacks: rank r's is
+  // [stacks + r * stack_bytes, +stack_bytes) of one anonymous mapping, so a
+  // stack costs only the pages the rank touches. (A malloc'd stack can sit
+  // on heap pages that a freed payload left resident, and add them to the
+  // run's peak.)
+  std::vector<Fiber> fibers;
+  char* stacks = nullptr;
+  std::size_t stacks_len = 0;
+  ucontext_t main_ctx{};
+  /// Scheduler stack bounds, recorded on first fiber entry so yields and
+  /// fiber exits can announce the switch back (ASan annotation only).
+  const void* sched_stack_bottom = nullptr;
+  std::size_t sched_stack_size = 0;
+
+#ifdef AMRIO_EVENT_SHARED_STACK
   static constexpr std::uint64_t kCanary = 0x5afe57ac4ca11edull;
   std::unique_ptr<std::byte[]> stack_mem;
   std::byte* stack_top = nullptr;
   std::uint64_t fpu_word = 0;
   void* sched_sp = nullptr;  ///< scheduler context, parked while a rank runs
-#else
-  ucontext_t main_ctx{};
-  std::vector<std::unique_ptr<char[]>> stack_pool;
-  /// Scheduler stack bounds, recorded on first fiber entry so yields and
-  /// fiber exits can announce the switch back (ASan annotation only).
-  const void* sched_stack_bottom = nullptr;
-  std::size_t sched_stack_size = 0;
 #endif
 
   static std::uint64_t mail_key(int src, int dst, int tag) {
@@ -328,15 +359,21 @@ struct EventState {
     return it != byte_mail.end() && !it->second.empty();
   }
 
-  /// Move a suspended rank to the ready queue; no-op for any other state, so
-  /// a stale waiter registration can never double-enqueue.
-  void wake(int r) {
+  /// Move a suspended rank to the back of the ready queue (the front with
+  /// `front`); no-op for any other state, so a stale waiter registration can
+  /// never double-enqueue.
+  void wake(int r, bool front = false) {
     VRank& v = vr[static_cast<std::size_t>(r)];
     if (v.state == St::kWaitCollective || v.state == St::kWaitToken ||
         v.state == St::kWaitBytes) {
       v.state = St::kReady;
-      ready[ready_tail] = r;
-      ready_tail = (ready_tail + 1) % ready.size();
+      if (front) {
+        ready_head = (ready_head + ready.size() - 1) % ready.size();
+        ready[ready_head] = r;
+      } else {
+        ready[ready_tail] = r;
+        ready_tail = (ready_tail + 1) % ready.size();
+      }
       const std::size_t depth =
           (ready_tail + ready.size() - ready_head) % ready.size();
       if (depth > prof_ready_peak) prof_ready_peak = depth;
@@ -345,17 +382,17 @@ struct EventState {
 
   /// Wake the receiver registered for `key`, if any (sends are buffered, so
   /// this is the only wake a p2p message triggers).
-  void wake_receiver(std::uint64_t key) {
+  void wake_receiver(std::uint64_t key, bool front) {
     const auto it = recv_waiters.find(key);
     if (it == recv_waiters.end()) return;
     const int r = it->second;
     recv_waiters.erase(it);
-    wake(r);
+    wake(r, front);
   }
 
   // --- stackful primitives -------------------------------------------------
 
-#ifndef AMRIO_EVENT_COMPAT_STACKS
+#ifdef AMRIO_EVENT_SHARED_STACK
   /// Lay out a fresh activation frame at the top of the shared stack: the
   /// restore sequence of amrio_event_fctx_switch pops the FPU word and six
   /// zeroed callee-saved registers, then `ret`s into the entry thunk. The
@@ -370,10 +407,35 @@ struct EventState {
                       "EventEngine: shared execution stack overflow — raise "
                       "exec_stack_bytes");
   }
-#endif
 
-  [[gnu::noinline]] void resume(int r);
-  void yield_current();
+  [[gnu::noinline]] void resume_shared(int r);
+#endif
+  [[gnu::noinline]] void resume_fiber(int r);
+
+  void resume(int r) {
+    cur = r;
+#ifdef AMRIO_EVENT_SHARED_STACK
+    if (fibers.empty()) {
+      resume_shared(r);
+      return;
+    }
+#endif
+    resume_fiber(r);
+  }
+
+  void yield_current() {
+#ifdef AMRIO_EVENT_SHARED_STACK
+    if (fibers.empty()) {
+      amrio_event_fctx_switch(&vr[static_cast<std::size_t>(cur)].sp, sched_sp);
+      return;
+    }
+#endif
+    Fiber& f = fibers[static_cast<std::size_t>(cur)];
+    AMRIO_FIBER_START_SWITCH(&f.asan_fake, sched_stack_bottom,
+                             sched_stack_size);
+    swapcontext(&f.ctx, &main_ctx);
+    AMRIO_FIBER_FINISH_SWITCH(f.asan_fake, nullptr, nullptr);
+  }
 
   void run_loop() {
     while (ndone < n) {
@@ -393,13 +455,15 @@ struct EventState {
         // every suspension point re-checks the abort flag before blocking
         // again, so a second pass through this branch is an engine bug.
         if (abort_broadcast)
-          throw std::runtime_error(
-              "EventEngine: internal error — aborted ranks did not unwind");
+          throw std::runtime_error(std::string(engine) +
+                                   " engine: internal error — aborted ranks "
+                                   "did not unwind");
         if (!aborted) {
           if (!first_error)
             first_error = std::make_exception_ptr(std::runtime_error(
-                "EventEngine: deadlock — all live ranks are blocked "
-                "(mismatched collectives or a recv with no matching send)"));
+                std::string(engine) +
+                " engine: deadlock — all live ranks are blocked (mismatched "
+                "collectives or a recv with no matching send)"));
           aborted = true;
         }
         abort_broadcast = true;
@@ -412,9 +476,8 @@ struct EventState {
   }
 };
 
-/// Per-rank context bound to one virtual rank of an EventState. Identical
-/// semantics to SerialEngine's FiberCtx; only the suspension mechanics and
-/// the wake bookkeeping differ.
+/// Per-rank context bound to one virtual rank of an EventState; the stack
+/// mode is invisible here.
 class EventCtx final : public RankCtx {
  public:
   EventCtx(EventState* st, int rank) : st_(st), rank_(rank) {}
@@ -437,7 +500,7 @@ class EventCtx final : public RankCtx {
     check_tag(tag);
     const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
     st_->mail[key].push_back(value);
-    st_->wake_receiver(key);
+    st_->wake_receiver(key, /*front=*/false);
   }
 
   std::uint64_t recv_token(int src, int tag) override {
@@ -451,12 +514,14 @@ class EventCtx final : public RankCtx {
     return take(st_->mail, key);
   }
 
+  /// The receiver blocked on this mailbox runs next, so it consumes the
+  /// payload before anyone else can queue another.
   void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
     check_tag(tag);
     const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
     st_->byte_mail[key].push_back(std::move(data));  // the buffer itself
-    st_->wake_receiver(key);
+    st_->wake_receiver(key, /*front=*/true);
   }
 
   std::vector<std::byte> recv_bytes(int src, int tag) override {
@@ -484,9 +549,9 @@ class EventCtx final : public RankCtx {
     return v;
   }
 
-  /// Arrive at a collective; the last rank computes the result and moves the
-  /// waiters to the ready queue (in arrival order), then proceeds without
-  /// yielding. Earlier ranks suspend until released.
+  /// Arrive at a collective; the last rank computes the result and wakes
+  /// every other rank — all suspended here — in rank order, then proceeds
+  /// without yielding. Earlier ranks suspend until released.
   template <typename ReleaseFn>
   void arrive(ReleaseFn&& release) {
     check_abort();
@@ -498,11 +563,9 @@ class EventCtx final : public RankCtx {
     if (++st.arrived == st.n) {
       st.arrived = 0;
       release(st);
-      for (const int r : st.coll_waiters) st.wake(r);
-      st.coll_waiters.clear();
+      for (int r = 0; r < st.n; ++r) st.wake(r);
       return;
     }
-    st.coll_waiters.push_back(rank_);
     st.vr[static_cast<std::size_t>(rank_)].state =
         EventState::St::kWaitCollective;
     st.yield_current();
@@ -523,7 +586,7 @@ class EventCtx final : public RankCtx {
 
   static void check_tag(int tag) {
     AMRIO_EXPECTS_MSG(tag >= 0 && tag <= 0xffff,
-                      "EventEngine: p2p tags must be in [0, 65535]");
+                      "exec: p2p tags must be in [0, 65535]");
   }
 
   EventState* st_;
@@ -546,7 +609,7 @@ void run_rank_body(EventState* st) {
   st->vr[static_cast<std::size_t>(r)].state = EventState::St::kDone;
 }
 
-#ifndef AMRIO_EVENT_COMPAT_STACKS
+#ifdef AMRIO_EVENT_SHARED_STACK
 
 /// Entered by `ret` from a seeded frame (see seed_fresh_sp); the ABI state at
 /// this point is exactly a normal function entry. Runs the rank body, then
@@ -575,12 +638,7 @@ void* EventState::seed_fresh_sp() {
   return sp;
 }
 
-void EventState::yield_current() {
-  amrio_event_fctx_switch(&vr[static_cast<std::size_t>(cur)].sp, sched_sp);
-}
-
-void EventState::resume(int r) {
-  cur = r;
+void EventState::resume_shared(int r) {
   VRank& v = vr[static_cast<std::size_t>(r)];
   if (v.state == St::kUnstarted) {
     v.state = St::kRunning;
@@ -608,10 +666,10 @@ void EventState::resume(int r) {
   std::memcpy(v.slice, v.sp, len);
 }
 
-#else  // AMRIO_EVENT_COMPAT_STACKS
+#endif  // AMRIO_EVENT_SHARED_STACK
 
 /// makecontext only passes ints — smuggle the state pointer in two halves.
-void compat_trampoline(unsigned int hi, unsigned int lo) {
+void fiber_trampoline(unsigned int hi, unsigned int lo) {
   auto* st = reinterpret_cast<EventState*>(
       (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
   // Complete the switch onto this fiber and learn the scheduler's stack
@@ -625,82 +683,58 @@ void compat_trampoline(unsigned int hi, unsigned int lo) {
   // returning resumes main_ctx via uc_link
 }
 
-void EventState::yield_current() {
-  VRank& v = vr[static_cast<std::size_t>(cur)];
-  AMRIO_FIBER_START_SWITCH(&v.asan_fake, sched_stack_bottom, sched_stack_size);
-  swapcontext(&v.ctx, &main_ctx);
-  AMRIO_FIBER_FINISH_SWITCH(v.asan_fake, nullptr, nullptr);
-}
-
-void EventState::resume(int r) {
-  cur = r;
+void EventState::resume_fiber(int r) {
   VRank& v = vr[static_cast<std::size_t>(r)];
+  Fiber& f = fibers[static_cast<std::size_t>(r)];
+  char* const stack = stacks + static_cast<std::size_t>(r) * stack_bytes;
   if (v.state == St::kUnstarted) {
-    v.state = St::kRunning;
-    if (!stack_pool.empty()) {
-      v.stack = std::move(stack_pool.back());
-      stack_pool.pop_back();
-    } else {
-      v.stack.reset(new char[stack_bytes]);  // uninitialized by design
-    }
-    if (getcontext(&v.ctx) != 0)
-      throw std::runtime_error("EventEngine: getcontext failed");
-    v.ctx.uc_stack.ss_sp = v.stack.get();
-    v.ctx.uc_stack.ss_size = stack_bytes;
-    v.ctx.uc_link = &main_ctx;
+    if (getcontext(&f.ctx) != 0)
+      throw std::runtime_error("exec: getcontext failed");
+    f.ctx.uc_stack.ss_sp = stack;
+    f.ctx.uc_stack.ss_size = stack_bytes;
+    f.ctx.uc_link = &main_ctx;
     const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&v.ctx, reinterpret_cast<void (*)()>(compat_trampoline), 2,
+    makecontext(&f.ctx, reinterpret_cast<void (*)()>(fiber_trampoline), 2,
                 static_cast<unsigned int>(ptr >> 32),
                 static_cast<unsigned int>(ptr & 0xffffffffu));
-  } else {
-    v.state = St::kRunning;
   }
-  void* sched_fake = nullptr;
-  AMRIO_FIBER_START_SWITCH(&sched_fake, v.stack.get(), stack_bytes);
-  if (swapcontext(&main_ctx, &v.ctx) != 0)
-    throw std::runtime_error("EventEngine: swapcontext failed");
+  v.state = St::kRunning;
+  [[maybe_unused]] void* sched_fake = nullptr;
+  AMRIO_FIBER_START_SWITCH(&sched_fake, stack, stack_bytes);
+  if (swapcontext(&main_ctx, &f.ctx) != 0)
+    throw std::runtime_error("exec: swapcontext failed");
   AMRIO_FIBER_FINISH_SWITCH(sched_fake, nullptr, nullptr);
-  if (v.state == St::kDone) {
-    ++ndone;
-    stack_pool.push_back(std::move(v.stack));
-  }
+  if (v.state == St::kDone) ++ndone;
 }
 
-#endif  // AMRIO_EVENT_COMPAT_STACKS
-
-}  // namespace
-
-EventEngine::EventEngine(int nranks, std::size_t exec_stack_bytes)
-    : nranks_(nranks), stack_bytes_(exec_stack_bytes) {
-  AMRIO_EXPECTS_MSG(nranks >= 1, "EventEngine needs at least one rank");
-  AMRIO_EXPECTS_MSG(nranks < (1 << 24),
-                    "EventEngine supports up to 2^24 - 1 ranks (mailbox keys "
-                    "pack src/dst into 24 bits each)");
-  AMRIO_EXPECTS_MSG(exec_stack_bytes >= 64 * 1024,
-                    "EventEngine execution stack must be at least 64 KiB");
-}
-
-void EventEngine::run(const RankFn& fn) {
-  auto st = std::make_unique<EventState>(nranks_, stack_bytes_);
+/// One run of either cooperative engine: schedule every rank of `fn`, then
+/// publish `engine.<name>.*` self-profiling counters when a profiler is
+/// attached.
+void run_cooperative(const Engine& engine, std::size_t stack_bytes,
+                     bool per_rank_stacks, const RankFn& fn) {
+  auto st = std::make_unique<EventState>(engine.name(), engine.nranks(),
+                                         stack_bytes, per_rank_stacks);
   st->fn = &fn;
   EventState* const prev = g_current;
   g_current = st.get();
   const auto t0 = std::chrono::steady_clock::now();
   auto publish = [&] {
-    if (profiler_ == nullptr) return;
+    obs::SelfProfiler* const prof = engine.profiler();
+    if (prof == nullptr) return;
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    profiler_->count("engine.event.runs", 1);
-    profiler_->count("engine.event.context_switches", st->prof_resumes);
-    profiler_->gauge_max("engine.event.ready_queue_peak",
-                         static_cast<double>(st->prof_ready_peak));
-    profiler_->gauge_max("engine.event.slice_arena_bytes",
-                         static_cast<double>(st->arena.allocated_bytes()));
+    const std::string key = std::string("engine.") + engine.name() + ".";
+    prof->count(key + "runs", 1);
+    prof->count(key + "context_switches", st->prof_resumes);
+    prof->gauge_max(key + "ready_queue_peak",
+                    static_cast<double>(st->prof_ready_peak));
+    prof->gauge_max(key + "slice_arena_bytes",
+                    static_cast<double>(st->arena.allocated_bytes()));
     if (wall > 0)
-      profiler_->gauge_max("engine.event.events_per_sec",
-                           static_cast<double>(st->prof_resumes) / wall);
-    profiler_->phase_add("engine.event.run", wall);
+      prof->gauge_max(key + "events_per_sec",
+                      static_cast<double>(st->prof_resumes) / wall);
+    prof->phase_add(key + "run", wall);
   };
   try {
     st->run_loop();
@@ -712,6 +746,34 @@ void EventEngine::run(const RankFn& fn) {
   publish();
   g_current = prev;
   if (st->first_error) std::rethrow_exception(st->first_error);
+}
+
+void expect_rank_count(int nranks, const char* engine) {
+  AMRIO_EXPECTS_MSG(nranks >= 1, engine << " needs at least one rank");
+  AMRIO_EXPECTS_MSG(nranks < (1 << 24),
+                    engine << " supports up to 2^24 - 1 ranks (mailbox keys "
+                              "pack src/dst into 24 bits each)");
+}
+
+}  // namespace
+
+SerialEngine::SerialEngine(int nranks) : nranks_(nranks) {
+  expect_rank_count(nranks, "SerialEngine");
+}
+
+void SerialEngine::run(const RankFn& fn) {
+  run_cooperative(*this, kStackBytes, /*per_rank_stacks=*/true, fn);
+}
+
+EventEngine::EventEngine(int nranks, std::size_t exec_stack_bytes)
+    : nranks_(nranks), stack_bytes_(exec_stack_bytes) {
+  expect_rank_count(nranks, "EventEngine");
+  AMRIO_EXPECTS_MSG(exec_stack_bytes >= 64 * 1024,
+                    "EventEngine execution stack must be at least 64 KiB");
+}
+
+void EventEngine::run(const RankFn& fn) {
+  run_cooperative(*this, stack_bytes_, /*per_rank_stacks=*/false, fn);
 }
 
 }  // namespace amrio::exec

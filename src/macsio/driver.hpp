@@ -23,8 +23,8 @@
 /// There is ONE driver body, written SPMD-style against `exec::RankCtx`
 /// (MIF baton-passing between group members, one end-of-dump gather to
 /// rank 0 — the only global collective of a dump).
-/// How the ranks execute is the engine's choice: `exec::SerialEngine` runs
-/// them as fibers on one thread (the calibrator's fast path), and
+/// How the ranks execute is the engine's choice: `exec::SerialEngine` and
+/// `exec::EventEngine` run them cooperatively on one thread, and
 /// `exec::SpmdEngine` runs them as real OS threads — byte-identical by
 /// construction.
 

@@ -226,7 +226,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EventEngine, DeterministicScheduleAndRepeatableBytes) {
   // The schedule is a pure function of the driver body: the order ranks pass
   // a barrier window must be identical run to run (fresh starts ascending,
-  // releases in arrival order).
+  // releases in rank order).
   auto order_of = []() {
     std::vector<int> order;
     ex::EventEngine engine(24);

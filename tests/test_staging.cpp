@@ -210,29 +210,40 @@ INSTANTIATE_TEST_SUITE_P(Kinds, GathervGroup,
 
 // The cooperative engines hand a shipped payload to its blocked root before
 // the next member runs: the root lands member m before member m+1 has
-// serialized, so a group holds one payload in flight, not the group's.
+// serialized, so a group holds one payload in flight, not the group's. The
+// rounds input repeats the ship between global gathers, the dump loop's
+// shape: the bound must hold after every release too, not only in the
+// first round, where no rank has been suspended yet.
 class GathervHandOff : public ::testing::TestWithParam<ex::EngineKind> {};
 
 TEST_P(GathervHandOff, RootLandsEachMemberBeforeTheNextSerializes) {
   const int n = 8;
-  const auto engine = ex::make_engine(GetParam(), n);
-  std::vector<std::string> log;
-  engine->run([&](ex::RankCtx& ctx) {
-    std::vector<int> members(n);
-    std::iota(members.begin(), members.end(), 0);
-    log.push_back("serialize " + std::to_string(ctx.rank()));
-    ex::gatherv_group(ctx, std::vector<std::byte>(64), members, 0, 91,
-                      [&](int member, std::span<const std::byte> payload) {
-                        EXPECT_EQ(payload.size(), 64u);
-                        log.push_back("land " + std::to_string(member));
-                      });
-  });
-  std::vector<std::string> expected;
-  for (int m = 0; m < n; ++m) {
-    expected.push_back("serialize " + std::to_string(m));
-    expected.push_back("land " + std::to_string(m));
+  for (const int rounds : {1, 3}) {
+    SCOPED_TRACE(std::to_string(rounds) + " rounds");
+    const auto engine = ex::make_engine(GetParam(), n);
+    std::vector<std::string> log;
+    engine->run([&](ex::RankCtx& ctx) {
+      std::vector<int> members(n);
+      std::iota(members.begin(), members.end(), 0);
+      for (int round = 0; round < rounds; ++round) {
+        log.push_back("serialize " + std::to_string(ctx.rank()));
+        ex::gatherv_group(ctx, std::vector<std::byte>(64), members, 0, 91,
+                          [&](int member, std::span<const std::byte> payload) {
+                            EXPECT_EQ(payload.size(), 64u);
+                            log.push_back("land " + std::to_string(member));
+                          });
+        (void)ctx.gather(0, 0);
+      }
+    });
+    std::vector<std::string> expected;
+    for (int round = 0; round < rounds; ++round) {
+      for (int m = 0; m < n; ++m) {
+        expected.push_back("serialize " + std::to_string(m));
+        expected.push_back("land " + std::to_string(m));
+      }
+    }
+    EXPECT_EQ(log, expected);
   }
-  EXPECT_EQ(log, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, GathervHandOff,
