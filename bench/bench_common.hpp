@@ -149,12 +149,6 @@ inline BenchContext parse_bench_args(int argc, char** argv,
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
     std::exit(2);
   }
-  if (ctx.scale == 0.0) {
-    if (const char* env = std::getenv("AMRIO_SCALE")) {
-      const double v = std::atof(env);
-      if (v > 0.0 && v <= 1.0) ctx.scale = v;
-    }
-  }
   util::make_dirs(ctx.out_dir);
   return ctx;
 }

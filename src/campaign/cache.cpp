@@ -12,11 +12,7 @@ namespace amrio::campaign {
 bool ResultCache::lookup(const std::string& key, CellResult* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
+  if (it == entries_.end()) return false;
   if (out != nullptr) *out = it->second;
   return true;
 }
@@ -34,16 +30,6 @@ bool ResultCache::contains(const std::string& key) const {
 std::size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 std::size_t ResultCache::load(const std::string& path) {

@@ -6,7 +6,6 @@
 /// version; a persisted cache written by a different schema is ignored on
 /// load instead of served stale. See docs/CAMPAIGN.md for the file format.
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -17,15 +16,13 @@ namespace amrio::campaign {
 
 class ResultCache {
  public:
-  /// True (and fills *out) when `key` is cached. Counts a hit/miss.
+  /// True (and fills *out) when `key` is cached.
   bool lookup(const std::string& key, CellResult* out) const;
   /// Insert or overwrite.
   void insert(const std::string& key, const CellResult& result);
   bool contains(const std::string& key) const;
 
   std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
 
   /// Load entries from a JSON cache file. A missing file is an empty cache
   /// (the cold-run case), a schema_version mismatch discards the file's
@@ -38,8 +35,6 @@ class ResultCache {
  private:
   mutable std::mutex mu_;
   std::map<std::string, CellResult> entries_;  ///< sorted: stable save order
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
 };
 
 }  // namespace amrio::campaign

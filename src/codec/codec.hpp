@@ -144,7 +144,7 @@ class Codec {
 };
 
 /// Selection + tuning of a codec stage; the cross-layer currency (MACSio
-/// knobs, PlotfileSpec, StagingBackend all carry one).
+/// knobs and PlotfileSpec both carry one).
 struct CodecSpec {
   std::string name = "identity";
   /// ebl: relative error bound in (0, 1).

@@ -5,9 +5,8 @@
 /// codec-stage analogue of the (step, level, task) slicing the iostats layer
 /// applies to raw output.
 ///
-/// Plain value types, not thread-safe: accumulate on rank 0 (drivers) or
-/// under the owner's lock (StagingBackend), merge across sources with
-/// `merge`.
+/// Plain value types, not thread-safe: accumulate on rank 0 (drivers),
+/// merge across sources with `merge`.
 
 #include <cstdint>
 #include <map>
@@ -41,8 +40,7 @@ struct CodecTotals {
 
 struct CodecStats {
   CodecTotals total;
-  /// Keyed by dump/step index; -1 = unattributed (e.g. StagingBackend absorbs
-  /// that carry no dump context).
+  /// Keyed by dump (MACSio) or step (plotfile) index.
   std::map<int, CodecTotals> by_dump;
   /// Keyed by AMR level; -1 = unattributed (MACSio has no level concept).
   std::map<int, CodecTotals> by_level;

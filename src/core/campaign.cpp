@@ -59,7 +59,7 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
 
   std::unique_ptr<pfs::MemoryBackend> owned;
   if (backend == nullptr) {
-    owned = std::make_unique<pfs::MemoryBackend>(opts.store_contents);
+    owned = std::make_unique<pfs::MemoryBackend>(/*store_contents=*/false);
     backend = owned.get();
   }
 

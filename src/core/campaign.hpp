@@ -34,9 +34,6 @@ struct RunRecord {
 };
 
 struct CampaignOptions {
-  /// Retain plotfile contents in memory (needed for read-back; campaigns use
-  /// counting mode so arbitrarily large sweeps are cheap).
-  bool store_contents = false;
   /// Also write checkpoints every check_int steps (0 = disabled).
   std::int64_t check_int = 0;
 };

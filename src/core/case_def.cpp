@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/assert.hpp"
 
@@ -132,14 +131,6 @@ std::vector<CaseConfig> table3_campaign(double scale) {
     }
   }
   return cases;
-}
-
-double scale_from_env(double fallback) {
-  if (const char* env = std::getenv("AMRIO_SCALE")) {
-    const double v = std::atof(env);
-    if (v > 0.0 && v <= 1.0) return v;
-  }
-  return fallback;
 }
 
 }  // namespace amrio::core

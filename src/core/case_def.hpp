@@ -9,8 +9,9 @@
 /// plus the named pivots: case4 (512², 32 tasks, 20 outputs — Figs. 6/7/9/10),
 /// case27 (1024², 64 tasks — Fig. 8), and the "large" case (8192² on 64
 /// nodes — Fig. 11). Each factory takes a `scale` in (0, 1] mapping the paper
-/// geometry down to laptop size (scale 1 = paper scale); EXPERIMENTS.md
-/// records the default used per experiment.
+/// geometry down to laptop size (scale 1 = paper scale); a bench passes its
+/// own default unless `--scale` or `--full` overrides it (`pick_scale` in
+/// bench/bench_common.hpp).
 
 #include <string>
 #include <vector>
@@ -51,8 +52,5 @@ CaseConfig large_case(double scale = 0.25);
 /// A Table III-spanning campaign (the paper ran 47 configurations; this
 /// matrix covers the same axes with `scale` shrinking n_cell).
 std::vector<CaseConfig> table3_campaign(double scale = 0.5);
-
-/// Scale factor from the environment (AMRIO_SCALE), else `fallback`.
-double scale_from_env(double fallback);
 
 }  // namespace amrio::core

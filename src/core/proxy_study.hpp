@@ -27,8 +27,8 @@ struct ValidationResult {
 /// Calibrate a proxy for `run` and validate it by actually executing the
 /// MACSio driver (counting backend) and comparing per-step series. The
 /// default growth bracket is generous: small meshes grow faster per output
-/// event than the paper's 512²+ cases (see EXPERIMENTS.md), and the
-/// golden-section search just converges from above when the optimum is low.
+/// event than the paper's 512²+ cases, and the golden-section search just
+/// converges from above when the optimum is low.
 ValidationResult calibrate_and_validate(const RunRecord& run,
                                         double growth_lo = 1.0,
                                         double growth_hi = 1.15);

@@ -600,8 +600,7 @@ struct RecoveredDoc {
   };
   auto fetch_extent = [&](const staging::RestageExtent& e) {
     validate_extent(e);
-    // Accounting-only backends degrade to exact sizes of zero bytes — the
-    // same contract StagingBackend's accounting-mode drain keeps.
+    // Accounting-only backends degrade to exact sizes of zero bytes.
     if (!contents) return std::vector<std::byte>(e.raw_bytes);
     return backend.read(e.file);
   };

@@ -33,7 +33,6 @@ class DistributionMapping {
   int nranks() const { return nranks_; }
   std::size_t size() const { return owner_.size(); }
   int owner(std::size_t box_index) const { return owner_.at(box_index); }
-  const std::vector<int>& owners() const { return owner_; }
 
   /// Box indices owned by `rank`, in BoxArray order.
   std::vector<std::size_t> boxes_of(int rank) const;

@@ -44,9 +44,6 @@ struct IntVect {
   constexpr bool all_le(IntVect other) const {
     return x <= other.x && y <= other.y;
   }
-  constexpr bool all_ge(IntVect other) const {
-    return x >= other.x && y >= other.y;
-  }
 
   static constexpr IntVect unit() { return {1, 1}; }
   static constexpr IntVect zero() { return {0, 0}; }

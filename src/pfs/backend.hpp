@@ -288,11 +288,6 @@ class OutFile {
   void write(std::string_view text) {
     write(std::as_bytes(std::span<const char>(text.data(), text.size())));
   }
-  template <typename T>
-  void write_pod(std::span<const T> data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    write(std::as_bytes(data));
-  }
   /// Close, surfacing backend flush errors (e.g. PosixBackend's fclose
   /// failing on a full disk). The destructor and move-assignment close
   /// quietly instead — call this explicitly where errors must be observed.

@@ -43,7 +43,6 @@ void CsvWriter::endrow() {
   out_ << '\n';
   col_ = 0;
   row_open_ = false;
-  ++rows_;
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {

@@ -32,7 +32,6 @@ class CsvWriter {
   void row(const std::vector<std::string>& cells);
 
   const std::string& path() const { return path_; }
-  std::size_t rows_written() const { return rows_; }
 
   static std::string escape(const std::string& v);
 
@@ -43,7 +42,6 @@ class CsvWriter {
   bool header_written_ = false;
   std::size_t ncols_ = 0;
   std::size_t col_ = 0;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace amrio::util

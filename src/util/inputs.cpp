@@ -126,12 +126,6 @@ std::vector<std::int64_t> InputsFile::get_int_list(const std::string& key) const
   return out;
 }
 
-std::vector<std::int64_t> InputsFile::get_int_list_or(
-    const std::string& key, std::vector<std::int64_t> dflt) const {
-  if (!contains(key)) return dflt;
-  return get_int_list(key);
-}
-
 std::vector<double> InputsFile::get_double_list(const std::string& key) const {
   const auto& t = tokens(key);
   std::vector<double> out;

@@ -45,8 +45,6 @@ class InputsFile {
   double get_double(const std::string& key) const;
   double get_double_or(const std::string& key, double dflt) const;
   std::vector<std::int64_t> get_int_list(const std::string& key) const;
-  std::vector<std::int64_t> get_int_list_or(const std::string& key,
-                                            std::vector<std::int64_t> dflt) const;
   std::vector<double> get_double_list(const std::string& key) const;
 
   /// Set/override a value programmatically (used by the campaign runner to

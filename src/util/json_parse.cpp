@@ -37,11 +37,6 @@ std::string JsonValue::string_or(const std::string& key,
   return v != nullptr && v->kind == Kind::kString ? v->str_v : dflt;
 }
 
-bool JsonValue::bool_or(const std::string& key, bool dflt) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::kBool ? v->bool_v : dflt;
-}
-
 namespace {
 
 /// Deepest array/object nesting accepted. Our own artifacts nest three

@@ -37,7 +37,6 @@ struct JsonValue {
   double number_or(const std::string& key, double dflt) const;
   std::uint64_t u64_or(const std::string& key, std::uint64_t dflt) const;
   std::string string_or(const std::string& key, const std::string& dflt) const;
-  bool bool_or(const std::string& key, bool dflt) const;
 };
 
 /// Parse one JSON document. Throws std::runtime_error with a byte offset on

@@ -72,13 +72,6 @@ double gini(std::span<const double> values) {
   return (2.0 * weighted) / (dn * sum) - (dn + 1.0) / dn;
 }
 
-double coeff_variation(std::span<const double> values) {
-  RunningStats rs;
-  for (double v : values) rs.push(v);
-  if (rs.mean() == 0.0) return 0.0;
-  return rs.stddev() / rs.mean();
-}
-
 Histogram histogram(std::span<const double> values, int nbins) {
   AMRIO_EXPECTS(nbins > 0);
   Histogram h;

@@ -42,9 +42,6 @@ double imbalance_factor(std::span<const double> values);
 /// Gini coefficient in [0,1]; 0 == perfectly even shares.
 double gini(std::span<const double> values);
 
-/// Coefficient of variation (stddev/mean); 0 when mean is 0.
-double coeff_variation(std::span<const double> values);
-
 /// Equal-width histogram of `values` into `nbins` bins over [min,max].
 struct Histogram {
   double lo = 0.0;

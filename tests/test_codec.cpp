@@ -4,10 +4,9 @@
 /// estimation from real field data, CodecStats accounting, the MACSio knob
 /// validation, and the integration across every byte path — identity stays
 /// byte-identical to the PR-2 staging output, raw accounting conserves
-/// task_doc_bytes() while the wire/tier carries encoded bytes, store-mode
-/// drains through StagingBackend stay reader-compatible, and the plotfile
-/// per-Cell_D hook keeps predict parity. Engine-facing cases run on both
-/// SerialEngine and SpmdEngine.
+/// task_doc_bytes() while the wire/tier carries encoded bytes, and the
+/// plotfile per-Cell_D hook keeps predict parity. Engine-facing cases run on
+/// both SerialEngine and SpmdEngine.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +25,8 @@
 #include "mesh/distribution.hpp"
 #include "mesh/multifab.hpp"
 #include "pfs/backend.hpp"
-#include "pfs/simfs.hpp"
-#include "plotfile/reader.hpp"
 #include "plotfile/writer.hpp"
 #include "staging/aggregator.hpp"
-#include "staging/staging_backend.hpp"
 #include "util/assert.hpp"
 
 namespace cd = amrio::codec;
@@ -469,7 +465,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, CodecMacsio,
                          ::testing::Values(ex::EngineKind::kSerial,
                                            ex::EngineKind::kSpmd));
 
-// ------------------------------------------------ StagingBackend round trip
+// ------------------------------------------------------- plotfile fixtures
 
 namespace {
 
@@ -511,107 +507,6 @@ PlotCase make_plot_case(int nranks, const std::string& codec,
 }
 
 }  // namespace
-
-TEST(CodecStaging, StoreModeEblDrainRoundTripsReaderCompatible) {
-  // Write a plotfile through a burst buffer whose tier holds ebl-encoded
-  // bytes; after the drain the final store must be byte-exactly the decoded
-  // tree — the plotfile reader consumes it unchanged.
-  auto c = make_plot_case(8, "identity");  // writer-side codec off ...
-  p::MemoryBackend direct_be(true);
-  pf::write_plotfile(direct_be, c.spec, {{c.geom, &c.mf}});
-
-  cd::CodecSpec bb_codec;  // ... the staging tier runs the codec
-  bb_codec.name = "ebl";
-  bb_codec.error_bound = 1e-3;
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be, /*store_contents=*/true, bb_codec);
-  auto c2 = make_plot_case(8, "identity");
-  pf::write_plotfile(bb, c2.spec, {{c2.geom, &c2.mf}});
-
-  // the tier holds fewer bytes than the raw image while staged
-  EXPECT_GT(bb.pending_files(), 0u);
-  EXPECT_LT(bb.pending_encoded_bytes(), bb.pending_bytes());
-  const auto reqs = bb.drain_requests(1.0, 0);
-  std::uint64_t tier_bytes = 0;
-  for (const auto& r : reqs) {
-    EXPECT_EQ(r.tier, p::kTierBurstBuffer);
-    tier_bytes += r.bytes;
-  }
-  EXPECT_EQ(tier_bytes, bb.pending_encoded_bytes());
-
-  const auto drained = bb.drain_all();
-  std::uint64_t raw_drained = 0;
-  std::uint64_t encoded_drained = 0;
-  for (const auto& rec : drained) {
-    EXPECT_LE(rec.encoded_bytes, rec.bytes) << rec.path;
-    raw_drained += rec.bytes;
-    encoded_drained += rec.encoded_bytes;
-  }
-  EXPECT_LT(encoded_drained, raw_drained);
-  const auto cstats = bb.codec_stats();
-  EXPECT_EQ(cstats.total.raw_bytes, raw_drained);
-  EXPECT_EQ(cstats.total.encoded_bytes, encoded_drained);
-
-  // decompressed contents are byte-exact: identical tree, readable values
-  ASSERT_EQ(final_be.list(""), direct_be.list(""));
-  for (const auto& path : direct_be.list(""))
-    EXPECT_EQ(final_be.read(path), direct_be.read(path)) << path;
-  const auto pfile = pf::read_plotfile(final_be, "codec_plt00000");
-  ASSERT_EQ(pfile.levels.size(), 1u);
-  ASSERT_EQ(pfile.levels[0].fabs.size(), 16u);
-  for (const auto& fab : pfile.levels[0].fabs) {
-    const int i = fab.box().lo(0);
-    const int j = fab.box().lo(1);
-    const double r2 = (i - 16.0) * (i - 16.0) + (j - 16.0) * (j - 16.0);
-    EXPECT_NEAR(fab(i, j, 0), std::exp(-r2 / 128.0), 1e-12);
-  }
-}
-
-TEST(CodecStaging, MacsioDrainThroughEblTierMatchesDirect) {
-  const auto params = codec_params(16, 4, "identity");
-  p::MemoryBackend direct_be(true);
-  mc::run_macsio(params, direct_be);
-
-  cd::CodecSpec bb_codec;
-  bb_codec.name = "ebl";
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be, /*store_contents=*/true, bb_codec);
-  mc::run_macsio(params, bb);
-  EXPECT_LT(bb.pending_encoded_bytes(), bb.pending_bytes());
-  bb.drain_all();
-  ASSERT_EQ(final_be.list(""), direct_be.list(""));
-  for (const auto& path : direct_be.list(""))
-    EXPECT_EQ(final_be.read(path), direct_be.read(path)) << path;
-}
-
-TEST(CodecStaging, AccountingModeKeepsExactSizesUnderEncodedWrites) {
-  // store_contents = false: the staging area tracks raw byte counts only;
-  // encoded sizes shrink the tier accounting, yet the drained file set and
-  // per-file sizes stay exactly what a direct run produces.
-  const auto params = codec_params(16, 4, "identity");
-  p::MemoryBackend direct_be(false);
-  mc::run_macsio(params, direct_be);
-
-  cd::CodecSpec bb_codec;
-  bb_codec.name = "lossless";
-  p::MemoryBackend final_be(false);
-  st::StagingBackend bb(final_be, /*store_contents=*/false, bb_codec);
-  mc::run_macsio(params, bb);
-
-  const std::uint64_t pending_raw = bb.pending_bytes();
-  EXPECT_LT(bb.pending_encoded_bytes(), pending_raw);
-  const auto drained = bb.drain_all();
-  std::uint64_t drained_raw = 0;
-  for (const auto& rec : drained) {
-    EXPECT_EQ(rec.bytes, direct_be.size(rec.path)) << rec.path;
-    EXPECT_LE(rec.encoded_bytes, rec.bytes) << rec.path;
-    drained_raw += rec.bytes;
-  }
-  EXPECT_EQ(drained_raw, pending_raw);
-  ASSERT_EQ(final_be.list(""), direct_be.list(""));
-  for (const auto& path : direct_be.list(""))
-    EXPECT_EQ(final_be.size(path), direct_be.size(path)) << path;
-}
 
 // ------------------------------------------------- plotfile per-Cell_D hook
 

@@ -1,15 +1,15 @@
 /// Tests for the staging subsystem: two-phase aggregation topology and CLI
 /// validation, the group gatherv primitive, aggregated-MIF byte conservation
-/// and engine parity for both the MACSio and plotfile drivers, the
-/// burst-buffer byte decorator, and the two-tier SimFs (absorb + async
-/// drain, capacity stalls, drain concurrency).
+/// and engine parity for both the MACSio and plotfile drivers, `--staging bb`
+/// request tagging, and the two-tier SimFs (absorb + async drain, capacity
+/// stalls, drain concurrency).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
-#include "codec/codec.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
@@ -22,7 +22,6 @@
 #include "plotfile/writer.hpp"
 #include "staging/aggregator.hpp"
 #include "staging/drain.hpp"
-#include "staging/staging_backend.hpp"
 #include "util/assert.hpp"
 
 namespace ex = amrio::exec;
@@ -516,123 +515,43 @@ TEST(AggregatedPlotfile, PredictMatchesWriteAndEnginesAgree) {
   EXPECT_EQ(predicted.data_bytes, ref.data_bytes);
 }
 
-// -------------------------------------------------------- StagingBackend
+// ---------------------------------------------------- --staging bb tagging
 
-TEST(StagingBackend, AbsorbsThenDrainsByteExactly) {
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be);
-  {
-    p::OutFile f(bb, "data/a.bin");
-    f.write("hello ");
-    f.write("world");
+// The burst-buffer tier is a timing model: `stage_to_bb` tags the driver's
+// requests for SimFs's BB tier and changes nothing a backend receives.
+TEST(StageToBb, MovesTiersNotBytes) {
+  auto n_to_n = agg_params(16, 0);
+  auto grouped = n_to_n;
+  grouped.mif_files = 4;
+  const auto aggregated = agg_params(16, 4);
+  for (auto params : {n_to_n, grouped, aggregated}) {
+    SCOPED_TRACE(testing::Message() << "mif_files " << params.mif_files
+                                    << " aggregators " << params.aggregators);
+    params.fill = mc::FillMode::kReal;
+    params.compute_time = 1.0;
+    params.stage_to_bb = false;
+    p::MemoryBackend pfs_be(true);
+    const auto direct = mc::run_macsio(params, pfs_be);
+    params.stage_to_bb = true;
+    p::MemoryBackend bb_be(true);
+    const auto staged = mc::run_macsio(params, bb_be);
+
+    const auto paths = pfs_be.list("");
+    ASSERT_EQ(bb_be.list(""), paths);
+    for (const auto& path : paths)
+      EXPECT_EQ(bb_be.read(path), pfs_be.read(path)) << path;
+
+    const auto key = [](const p::IoRequest& r) {
+      return std::tuple(r.client, r.submit_time, r.file, r.bytes, r.op);
+    };
+    ASSERT_FALSE(direct.requests.empty());
+    ASSERT_EQ(staged.requests.size(), direct.requests.size());
+    for (std::size_t i = 0; i < direct.requests.size(); ++i) {
+      EXPECT_EQ(key(staged.requests[i]), key(direct.requests[i])) << i;
+      EXPECT_EQ(direct.requests[i].tier, p::kTierPfs) << i;
+      EXPECT_EQ(staged.requests[i].tier, p::kTierBurstBuffer) << i;
+    }
   }
-  {
-    p::OutFile f(bb, "data/b.bin");
-    f.write("42");
-  }
-  EXPECT_EQ(bb.pending_files(), 2u);
-  EXPECT_EQ(bb.pending_bytes(), 13u);
-  EXPECT_FALSE(final_be.exists("data/a.bin"));  // not drained yet
-  EXPECT_TRUE(bb.exists("data/a.bin"));         // staged view serves reads
-  EXPECT_EQ(bb.size("data/a.bin"), 11u);
-
-  const auto drained = bb.drain_all();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].path, "data/a.bin");
-  EXPECT_EQ(drained[0].bytes, 11u);
-  EXPECT_EQ(bb.pending_files(), 0u);
-  const auto bytes = final_be.read("data/a.bin");
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size()),
-            "hello world");
-  EXPECT_EQ(final_be.size("data/b.bin"), 2u);
-  // the decorator still answers for drained files
-  EXPECT_TRUE(bb.exists("data/b.bin"));
-  EXPECT_EQ(bb.size("data/b.bin"), 2u);
-}
-
-TEST(StagingBackend, AppendAcrossDrainsPreservesFinalContents) {
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be);
-  { p::OutFile f(bb, "log"); f.write("aaaa"); }
-  bb.drain_all();
-  { p::OutFile f(bb, "log", p::OpenMode::kAppend); f.write("bb"); }
-  bb.drain_all();
-  const auto bytes = final_be.read("log");
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size()),
-            "aaaabb");
-  // a later create/truncate replaces the final copy on drain
-  { p::OutFile f(bb, "log"); f.write("c"); }
-  bb.drain_all();
-  EXPECT_EQ(final_be.size("log"), 1u);
-}
-
-TEST(StagingBackend, TransparentViewComposesAppendSuffixWithDrainedPrefix) {
-  // Between drains, size()/read() of an append-continuation file must show
-  // the final-store prefix plus the staged suffix — what a direct backend
-  // would hold.
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be);
-  { p::OutFile f(bb, "f"); f.write("0123456789"); }
-  bb.drain_all();
-  { p::OutFile f(bb, "f", p::OpenMode::kAppend); f.write("abcde"); }
-  EXPECT_EQ(bb.size("f"), 15u);
-  const auto bytes = bb.read("f");
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size()),
-            "0123456789abcde");
-  // a truncating create hides the drained copy again
-  { p::OutFile f(bb, "f"); f.write("xy"); }
-  EXPECT_EQ(bb.size("f"), 2u);
-  EXPECT_EQ(bb.read("f").size(), 2u);
-}
-
-TEST(StagingBackend, AccountingModeDrainsExactSizesAndFileSets) {
-  // store_contents = false: only byte counts are staged, yet the drained
-  // file set and per-file sizes must match a direct run exactly — including
-  // when the tier-side accounting shrinks under an encoded (codec) view.
-  auto params = agg_params(16, 4);
-  p::MemoryBackend direct_be(false);
-  mc::run_macsio(params, direct_be);
-
-  amrio::codec::CodecSpec codec;
-  codec.name = "ebl";
-  p::MemoryBackend final_be(false);
-  st::StagingBackend bb(final_be, /*store_contents=*/false, codec);
-  mc::run_macsio(params, bb);
-
-  EXPECT_EQ(bb.pending_files(), direct_be.file_count());
-  EXPECT_EQ(bb.pending_bytes(), direct_be.total_bytes());
-  EXPECT_LT(bb.pending_encoded_bytes(), bb.pending_bytes());
-  const auto drained = bb.drain_all();
-  EXPECT_EQ(drained.size(), direct_be.file_count());
-  for (const auto& rec : drained) {
-    EXPECT_EQ(rec.bytes, direct_be.size(rec.path)) << rec.path;
-    EXPECT_LE(rec.encoded_bytes, rec.bytes) << rec.path;
-  }
-  ASSERT_EQ(final_be.list(""), direct_be.list(""));
-  for (const auto& path : direct_be.list(""))
-    EXPECT_EQ(final_be.size(path), direct_be.size(path)) << path;
-  EXPECT_EQ(final_be.total_bytes(), direct_be.total_bytes());
-}
-
-TEST(StagingBackend, MacsioDumpThroughBbMatchesDirect) {
-  auto params = agg_params(16, 4);
-  p::MemoryBackend direct_be(true);
-  mc::run_macsio(params, direct_be);
-
-  p::MemoryBackend final_be(true);
-  st::StagingBackend bb(final_be);
-  mc::run_macsio(params, bb);
-  EXPECT_GT(bb.pending_files(), 0u);
-  const auto reqs = bb.drain_requests(1.0, 0);
-  EXPECT_EQ(reqs.size(), bb.pending_files());
-  for (const auto& r : reqs) EXPECT_EQ(r.tier, p::kTierBurstBuffer);
-  bb.drain_all();
-  ASSERT_EQ(final_be.list(""), direct_be.list(""));
-  for (const auto& path : direct_be.list(""))
-    EXPECT_EQ(final_be.read(path), direct_be.read(path)) << path;
 }
 
 // -------------------------------------------------------- two-tier SimFs
