@@ -80,7 +80,7 @@ class GlobalMutexBackend final : public pfs::StorageBackend {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> out;
     for (const auto& [path, rec] : files_)
-      if (util::starts_with(path, prefix)) out.push_back(path);
+      if (path.starts_with(prefix)) out.push_back(path);
     return out;
   }
   std::vector<std::byte> read(const std::string&) const override {

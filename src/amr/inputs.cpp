@@ -77,10 +77,6 @@ AmrInputs AmrInputs::from_inputs(const util::InputsFile& in) {
   return a;
 }
 
-AmrInputs AmrInputs::from_string(const std::string& text) {
-  return from_inputs(util::InputsFile::from_string(text));
-}
-
 AmrInputs AmrInputs::from_file(const std::string& path) {
   return from_inputs(util::InputsFile::from_file(path));
 }

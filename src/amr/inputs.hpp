@@ -72,13 +72,12 @@ struct AmrInputs {
   /// Parse from inputs-file text/path. Unknown keys are ignored (AMReX
   /// semantics: codes read only the keys they know).
   static AmrInputs from_inputs(const util::InputsFile& in);
-  static AmrInputs from_string(const std::string& text);
   static AmrInputs from_file(const std::string& path);
 
   /// The paper's Listing 2 baseline configuration.
   static AmrInputs sedov_baseline();
 
-  /// Serialize to inputs-file form (round-trips through from_string).
+  /// Serialize to inputs-file form (round-trips through from_inputs).
   util::InputsFile to_inputs() const;
 
   /// Throw ContractViolation on inconsistent values (negative sizes, cfl out

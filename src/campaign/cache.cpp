@@ -22,16 +22,6 @@ void ResultCache::insert(const std::string& key, const CellResult& result) {
   entries_[key] = result;
 }
 
-bool ResultCache::contains(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.count(key) != 0;
-}
-
-std::size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 std::size_t ResultCache::load(const std::string& path) {
   std::ifstream probe(path);
   if (!probe) return 0;  // cold run: no cache file yet

@@ -20,9 +20,6 @@ class ResultCache {
   bool lookup(const std::string& key, CellResult* out) const;
   /// Insert or overwrite.
   void insert(const std::string& key, const CellResult& result);
-  bool contains(const std::string& key) const;
-
-  std::size_t size() const;
 
   /// Load entries from a JSON cache file. A missing file is an empty cache
   /// (the cold-run case), a schema_version mismatch discards the file's

@@ -16,14 +16,6 @@ void CodecTotals::add_decode(const CompressResult& r, double decode_s) {
   ++chunks;
 }
 
-void CodecTotals::merge(const CodecTotals& other) {
-  raw_bytes += other.raw_bytes;
-  encoded_bytes += other.encoded_bytes;
-  encode_seconds += other.encode_seconds;
-  decode_seconds += other.decode_seconds;
-  chunks += other.chunks;
-}
-
 double CodecTotals::ratio() const {
   return encoded_bytes > 0 ? static_cast<double>(raw_bytes) /
                                  static_cast<double>(encoded_bytes)
@@ -41,12 +33,6 @@ void CodecStats::add_decode(int dump, int level, const CompressResult& r,
   total.add_decode(r, decode_s);
   by_dump[dump].add_decode(r, decode_s);
   by_level[level].add_decode(r, decode_s);
-}
-
-void CodecStats::merge(const CodecStats& other) {
-  total.merge(other.total);
-  for (const auto& [k, v] : other.by_dump) by_dump[k].merge(v);
-  for (const auto& [k, v] : other.by_level) by_level[k].merge(v);
 }
 
 }  // namespace amrio::codec

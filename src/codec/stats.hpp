@@ -5,8 +5,7 @@
 /// codec-stage analogue of the (step, level, task) slicing the iostats layer
 /// applies to raw output.
 ///
-/// Plain value types, not thread-safe: accumulate on rank 0 (drivers),
-/// merge across sources with `merge`.
+/// Plain value types, not thread-safe: accumulate on rank 0 (drivers).
 
 #include <cstdint>
 #include <map>
@@ -31,7 +30,6 @@ struct CodecTotals {
   /// chunk being restored (raw/encoded sizes), `decode_s` the modeled decode
   /// cpu — `r.cpu_seconds` (the encode cost) is deliberately NOT added.
   void add_decode(const CompressResult& r, double decode_s);
-  void merge(const CodecTotals& other);
   double ratio() const;
   std::uint64_t saved_bytes() const {
     return raw_bytes >= encoded_bytes ? raw_bytes - encoded_bytes : 0;
@@ -49,7 +47,6 @@ struct CodecStats {
   /// Decode-side variant: see CodecTotals::add_decode.
   void add_decode(int dump, int level, const CompressResult& r,
                   double decode_s);
-  void merge(const CodecStats& other);
 };
 
 }  // namespace amrio::codec

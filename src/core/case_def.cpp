@@ -71,66 +71,4 @@ CaseConfig case27(double scale) {
   return c;
 }
 
-CaseConfig large_case(double scale) {
-  AMRIO_EXPECTS(scale > 0 && scale <= 1.0);
-  CaseConfig c;
-  c.name = "large";
-  c.ncell = pow2_clamp(8192.0 * scale, 256, 8192);
-  c.max_level = 2;
-  c.max_step = 40;
-  c.plot_int = 1;  // large runs plot frequently over few steps (Fig. 11)
-  c.cfl = 0.5;
-  c.nprocs = 256;
-  c.max_grid_size = std::max(32, c.ncell / 16);
-  return c;
-}
-
-std::vector<CaseConfig> table3_campaign(double scale) {
-  AMRIO_EXPECTS(scale > 0 && scale <= 1.0);
-  std::vector<CaseConfig> cases;
-  int id = 0;
-  // Axes follow Table III; n_cell spans the decades the scale budget allows.
-  // The lattice is thinned the way the paper's 47 runs were: one axis varies
-  // at a time around the Listing-2 baseline (levels=3, cfl=0.5, plot_int=10,
-  // max_step=40).
-  const int base_cells[] = {32, 64, 128, 256, 512};
-  const int levels[] = {2, 3, 4};
-  const double cfls[] = {0.3, 0.4, 0.5, 0.6};
-  const std::int64_t plot_ints[] = {1, 5, 10, 20};
-  const std::int64_t max_steps[] = {40, 100};
-
-  std::vector<int> seen_cells;
-  for (int nc : base_cells) {
-    const int cells = std::max(32, pow2_clamp(nc * scale * 2.0, 32, 512));
-    // scaling can collapse adjacent sizes onto the same power of two
-    if (std::find(seen_cells.begin(), seen_cells.end(), cells) !=
-        seen_cells.end())
-      continue;
-    seen_cells.push_back(cells);
-    for (int lev : levels) {
-      for (double cfl : cfls) {
-        for (std::int64_t pint : plot_ints) {
-          for (std::int64_t msteps : max_steps) {
-            const int varying = ((lev == 3) ? 0 : 1) + ((cfl == 0.5) ? 0 : 1) +
-                                ((pint == 10) ? 0 : 1) +
-                                ((msteps == 40) ? 0 : 1);
-            if (varying > 1) continue;
-            CaseConfig c;
-            c.name = "case" + std::to_string(id++);
-            c.ncell = cells;
-            c.max_level = lev - 1;  // Table III counts levels; max_level is an index
-            c.plot_int = pint;
-            c.cfl = cfl;
-            c.max_step = msteps;
-            c.nprocs = std::clamp(cells * cells / 2048, 1, 64);
-            c.max_grid_size = std::max(16, cells / 8);
-            cases.push_back(c);
-          }
-        }
-      }
-    }
-  }
-  return cases;
-}
-
 }  // namespace amrio::core

@@ -6,15 +6,15 @@
 ///   amr.max_level  2 – 4            amr.plot_int 1 – 20
 ///   castro.cfl     0.3 – 0.6        nprocs      1 – 1024
 ///
-/// plus the named pivots: case4 (512², 32 tasks, 20 outputs — Figs. 6/7/9/10),
-/// case27 (1024², 64 tasks — Fig. 8), and the "large" case (8192² on 64
-/// nodes — Fig. 11). Each factory takes a `scale` in (0, 1] mapping the paper
-/// geometry down to laptop size (scale 1 = paper scale); a bench passes its
-/// own default unless `--scale` or `--full` overrides it (`pick_scale` in
-/// bench/bench_common.hpp).
+/// plus the named pivots: case4 (512², 32 tasks, 20 outputs — Figs. 6/7/9/10)
+/// and case27 (1024², 64 tasks — Fig. 8). Each factory takes a `scale` in
+/// (0, 1] mapping the paper geometry down to laptop size (scale 1 = paper
+/// scale); a bench passes its own default unless `--scale` or `--full`
+/// overrides it (`pick_scale` in bench/bench_common.hpp). The Fig. 11 bench
+/// builds its own large case, and the Table III grid is
+/// campaign::table3_grid.
 
 #include <string>
-#include <vector>
 
 #include "amr/inputs.hpp"
 
@@ -44,13 +44,5 @@ CaseConfig case4(double scale = 0.5);
 /// Pivot case27 of Fig. 8: paper = 1024² L0, 64 ranks, 5 output steps,
 /// 4 mesh levels.
 CaseConfig case27(double scale = 0.5);
-/// The Fig. 11 large case: paper = 8192² L0 on 64 Summit nodes. Runs
-/// size-accounted (counting backend); scale applies to the simulated mesh
-/// while the reported layout can be further upscaled analytically.
-CaseConfig large_case(double scale = 0.25);
-
-/// A Table III-spanning campaign (the paper ran 47 configurations; this
-/// matrix covers the same axes with `scale` shrinking n_cell).
-std::vector<CaseConfig> table3_campaign(double scale = 0.5);
 
 }  // namespace amrio::core

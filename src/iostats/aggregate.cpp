@@ -22,14 +22,6 @@ std::vector<int> levels_present(const SizeTable& table) {
   return {levels.begin(), levels.end()};
 }
 
-std::uint64_t step_bytes(const SizeTable& table, std::int64_t step) {
-  std::uint64_t total = 0;
-  for (const auto& [key, bytes] : table) {
-    if (std::get<0>(key) == step) total += bytes;
-  }
-  return total;
-}
-
 std::uint64_t step_level_bytes(const SizeTable& table, std::int64_t step,
                                int level) {
   std::uint64_t total = 0;

@@ -24,9 +24,6 @@ std::vector<std::int64_t> output_steps(const SizeTable& table);
 /// Levels present (excluding -1 metadata rows), ascending.
 std::vector<int> levels_present(const SizeTable& table);
 
-/// Total bytes at one output step (all levels + metadata).
-std::uint64_t step_bytes(const SizeTable& table, std::int64_t step);
-
 /// Total bytes at one (step, level); level -1 = top-level metadata only.
 std::uint64_t step_level_bytes(const SizeTable& table, std::int64_t step, int level);
 

@@ -18,17 +18,6 @@
 
 namespace amrio::macsio {
 
-std::vector<double> DumpStats::cumulative() const {
-  std::vector<double> out;
-  out.reserve(bytes_per_dump.size());
-  double acc = 0.0;
-  for (auto b : bytes_per_dump) {
-    acc += static_cast<double>(b);
-    out.push_back(acc);
-  }
-  return out;
-}
-
 namespace {
 
 /// MIF file group of a rank: mif_files files shared contiguously.
@@ -900,12 +889,6 @@ DumpStats run_macsio(exec::Engine& engine, const Params& params,
                     ctx.rank() == 0 ? &result : nullptr);
   });
   return result;
-}
-
-DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
-                     obs::Probe probe) {
-  exec::SerialEngine engine(params.nprocs);
-  return run_macsio(engine, params, backend, probe);
 }
 
 }  // namespace amrio::macsio

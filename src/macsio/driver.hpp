@@ -62,9 +62,6 @@ struct DumpStats {
   /// (one chunk per task document; metadata is never compressed). Identity
   /// codec: encoded == raw, zero cpu.
   codec::CodecStats codec;
-
-  /// Cumulative bytes after each dump.
-  std::vector<double> cumulative() const;
 };
 
 /// Run the dump loop on `engine` (engine.nranks() must equal params.nprocs)
@@ -149,10 +146,6 @@ RestartStats run_restart(exec::Engine& engine, const Params& params,
 /// with `P^32`; accounting-only backends recover documents of zero bytes,
 /// so their restarts hash at memory speed.
 std::uint64_t restart_hash(std::span<const std::byte> data);
-
-/// Convenience: run on a fiber-scheduled SerialEngine sized params.nprocs.
-DumpStats run_macsio(const Params& params, pfs::StorageBackend& backend,
-                     obs::Probe probe = {});
 
 /// Path of a task's dump file (group file under MIF, shared file under SIF,
 /// the rank's group subfile under two-phase aggregation).

@@ -19,16 +19,6 @@ Box Box::coarsen(int ratio) const {
              IntVect(coarsen_index(hi_.x, ratio), coarsen_index(hi_.y, ratio)));
 }
 
-bool Box::aligned(int blocking) const {
-  AMRIO_EXPECTS(blocking >= 1);
-  if (empty()) return true;
-  for (int d = 0; d < kSpaceDim; ++d) {
-    if (coarsen_index(lo_[d], blocking) * blocking != lo_[d]) return false;
-    if (coarsen_index(hi_[d] + 1, blocking) * blocking != hi_[d] + 1) return false;
-  }
-  return true;
-}
-
 Box Box::align_to(int blocking) const {
   AMRIO_EXPECTS(blocking >= 1);
   if (empty()) return *this;

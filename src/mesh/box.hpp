@@ -74,11 +74,8 @@ class Box {
   /// Index-space coarsening by `ratio` (covers all parents of our cells).
   [[nodiscard]] Box coarsen(int ratio) const;
 
-  /// True when lo and (hi+1) are multiples of `blocking` in every dimension —
-  /// the AMReX `blocking_factor` alignment condition.
-  bool aligned(int blocking) const;
-
-  /// Smallest aligned box containing *this.
+  /// Smallest box containing *this whose lo and hi+1 are multiples of
+  /// `blocking` in every dimension (the AMReX `blocking_factor` alignment).
   [[nodiscard]] Box align_to(int blocking) const;
 
   /// Split at index `pos` along `dir`: returns {[lo,pos-1], [pos,hi]}.

@@ -22,12 +22,6 @@ std::int64_t BoxArray::num_pts() const {
   return total;
 }
 
-Box BoxArray::minimal_box() const {
-  Box hull;
-  for (const auto& b : boxes_) hull = bounding_box(hull, b);
-  return hull;
-}
-
 BoxArray BoxArray::max_size(int max_size, int blocking) const {
   AMRIO_EXPECTS(max_size >= 1);
   AMRIO_EXPECTS(blocking >= 1);
@@ -71,26 +65,6 @@ BoxArray BoxArray::refine(int ratio) const {
   out.reserve(boxes_.size());
   for (const auto& b : boxes_) out.push_back(b.refine(ratio));
   return BoxArray(std::move(out));
-}
-
-BoxArray BoxArray::coarsen(int ratio) const {
-  std::vector<Box> out;
-  out.reserve(boxes_.size());
-  for (const auto& b : boxes_) out.push_back(b.coarsen(ratio));
-  return BoxArray(std::move(out));
-}
-
-std::vector<std::size_t> BoxArray::intersecting(const Box& b) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < boxes_.size(); ++i) {
-    if (boxes_[i].intersects(b)) out.push_back(i);
-  }
-  return out;
-}
-
-bool BoxArray::contains(IntVect p) const {
-  return std::any_of(boxes_.begin(), boxes_.end(),
-                     [p](const Box& b) { return b.contains(p); });
 }
 
 bool BoxArray::covers(const Box& b) const {

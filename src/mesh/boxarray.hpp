@@ -2,7 +2,7 @@
 /// \file boxarray.hpp
 /// An ordered collection of disjoint boxes describing the valid region of one
 /// AMR level, with the grid-generation operations AMReX applies to it:
-/// max_grid_size chopping and coverage/intersection queries.
+/// max_grid_size chopping, refinement and the coverage query.
 
 #include <vector>
 
@@ -24,22 +24,13 @@ class BoxArray {
   /// Total cell count over all boxes.
   std::int64_t num_pts() const;
 
-  /// Hull of all boxes.
-  Box minimal_box() const;
-
   /// Chop every box so no side exceeds `max_size` (AMReX `maxSize`). Chops at
   /// multiples of `blocking` when possible so alignment is preserved.
   [[nodiscard]] BoxArray max_size(int max_size, int blocking = 1) const;
 
-  /// Refine / coarsen every box.
+  /// Refine every box.
   [[nodiscard]] BoxArray refine(int ratio) const;
-  [[nodiscard]] BoxArray coarsen(int ratio) const;
 
-  /// Indices of boxes intersecting `b`.
-  std::vector<std::size_t> intersecting(const Box& b) const;
-
-  /// True if `p` lies in some box.
-  bool contains(IntVect p) const;
   /// True if every cell of `b` is covered by the union of our boxes.
   bool covers(const Box& b) const;
 

@@ -115,29 +115,4 @@ std::vector<std::size_t> DistributionMapping::boxes_of(int rank) const {
   return out;
 }
 
-std::vector<std::int64_t> DistributionMapping::rank_weights(
-    const std::vector<std::int64_t>& box_weights) const {
-  AMRIO_EXPECTS(box_weights.size() == owner_.size());
-  std::vector<std::int64_t> out(static_cast<std::size_t>(nranks_), 0);
-  for (std::size_t i = 0; i < owner_.size(); ++i)
-    out[static_cast<std::size_t>(owner_[i])] += box_weights[i];
-  return out;
-}
-
-double DistributionMapping::imbalance(const BoxArray& ba) const {
-  AMRIO_EXPECTS(ba.size() == owner_.size());
-  std::vector<std::int64_t> weights(ba.size());
-  for (std::size_t i = 0; i < ba.size(); ++i) weights[i] = ba[i].num_pts();
-  const auto loads = rank_weights(weights);
-  std::int64_t total = 0;
-  std::int64_t mx = 0;
-  for (auto w : loads) {
-    total += w;
-    mx = std::max(mx, w);
-  }
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) / nranks_;
-  return static_cast<double>(mx) / mean;
-}
-
 }  // namespace amrio::mesh

@@ -32,18 +32,9 @@ class DistributionMapping {
 
   int nranks() const { return nranks_; }
   std::size_t size() const { return owner_.size(); }
-  int owner(std::size_t box_index) const { return owner_.at(box_index); }
 
   /// Box indices owned by `rank`, in BoxArray order.
   std::vector<std::size_t> boxes_of(int rank) const;
-
-  /// Total weight per rank given per-box weights.
-  std::vector<std::int64_t> rank_weights(
-      const std::vector<std::int64_t>& box_weights) const;
-
-  /// max/mean of per-rank total cell counts for `ba` (1.0 == balanced; 0 if
-  /// there are no cells).
-  double imbalance(const BoxArray& ba) const;
 
  private:
   DistributionMapping(std::vector<int> owner, int nranks)

@@ -25,24 +25,7 @@ double& Fab::operator()(IntVect p, int comp) { return data_[offset(p, comp)]; }
 
 double Fab::operator()(IntVect p, int comp) const { return data_[offset(p, comp)]; }
 
-std::span<double> Fab::component(int comp) {
-  AMRIO_EXPECTS(comp >= 0 && comp < ncomp_);
-  return {data_.data() + static_cast<std::size_t>(comp) * num_pts(),
-          static_cast<std::size_t>(num_pts())};
-}
-
-std::span<const double> Fab::component(int comp) const {
-  AMRIO_EXPECTS(comp >= 0 && comp < ncomp_);
-  return {data_.data() + static_cast<std::size_t>(comp) * num_pts(),
-          static_cast<std::size_t>(num_pts())};
-}
-
 void Fab::set_val(double v) { std::fill(data_.begin(), data_.end(), v); }
-
-void Fab::set_val(double v, int comp) {
-  auto c = component(comp);
-  std::fill(c.begin(), c.end(), v);
-}
 
 void Fab::copy_from(const Fab& src, int src_comp, int dst_comp, int ncomp) {
   copy_from(src, domain_ & src.domain_, src_comp, dst_comp, ncomp);

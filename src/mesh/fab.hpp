@@ -35,13 +35,10 @@ class Fab {
     return (*this)(IntVect(i, j), comp);
   }
 
-  std::span<double> component(int comp);
-  std::span<const double> component(int comp) const;
   std::span<const double> data() const { return data_; }
   std::span<double> data() { return data_; }
 
   void set_val(double v);
-  void set_val(double v, int comp);
 
   /// Copy `ncomp` components from `src` (starting at src_comp) into *this
   /// (starting at dst_comp) over the cell intersection of the two boxes.

@@ -18,11 +18,6 @@ Geometry::Geometry(const Box& domain, std::array<double, 2> prob_lo,
   }
 }
 
-std::array<double, 2> Geometry::cell_center(IntVect p) const {
-  return {prob_lo_[0] + (static_cast<double>(p.x - domain_.lo(0)) + 0.5) * dx_[0],
-          prob_lo_[1] + (static_cast<double>(p.y - domain_.lo(1)) + 0.5) * dx_[1]};
-}
-
 std::array<double, 2> Geometry::cell_lo(IntVect p) const {
   return {prob_lo_[0] + static_cast<double>(p.x - domain_.lo(0)) * dx_[0],
           prob_lo_[1] + static_cast<double>(p.y - domain_.lo(1)) * dx_[1]};

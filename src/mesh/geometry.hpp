@@ -21,8 +21,6 @@ class Geometry {
   std::array<double, 2> prob_hi() const { return prob_hi_; }
 
   double cell_size(int d) const { return dx_[static_cast<std::size_t>(d)]; }
-  /// Physical coordinate of cell center (i, j).
-  std::array<double, 2> cell_center(IntVect p) const;
   /// Physical lower corner of cell (i, j).
   std::array<double, 2> cell_lo(IntVect p) const;
 

@@ -1,8 +1,5 @@
 #include "mesh/multifab.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/assert.hpp"
 
 namespace amrio::mesh {
@@ -15,10 +12,6 @@ MultiFab::MultiFab(BoxArray ba, DistributionMapping dm, int ncomp, int nghost)
   fabs_.reserve(ba_.size());
   for (std::size_t i = 0; i < ba_.size(); ++i)
     fabs_.emplace_back(ba_[i].grow(nghost), ncomp);
-}
-
-void MultiFab::set_val(double v) {
-  for (auto& f : fabs_) f.set_val(v);
 }
 
 void MultiFab::fill_boundary() {
@@ -47,33 +40,10 @@ void MultiFab::copy_valid_from(const MultiFab& src, int src_comp, int dst_comp,
   }
 }
 
-double MultiFab::min(int comp) const {
-  double out = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < fabs_.size(); ++i)
-    out = std::min(out, fabs_[i].min(ba_[i], comp));
-  return out;
-}
-
-double MultiFab::max(int comp) const {
-  double out = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < fabs_.size(); ++i)
-    out = std::max(out, fabs_[i].max(ba_[i], comp));
-  return out;
-}
-
 double MultiFab::sum(int comp) const {
   double out = 0.0;
   for (std::size_t i = 0; i < fabs_.size(); ++i) out += fabs_[i].sum(ba_[i], comp);
   return out;
-}
-
-std::uint64_t MultiFab::bytes_on_rank(int rank) const {
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < fabs_.size(); ++i) {
-    if (dm_.owner(i) == rank)
-      bytes += static_cast<std::uint64_t>(ba_[i].num_pts()) * ncomp_ * sizeof(double);
-  }
-  return bytes;
 }
 
 }  // namespace amrio::mesh

@@ -34,8 +34,6 @@ class MultiFab {
   /// The valid (non-ghost) box of fab i.
   const Box& valid_box(std::size_t i) const { return ba_[i]; }
 
-  void set_val(double v);
-
   /// Fill ghost cells of every fab from overlapping valid regions of sibling
   /// fabs on the same level (intra-level exchange). Ghosts not covered by any
   /// sibling are left untouched (they belong to the domain boundary or a
@@ -47,14 +45,10 @@ class MultiFab {
   void copy_valid_from(const MultiFab& src, int src_comp, int dst_comp,
                        int ncomp);
 
-  double min(int comp) const;
-  double max(int comp) const;
+  /// Sum of component `comp` over the valid cells (the conservation check).
   double sum(int comp) const;
   /// Total valid cells.
   std::int64_t num_pts() const { return ba_.num_pts(); }
-
-  /// Bytes of valid-region data owned by `rank` (the per-task I/O weight).
-  std::uint64_t bytes_on_rank(int rank) const;
 
  private:
   BoxArray ba_;

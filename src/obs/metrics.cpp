@@ -21,11 +21,6 @@ void MetricsRegistry::add(const std::string& name, std::int64_t delta) {
   counters_[name] += delta;
 }
 
-void MetricsRegistry::gauge_set(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
-}
-
 void MetricsRegistry::gauge_max(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = gauges_.emplace(name, value);

@@ -9,9 +9,9 @@
 /// (commutative, any interleaving yields the same totals). Histogram sums are
 /// quantized to integer units at `observe()` time (`llround(v / quantum)`) so
 /// float accumulation order can't leak engine scheduling into the snapshot.
-/// `gauge_set` and `sample` are *not* commutative — call them only from
-/// deterministic single-threaded contexts (rank 0, or post-run SimFs
-/// emission); `gauge_max` commutes and is safe anywhere.
+/// Gauges keep a running max, which commutes too. Only `sample` depends on
+/// call order: call it from deterministic contexts (rank 0, or post-run
+/// SimFs emission).
 
 #include <cstdint>
 #include <map>
@@ -51,9 +51,6 @@ class MetricsRegistry {
  public:
   /// Monotonic counter increment. Commutative — safe from any rank.
   void add(const std::string& name, std::int64_t delta);
-
-  /// Last-write-wins gauge. Only call from deterministic contexts.
-  void gauge_set(const std::string& name, double value);
 
   /// Running-max gauge. Commutative — safe from any rank.
   void gauge_max(const std::string& name, double value);

@@ -19,11 +19,6 @@ void SelfProfiler::gauge_max(const std::string& name, double v) {
   g = std::max(g, v);
 }
 
-void SelfProfiler::gauge_set(const std::string& name, double v) {
-  std::lock_guard<std::mutex> lock(mu_);
-  snap_.gauges[name] = v;
-}
-
 void SelfProfiler::phase_add(const std::string& name, double wall_s) {
   std::lock_guard<std::mutex> lock(mu_);
   SelfProfSnapshot::Phase& p = snap_.phases[name];

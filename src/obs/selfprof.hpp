@@ -38,7 +38,6 @@ class SelfProfiler {
  public:
   void count(const std::string& name, std::uint64_t v = 1);
   void gauge_max(const std::string& name, double v);
-  void gauge_set(const std::string& name, double v);
   void phase_add(const std::string& name, double wall_s);
 
   SelfProfSnapshot snapshot() const;

@@ -16,15 +16,6 @@ namespace {
 
 constexpr int kMaxPasses = 128;
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 double effective_scale(double bind_a, double bind_b, double factor) {
   // Service is bytes / min(a, b); relieving `a` by `factor` scales it by
   // min(a, b) / min(factor*a, b). Unknown rates (0) degrade to 1/factor.
@@ -36,9 +27,9 @@ double effective_scale(double bind_a, double bind_b, double factor) {
 
 bool group_serves(const std::string& group, const std::string& res) {
   if (res.empty()) return false;
-  if (group == "ost") return starts_with(res, "ost[");
+  if (group == "ost") return res.starts_with("ost[");
   if (group == "bb_drain")
-    return starts_with(res, "bb[") && ends_with(res, ".drain");
+    return res.starts_with("bb[") && res.ends_with(".drain");
   if (group == "agg_link") return res == "agg_link";
   if (group == "codec_cpu") return res == "codec_cpu";
   return false;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
-#include "util/format.hpp"
 #include "util/path.hpp"
 
 namespace amrio::pfs {
@@ -101,7 +100,7 @@ std::vector<std::string> MemoryBackend::list(const std::string& prefix) const {
   for (const auto& shard : path_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [path, rec] : shard.files) {
-      if (util::starts_with(path, prefix)) out.push_back(path);
+      if (path.starts_with(prefix)) out.push_back(path);
     }
   }
   std::sort(out.begin(), out.end());
@@ -249,7 +248,7 @@ std::uint64_t PosixBackend::size(const std::string& path) const {
 std::vector<std::string> PosixBackend::list(const std::string& prefix) const {
   std::vector<std::string> out;
   for (auto& rel : util::list_files_recursive(root_)) {
-    if (util::starts_with(rel, prefix)) out.push_back(rel);
+    if (rel.starts_with(prefix)) out.push_back(rel);
   }
   return out;
 }

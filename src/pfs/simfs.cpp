@@ -48,10 +48,6 @@ SimFs::SimFs(SimFsConfig cfg) : cfg_(cfg) {
   }
 }
 
-int SimFs::ost_of(const std::string& file) const {
-  return static_cast<int>(fnv1a(file) % static_cast<std::uint64_t>(cfg_.n_ost));
-}
-
 int SimFs::node_of(int client) const {
   AMRIO_EXPECTS(client >= 0);
   return (client / std::max(cfg_.bb.ranks_per_node, 1)) %

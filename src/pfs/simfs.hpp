@@ -177,9 +177,6 @@ class SimFs {
   std::vector<IoResult> run(const std::vector<IoRequest>& requests,
                             obs::Probe probe);
 
-  /// First OST index for a file (stable hash), exposed for tests.
-  int ost_of(const std::string& file) const;
-
   /// Staging node of a client ((client / bb.ranks_per_node) % bb.nodes),
   /// exposed for tests.
   int node_of(int client) const;

@@ -147,74 +147,4 @@ Plotfile read_plotfile(const pfs::StorageBackend& backend,
   return pf;
 }
 
-std::vector<pfs::IoRequest> RestartReadPlan::read_requests(double clock,
-                                                           int tier) const {
-  std::vector<pfs::IoRequest> reqs;
-  std::map<std::string, std::size_t> index_of;  // path → position in reqs
-  for (const auto& item : items) {
-    const auto it = index_of.find(item.path);
-    if (it == index_of.end()) {
-      index_of.emplace(item.path, reqs.size());
-      reqs.push_back(pfs::IoRequest{static_cast<int>(reqs.size()), clock,
-                                    item.path, item.bytes, tier,
-                                    pfs::kOpRead});
-    } else {
-      reqs[it->second].bytes += item.bytes;
-    }
-  }
-  return reqs;
-}
-
-RestartReadPlan plan_restart_reads(const pfs::StorageBackend& backend,
-                                   const std::string& dir) {
-  const Plotfile pf = read_plotfile(backend, dir, /*load_data=*/false);
-  RestartReadPlan plan;
-  for (int l = 0; l <= pf.finest_level; ++l) {
-    const auto& lev = pf.levels[static_cast<std::size_t>(l)];
-    const std::string level_dir = dir + "/Level_" + std::to_string(l);
-    // Per Cell_D file, the fab offsets partition [0, file size): sort the
-    // level's items per file by offset, then each fab's extent runs to the
-    // next offset (the last to the end of the file).
-    const std::size_t first = plan.items.size();
-    for (std::size_t g = 0; g < lev.fab_files.size(); ++g) {
-      RestartReadItem item;
-      item.level = l;
-      item.grid = static_cast<int>(g);
-      item.path = level_dir + "/" + lev.fab_files[g];
-      item.offset = lev.fab_offsets[g];
-      plan.items.push_back(std::move(item));
-    }
-    std::map<std::string, std::vector<std::size_t>> by_file;
-    for (std::size_t i = first; i < plan.items.size(); ++i)
-      by_file[plan.items[i].path].push_back(i);
-    for (auto& [path, idxs] : by_file) {
-      std::sort(idxs.begin(), idxs.end(), [&](std::size_t a, std::size_t b) {
-        return plan.items[a].offset < plan.items[b].offset;
-      });
-      const std::uint64_t file_size = backend.size(path);
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        const std::uint64_t offset = plan.items[idxs[k]].offset;
-        // offsets are sorted, so an overlap shows up as a duplicate offset
-        // (two fabs recorded at the same position) and truncation as a
-        // file too short for its last fab
-        if (k + 1 < idxs.size() && plan.items[idxs[k + 1]].offset == offset)
-          throw std::runtime_error(
-              "plan_restart_reads: overlapping fab extents in " + path);
-        const std::uint64_t end =
-            k + 1 < idxs.size() ? plan.items[idxs[k + 1]].offset : file_size;
-        if (end < offset)
-          throw std::runtime_error(
-              "plan_restart_reads: " + path + " truncated below its fab "
-              "offsets");
-        plan.items[idxs[k]].bytes = end - offset;
-        plan.total_bytes += plan.items[idxs[k]].bytes;
-      }
-      if (!idxs.empty() && plan.items[idxs.front()].offset != 0)
-        throw std::runtime_error(
-            "plan_restart_reads: leading gap before the first fab in " + path);
-    }
-  }
-  return plan;
-}
-
 }  // namespace amrio::plotfile

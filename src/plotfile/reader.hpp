@@ -13,7 +13,6 @@
 #include "mesh/fab.hpp"
 #include "mesh/geometry.hpp"
 #include "pfs/backend.hpp"
-#include "pfs/simfs.hpp"
 
 namespace amrio::plotfile {
 
@@ -44,35 +43,5 @@ mesh::Box parse_box(const std::string& text);
 /// Throws std::runtime_error on missing/corrupt files.
 Plotfile read_plotfile(const pfs::StorageBackend& backend,
                        const std::string& dir, bool load_data = true);
-
-/// One fab's on-disk extent — the unit a checkpoint restart fetches.
-struct RestartReadItem {
-  int level = 0;
-  int grid = 0;             ///< grid index within the level
-  std::string path;         ///< full Cell_D path inside the backend
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;  ///< header + payload, up to the next fab
-};
-
-/// Restart read plan over a written plotfile: the per-(level, grid) byte
-/// extents a restart fetches, derived from metadata alone (Header + Cell_H
-/// FabOnDisk offsets + Cell_D sizes) — byte-exact without touching a single
-/// payload byte, the read-side analogue of `predict_plotfile`. The items of
-/// one Cell_D file partition it completely, so `total_bytes` equals the sum
-/// of the Cell_D file sizes.
-struct RestartReadPlan {
-  std::vector<RestartReadItem> items;  ///< (level, grid) order
-  std::uint64_t total_bytes = 0;
-  /// Tier-tagged `kOpRead` requests at `clock`, one per distinct Cell_D file
-  /// covering its full extent; clients are numbered in file first-appearance
-  /// order (one reading rank per file, the MIF pattern in reverse).
-  std::vector<pfs::IoRequest> read_requests(double clock, int tier) const;
-};
-
-/// Build the plan for the plotfile rooted at `dir`. Only Header/Cell_H are
-/// read (the backend must store contents, like any plotfile read). Throws
-/// std::runtime_error on missing/corrupt files.
-RestartReadPlan plan_restart_reads(const pfs::StorageBackend& backend,
-                                   const std::string& dir);
 
 }  // namespace amrio::plotfile

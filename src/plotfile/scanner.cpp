@@ -12,7 +12,7 @@ namespace {
 
 std::optional<std::int64_t> parse_step_suffix(const std::string& name,
                                               const std::string& prefix) {
-  if (!util::starts_with(name, prefix)) return std::nullopt;
+  if (!name.starts_with(prefix)) return std::nullopt;
   const std::string digits = name.substr(prefix.size());
   if (digits.empty()) return std::nullopt;
   for (char c : digits)
@@ -21,7 +21,7 @@ std::optional<std::int64_t> parse_step_suffix(const std::string& name,
 }
 
 std::optional<int> parse_level_dir(const std::string& seg) {
-  if (!util::starts_with(seg, "Level_")) return std::nullopt;
+  if (!seg.starts_with("Level_")) return std::nullopt;
   const std::string digits = seg.substr(6);
   if (digits.empty()) return std::nullopt;
   for (char c : digits)
@@ -30,7 +30,7 @@ std::optional<int> parse_level_dir(const std::string& seg) {
 }
 
 std::optional<int> parse_task_file(const std::string& seg) {
-  if (!util::starts_with(seg, "Cell_D_")) return std::nullopt;
+  if (!seg.starts_with("Cell_D_")) return std::nullopt;
   const std::string digits = seg.substr(7);
   if (digits.empty()) return std::nullopt;
   for (char c : digits)

@@ -44,11 +44,6 @@ int AggTopology::aggregator_of_group(int group) const {
   return first_rank_of(group);
 }
 
-int AggTopology::group_size(int group) const {
-  AMRIO_EXPECTS(group >= 0 && group < ngroups_);
-  return first_rank_of(group + 1) - first_rank_of(group);
-}
-
 std::vector<int> AggTopology::members_of(int group) const {
   AMRIO_EXPECTS(group >= 0 && group < ngroups_);
   std::vector<int> out;

@@ -46,7 +46,6 @@ class AggTopology {
   bool is_aggregator(int rank) const { return aggregator_of(rank) == rank; }
   /// Members of a group in ascending rank order (aggregator first).
   std::vector<int> members_of(int group) const;
-  int group_size(int group) const;
 
  private:
   AggTopology(int nranks, int ngroups) : nranks_(nranks), ngroups_(ngroups) {}

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/assert.hpp"
-#include "util/format.hpp"
 
 namespace amrio::util {
 
@@ -53,7 +52,7 @@ void ArgParser::parse(const std::vector<std::string>& args) {
   std::size_t i = 0;
   while (i < args.size()) {
     const std::string& arg = args[i];
-    if (!starts_with(arg, "--")) {
+    if (!arg.starts_with("--")) {
       positional_.push_back(arg);
       ++i;
       continue;

@@ -21,9 +21,6 @@ std::string trim(std::string_view s);
 /// Lower-case ASCII copy.
 std::string to_lower(std::string_view s);
 
-bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-
 /// Join the range [first,last) of strings with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -47,20 +47,6 @@ bool InputsFile::contains(const std::string& key) const {
   return values_.find(key) != values_.end();
 }
 
-std::vector<std::string> InputsFile::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
-std::optional<std::vector<std::string>> InputsFile::query(
-    const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
-
 const std::vector<std::string>& InputsFile::tokens(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end())

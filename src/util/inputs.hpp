@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,6 @@ class InputsFile {
 
   bool contains(const std::string& key) const;
   std::size_t size() const { return values_.size(); }
-  std::vector<std::string> keys() const;
-
-  /// Raw token list for `key`; empty optional when the key is absent.
-  std::optional<std::vector<std::string>> query(const std::string& key) const;
 
   // Typed getters: `get_*` throw std::out_of_range when the key is missing
   // and std::invalid_argument when conversion fails; `get_*_or` substitute a

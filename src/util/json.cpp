@@ -177,25 +177,4 @@ JsonWriter& JsonWriter::value(std::uint64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(bool v) {
-  begin_value();
-  buf_ += v ? "true" : "false";
-  after_token();
-  return *this;
-}
-
-JsonWriter& JsonWriter::null() {
-  begin_value();
-  buf_ += "null";
-  after_token();
-  return *this;
-}
-
-std::string JsonWriter::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
-}
-
 }  // namespace amrio::util

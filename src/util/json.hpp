@@ -47,15 +47,11 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
-  JsonWriter& value(bool v);
-  JsonWriter& null();
+  /// No bool overload: without this a bool would print as the integer 1/0.
+  JsonWriter& value(bool v) = delete;
 
   /// True once every opened scope is closed.
   bool complete() const { return stack_.empty() && wrote_root_; }
-
-  /// JSON string-body escaping: `"`, `\` and control characters (< 0x20);
-  /// every other byte passes through unchanged.
-  static std::string escape(std::string_view s);
 
  private:
   enum class Scope { kObject, kArray };

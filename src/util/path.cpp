@@ -1,12 +1,9 @@
 #include "util/path.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
-
-#include <unistd.h>
 
 namespace fs = std::filesystem;
 
@@ -16,12 +13,6 @@ void make_dirs(const std::string& path) {
   std::error_code ec;
   fs::create_directories(path, ec);
   if (ec) throw std::runtime_error("make_dirs(" + path + "): " + ec.message());
-}
-
-void remove_all(const std::string& path) {
-  std::error_code ec;
-  fs::remove_all(path, ec);
-  if (ec) throw std::runtime_error("remove_all(" + path + "): " + ec.message());
 }
 
 std::string path_join(const std::string& a, const std::string& b) {
@@ -57,21 +48,6 @@ std::vector<std::string> list_files_recursive(const std::string& dir) {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::string make_temp_dir(const std::string& prefix) {
-  static std::atomic<std::uint64_t> counter{0};
-  const auto base = fs::temp_directory_path();
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const auto name =
-        prefix + "." + std::to_string(static_cast<std::uint64_t>(::getpid())) +
-        "." + std::to_string(counter.fetch_add(1));
-    const fs::path candidate = base / name;
-    std::error_code ec;
-    if (fs::create_directories(candidate, ec) && !ec)
-      return candidate.generic_string();
-  }
-  throw std::runtime_error("make_temp_dir: exhausted attempts");
 }
 
 }  // namespace amrio::util

@@ -10,9 +10,6 @@ namespace amrio::util {
 /// mkdir -p. Throws std::runtime_error on failure.
 void make_dirs(const std::string& path);
 
-/// rm -rf (no error if missing).
-void remove_all(const std::string& path);
-
 /// Join two path fragments with exactly one '/'.
 std::string path_join(const std::string& a, const std::string& b);
 
@@ -25,8 +22,5 @@ std::uint64_t file_size(const std::string& path);
 /// Recursive listing of regular files under `dir`, paths relative to `dir`,
 /// sorted lexicographically. Missing dir → empty list.
 std::vector<std::string> list_files_recursive(const std::string& dir);
-
-/// A fresh unique scratch directory under the system temp dir, created now.
-std::string make_temp_dir(const std::string& prefix);
 
 }  // namespace amrio::util

@@ -1,35 +1,11 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "util/assert.hpp"
 
 namespace amrio::util {
-
-void RunningStats::push(double x) {
-  ++n_;
-  sum_ += x;
-  if (n_ == 1) {
-    mean_ = x;
-    m2_ = 0.0;
-    min_ = x;
-    max_ = x;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::span<const double> values, double q) {
   AMRIO_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -70,22 +46,6 @@ double gini(std::span<const double> values) {
   if (sum == 0.0) return 0.0;
   const double dn = static_cast<double>(n);
   return (2.0 * weighted) / (dn * sum) - (dn + 1.0) / dn;
-}
-
-Histogram histogram(std::span<const double> values, int nbins) {
-  AMRIO_EXPECTS(nbins > 0);
-  Histogram h;
-  h.counts.assign(static_cast<std::size_t>(nbins), 0);
-  if (values.empty()) return h;
-  h.lo = *std::min_element(values.begin(), values.end());
-  h.hi = *std::max_element(values.begin(), values.end());
-  const double width = (h.hi - h.lo) > 0 ? (h.hi - h.lo) : 1.0;
-  for (double v : values) {
-    int bin = static_cast<int>((v - h.lo) / width * nbins);
-    bin = std::clamp(bin, 0, nbins - 1);
-    ++h.counts[static_cast<std::size_t>(bin)];
-  }
-  return h;
 }
 
 }  // namespace amrio::util

@@ -17,6 +17,12 @@ namespace a = amrio::amr;
 namespace m = amrio::mesh;
 namespace h = amrio::hydro;
 
+namespace {
+a::AmrInputs parse_inputs(const std::string& text) {
+  return a::AmrInputs::from_inputs(amrio::util::InputsFile::from_string(text));
+}
+}  // namespace
+
 // ---------------------------------------------------------------- inputs
 
 TEST(AmrInputs, BaselineMatchesListing2) {
@@ -39,7 +45,7 @@ TEST(AmrInputs, BaselineMatchesListing2) {
 
 TEST(AmrInputs, ParsesTableIKeys) {
   // The five Table I parameters that drive the study.
-  const auto in = a::AmrInputs::from_string(R"(
+  const auto in = parse_inputs(R"(
 max_step = 40
 amr.n_cell = 128 128
 amr.max_level = 2
@@ -82,7 +88,7 @@ TEST(AmrInputs, ValidationCatchesBadValues) {
 }
 
 TEST(AmrInputs, UnknownKeysIgnored) {
-  EXPECT_NO_THROW(a::AmrInputs::from_string("weird.key = 3\n"));
+  EXPECT_NO_THROW(parse_inputs("weird.key = 3\n"));
 }
 
 // --------------------------------------------------------------- tagging
@@ -126,10 +132,13 @@ TEST(Tagging, UniformStateProducesNoTags) {
   m::BoxArray ba(m::Box(0, 0, 15, 15));
   auto dm = m::DistributionMapping::make(ba, 1, m::DistributionStrategy::kSfc);
   m::MultiFab mf(ba, dm, h::kNCons, 1);
-  mf.set_val(0.0);
   for (std::size_t b = 0; b < mf.nfabs(); ++b) {
-    mf.fab(b).set_val(1.0, h::kURho);
-    mf.fab(b).set_val(2.5, h::kUEden);
+    auto& fab = mf.fab(b);
+    for (int j = fab.box().lo(1); j <= fab.box().hi(1); ++j)
+      for (int i = fab.box().lo(0); i <= fab.box().hi(0); ++i) {
+        fab(i, j, h::kURho) = 1.0;
+        fab(i, j, h::kUEden) = 2.5;
+      }
   }
   const auto tags = a::tag_cells(mf, h::GammaLawEos(1.4), a::TaggingParams{});
   EXPECT_TRUE(tags.empty());

@@ -343,7 +343,6 @@ TEST(CampaignCache, JsonRoundTripIsExact) {
 
   cg::ResultCache loaded;
   EXPECT_EQ(loaded.load(path), 2u);
-  EXPECT_EQ(loaded.size(), 2u);
   cg::CellResult got;
   ASSERT_TRUE(loaded.lookup("amrio-campaign-v1|a", &got));
   expect_results_equal(got, r);  // %.17g doubles round-trip exactly
@@ -359,7 +358,6 @@ TEST(CampaignCache, JsonRoundTripIsExact) {
 TEST(CampaignCache, MissingFileIsColdAndOtherSchemaIsDiscarded) {
   cg::ResultCache cache;
   EXPECT_EQ(cache.load(testing::TempDir() + "campaign_cache_nope.json"), 0u);
-  EXPECT_EQ(cache.size(), 0u);
 
   const std::string stale = testing::TempDir() + "campaign_cache_stale.json";
   {
@@ -368,7 +366,7 @@ TEST(CampaignCache, MissingFileIsColdAndOtherSchemaIsDiscarded) {
            " \"raw_bytes\": 1}]}";
   }
   EXPECT_EQ(cache.load(stale), 0u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup("k", nullptr));
 
   const std::string bad = testing::TempDir() + "campaign_cache_bad.json";
   {

@@ -216,7 +216,7 @@ TEST(CodecModel, RegistryRejectsBadSpecsWithOneLineErrors) {
   EXPECT_THROW(cd::make_codec(spec), std::invalid_argument);
 }
 
-TEST(CodecStatsTest, AccumulatesBreakdownsAndMerges) {
+TEST(CodecStatsTest, AccumulatesBreakdowns) {
   cd::CodecStats a;
   a.add(0, -1, {1000, 400, 0.1});
   a.add(0, -1, {500, 200, 0.05});
@@ -228,9 +228,7 @@ TEST(CodecStatsTest, AccumulatesBreakdownsAndMerges) {
   EXPECT_EQ(a.by_dump.at(1).encoded_bytes, 250u);
   EXPECT_NEAR(a.total.ratio(), 2500.0 / 850.0, 1e-12);
   EXPECT_EQ(a.total.saved_bytes(), 1650u);
-  cd::CodecStats b;
-  b.add(1, 2, {100, 50, 0.01});
-  a.merge(b);
+  a.add(1, 2, {100, 50, 0.01});
   EXPECT_EQ(a.total.chunks, 4u);
   EXPECT_EQ(a.by_dump.at(1).raw_bytes, 1100u);
   EXPECT_EQ(a.by_level.at(2).encoded_bytes, 50u);
@@ -311,7 +309,8 @@ TEST_P(CodecMacsio, IdentityIsByteIdenticalToUncodedStaging) {
   auto flat = params;
   flat.aggregators = 0;
   p::MemoryBackend flat_be(true);
-  mc::run_macsio(flat, flat_be);
+  mc::run_macsio(
+      *ex::make_engine(GetParam(), flat.nprocs), flat, flat_be);
 
   const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
   for (int dump = 0; dump < params.num_dumps; ++dump) {

@@ -266,7 +266,9 @@ TEST(EventEngine, MifDumpSuspendsOncePerRankPerDump) {
 
   // The grouped-MIF baton still lands the serial reference's bytes.
   p::MemoryBackend serial_be(true);
-  const mc::DumpStats serial = mc::run_macsio(params, serial_be);
+  const mc::DumpStats serial =
+      mc::run_macsio(*ex::make_engine(ex::EngineKind::kSerial, params.nprocs),
+                     params, serial_be);
   EXPECT_EQ(event.total_bytes, serial.total_bytes);
   EXPECT_EQ(event.nfiles, serial.nfiles);
   EXPECT_EQ(event.nfiles, 3u * (8u + 1u));

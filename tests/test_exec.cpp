@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,7 +22,6 @@
 #include "pfs/backend.hpp"
 #include "plotfile/writer.hpp"
 #include "util/assert.hpp"
-#include "util/path.hpp"
 
 namespace ex = amrio::exec;
 namespace mc = amrio::macsio;
@@ -303,8 +303,10 @@ TEST_P(EngineParity, SpmdMatchesSerialOnPosixBackend) {
   const auto [mode, mif_files] = GetParam();
   const auto params = stress_params(mode, /*nprocs=*/32, mif_files);
 
-  const std::string root_a = amrio::util::make_temp_dir("amrio_exec_serial");
-  const std::string root_b = amrio::util::make_temp_dir("amrio_exec_spmd");
+  const std::string root_a = testing::TempDir() + "amrio_exec_serial";
+  const std::string root_b = testing::TempDir() + "amrio_exec_spmd";
+  std::filesystem::remove_all(root_a);
+  std::filesystem::remove_all(root_b);
   {
     p::PosixBackend serial_be(root_a);
     ex::SerialEngine serial(params.nprocs);
@@ -320,8 +322,8 @@ TEST_P(EngineParity, SpmdMatchesSerialOnPosixBackend) {
     for (const auto& path : serial_be.list(""))
       EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
   }
-  amrio::util::remove_all(root_a);
-  amrio::util::remove_all(root_b);
+  std::filesystem::remove_all(root_a);
+  std::filesystem::remove_all(root_b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -375,7 +377,7 @@ TEST(EngineParity, PlotfileWriteIdenticalAcrossEngines) {
   const auto dm =
       m::DistributionMapping::make(ba, nranks, m::DistributionStrategy::kSfc);
   m::MultiFab mf(ba, dm, 2, 0);
-  mf.set_val(1.25);
+  for (std::size_t i = 0; i < mf.nfabs(); ++i) mf.fab(i).set_val(1.25);
   const m::Geometry geom(m::Box(0, 0, 63, 63), {0.0, 0.0}, {1.0, 1.0});
   pf::PlotfileSpec spec;
   spec.dir = "engine_plt00000";

@@ -59,7 +59,7 @@ TEST(Checkpoint, ReadsBackThroughPlotfileReader) {
   m::BoxArray ba(m::Box(0, 0, 15, 15));
   auto dm = m::DistributionMapping::make(ba, 1, m::DistributionStrategy::kSfc);
   m::MultiFab state(ba, dm, 4, 0);
-  state.set_val(3.5);
+  state.fab(0).set_val(3.5);
   const m::Geometry geom(m::Box(0, 0, 15, 15), {0.0, 0.0}, {1.0, 1.0});
   pf::PlotfileSpec spec;
   spec.dir = "chk00007";
@@ -135,7 +135,8 @@ TEST(Aggregate, MetadataRowsCountedInTotalsNotLevels) {
   table[{0, -1, -1}] = 100;  // Header/job_info
   table[{0, 0, -1}] = 10;    // Cell_H
   table[{0, 0, 0}] = 1000;   // data
-  EXPECT_EQ(amrio::iostats::step_bytes(table, 0), 1110u);
+  EXPECT_DOUBLE_EQ(amrio::iostats::cumulative_series(table, 64).per_step[0],
+                   1110.0);
   EXPECT_EQ(amrio::iostats::step_level_bytes(table, 0, 0), 1010u);
   EXPECT_EQ(amrio::iostats::step_level_bytes(table, 0, -1), 100u);
   // level series for L0 includes Cell_H but not the top-level metadata
@@ -166,7 +167,8 @@ TEST(Geometry, RefineChainsCompose) {
   const auto g2 = g0.refine(2).refine(2);
   EXPECT_DOUBLE_EQ(g2.cell_size(0), g0.cell_size(0) / 4);
   EXPECT_EQ(g2.domain(), g0.domain().refine(4));
-  // physical center of a refined cell stays inside the original cell
-  const auto c = g2.cell_center({0, 0});
-  EXPECT_LT(c[0], g0.cell_size(0));
+  // the last fine cell inside coarse cell 0 starts inside it
+  const auto lo = g2.cell_lo({3, 3});
+  EXPECT_DOUBLE_EQ(lo[0], 0.75 * g0.cell_size(0));
+  EXPECT_LT(lo[1], g0.cell_size(0));
 }

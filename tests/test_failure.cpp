@@ -127,7 +127,8 @@ struct WrittenPlotfile {
     auto dm = m::DistributionMapping::make(ba, 2,
                                            m::DistributionStrategy::kRoundRobin);
     storage.emplace_back(ba, dm, 1, 0);
-    storage[0].set_val(1.0);
+    for (std::size_t i = 0; i < storage[0].nfabs(); ++i)
+      storage[0].fab(i).set_val(1.0);
     spec.dir = "plt00000";
     spec.var_names = {"density"};
     const m::Geometry geom(m::Box(0, 0, 15, 15), {0.0, 0.0}, {1.0, 1.0});
@@ -228,7 +229,10 @@ TEST(FailureWriter, MacsioFaultPropagates) {
   params.part_size = 4000;
   p::MemoryBackend inner(false);
   FaultyBackend faulty(inner, 3);
-  EXPECT_THROW(amrio::macsio::run_macsio(params, faulty), std::runtime_error);
+  const auto engine =
+      amrio::exec::make_engine(amrio::exec::EngineKind::kSerial, params.nprocs);
+  EXPECT_THROW(amrio::macsio::run_macsio(*engine, params, faulty),
+               std::runtime_error);
 }
 
 TEST(FailureWriter, RootMetadataFaultUnwindsEveryEngine) {
@@ -298,13 +302,15 @@ TEST(FailureCli, MacsioRejectsMalformedInvocations) {
 
 TEST(FailureInputs, AmrInputsRejectBrokenFiles) {
   using amrio::amr::AmrInputs;
-  EXPECT_THROW(AmrInputs::from_string("amr.n_cell = 32\n"),
+  const auto parse = [](const std::string& text) {
+    return AmrInputs::from_inputs(amrio::util::InputsFile::from_string(text));
+  };
+  EXPECT_THROW(parse("amr.n_cell = 32\n"),
                amrio::ContractViolation);  // needs two values
-  EXPECT_THROW(AmrInputs::from_string("castro.cfl = fast\n"),
-               std::invalid_argument);
+  EXPECT_THROW(parse("castro.cfl = fast\n"), std::invalid_argument);
   EXPECT_THROW(AmrInputs::from_file("/nonexistent/inputs"),
                std::runtime_error);
-  auto in = AmrInputs::from_string("amr.max_level = 99\n");
+  auto in = parse("amr.max_level = 99\n");
   EXPECT_THROW(in.validate(), amrio::ContractViolation);
 }
 

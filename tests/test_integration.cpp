@@ -165,7 +165,8 @@ TEST(Pipeline, ProxyRequestsReplayThroughSimFs) {
   auto params = v.translation.params;
   params.compute_time = 1.0;
   pfs::MemoryBackend be(false);
-  const auto stats = macsio::run_macsio(params, be);
+  const auto stats = macsio::run_macsio(
+      *exec::make_engine(exec::EngineKind::kSerial, params.nprocs), params, be);
 
   pfs::SimFsConfig fscfg;
   fscfg.n_ost = 8;
@@ -195,10 +196,5 @@ TEST(Pipeline, ScaledCasesPreserveStructure) {
     EXPECT_NO_THROW(c4.to_inputs().validate());
     const auto c27 = core::case27(scale);
     EXPECT_NO_THROW(c27.to_inputs().validate());
-    const auto lg = core::large_case(scale);
-    EXPECT_NO_THROW(lg.to_inputs().validate());
   }
-  const auto campaign = core::table3_campaign(0.25);
-  EXPECT_GE(campaign.size(), 30u);
-  for (const auto& c : campaign) EXPECT_NO_THROW(c.to_inputs().validate());
 }

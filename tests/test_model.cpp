@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "model/calibrate.hpp"
@@ -15,6 +16,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
+namespace ex = amrio::exec;
 namespace md = amrio::model;
 namespace io = amrio::iostats;
 
@@ -176,7 +178,8 @@ TEST(Calibrate, PerDumpBytesMatchDriverExactly) {
   p.meta_size = 17;
   const auto predicted = md::macsio_per_dump_bytes(p);
   amrio::pfs::MemoryBackend be(false);
-  const auto stats = amrio::macsio::run_macsio(p, be);
+  const auto stats = amrio::macsio::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, p.nprocs), p, be);
   ASSERT_EQ(predicted.size(), stats.bytes_per_dump.size());
   for (std::size_t d = 0; d < predicted.size(); ++d) {
     EXPECT_DOUBLE_EQ(predicted[d], static_cast<double>(stats.bytes_per_dump[d]))
@@ -290,7 +293,7 @@ TEST(Aggregate, StepAndLevelQueries) {
   table[{0, -1, -1}] = 5;
   table[{0, 0, 0}] = 10;
   table[{0, 1, 0}] = 20;
-  EXPECT_EQ(io::step_bytes(table, 0), 35u);
+  EXPECT_DOUBLE_EQ(io::cumulative_series(table, 64).per_step[0], 35.0);
   EXPECT_EQ(io::step_level_bytes(table, 0, 1), 20u);
   EXPECT_EQ(io::levels_present(table), (std::vector<int>{0, 1}));
   EXPECT_EQ(io::output_steps(table), (std::vector<std::int64_t>{0}));

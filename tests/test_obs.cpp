@@ -147,8 +147,6 @@ TEST(Metrics, CountersGaugesHistogramsSeries) {
   obs::MetricsRegistry m;
   m.add("bytes", 10);
   m.add("bytes", 32);
-  m.gauge_set("depth", 3.0);
-  m.gauge_set("depth", 2.0);  // last write wins
   m.gauge_max("peak", 5.0);
   m.gauge_max("peak", 4.0);  // max wins
   m.observe("lat", 3e-9, 1e-9);  // 3 units -> bucket 1 ([2,4))
@@ -159,7 +157,6 @@ TEST(Metrics, CountersGaugesHistogramsSeries) {
 
   const obs::MetricsSnapshot snap = m.snapshot();
   EXPECT_EQ(snap.counters.at("bytes"), 42);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 2.0);
   EXPECT_DOUBLE_EQ(snap.gauges.at("peak"), 5.0);
   const auto& h = snap.histograms.at("lat");
   EXPECT_EQ(h.count, 3);
@@ -558,9 +555,9 @@ PinnedExports render_pinned_exports() {
 
   obs::MetricsRegistry m;
   m.add("requests", 7);
-  m.gauge_set("ratio", 1.0 / 3.0);
-  m.gauge_set("tiny", 1e-7);
-  m.gauge_set("huge", 1e21);
+  m.gauge_max("ratio", 1.0 / 3.0);
+  m.gauge_max("tiny", 1e-7);
+  m.gauge_max("huge", 1e21);
   m.observe("lat", 4e-9, 1e-9);
   m.observe("lat", 0.0, 1e-9);
   m.observe("lat", 1.0 / 3.0, 1e-9);
@@ -1014,7 +1011,7 @@ TEST(Exporters, CsvQuotesNamesWithCommasAndQuotes) {
   obs::MetricsRegistry m;
   m.add("bytes,total", 7);       // comma would split the row
   m.add("say \"hi\"", 1);        // embedded quotes must double
-  m.gauge_set("plain", 2.0);
+  m.gauge_max("plain", 2.0);
   std::ostringstream os;
   obs::write_metrics_csv(os, m.snapshot());
   const std::string csv = os.str();
@@ -1039,8 +1036,6 @@ TEST(SelfProfiler, CountersGaugesAndPhasesAccumulate) {
   prof.count("runs", 2);
   prof.gauge_max("peak", 3.0);
   prof.gauge_max("peak", 2.0);
-  prof.gauge_set("last", 1.0);
-  prof.gauge_set("last", 4.0);
   prof.phase_add("dump", 0.5);
   prof.phase_add("dump", 0.25);
   { obs::SelfProfiler::ScopedPhase ph(&prof, "scoped"); }
@@ -1049,7 +1044,6 @@ TEST(SelfProfiler, CountersGaugesAndPhasesAccumulate) {
   const obs::SelfProfSnapshot snap = prof.snapshot();
   EXPECT_EQ(snap.counters.at("runs"), 3u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("peak"), 3.0);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("last"), 4.0);
   EXPECT_DOUBLE_EQ(snap.phases.at("dump").wall_s, 0.75);
   EXPECT_EQ(snap.phases.at("dump").count, 2u);
   EXPECT_EQ(snap.phases.at("scoped").count, 1u);

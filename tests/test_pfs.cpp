@@ -4,19 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
 #include "pfs/timeline.hpp"
 #include "util/assert.hpp"
-#include "util/path.hpp"
 
 namespace p = amrio::pfs;
 
 namespace {
 std::span<const std::byte> as_bytes(const std::string& s) {
   return std::as_bytes(std::span<const char>(s.data(), s.size()));
+}
+
+/// The first OST SimFs stripes `file` over, as a one-byte write reports it.
+int first_ost(const p::SimFsConfig& cfg, const std::string& file) {
+  return p::SimFs(cfg).run({{0, 0.0, file, 1}})[0].first_ost;
 }
 }  // namespace
 
@@ -117,7 +122,8 @@ TEST(MemoryBackend, ReadRangeSlicesExactly) {
 }
 
 TEST(PosixBackend, ReadRangeMatchesBaseImplementation) {
-  const std::string root = amrio::util::make_temp_dir("amrio_pfs_range");
+  const std::string root = testing::TempDir() + "amrio_pfs_range";
+  std::filesystem::remove_all(root);
   p::PosixBackend posix(root);
   { p::OutFile f(posix, "a/data.bin"); f.write("abcdefghij"); }
   // the overridden ranged read agrees with the read-everything-and-slice
@@ -127,11 +133,12 @@ TEST(PosixBackend, ReadRangeMatchesBaseImplementation) {
   EXPECT_EQ(ranged, std::vector<std::byte>(whole.begin() + 3,
                                            whole.begin() + 7));
   EXPECT_THROW(posix.read_range("a/data.bin", 8, 5), std::runtime_error);
-  amrio::util::remove_all(root);
+  std::filesystem::remove_all(root);
 }
 
 TEST(PosixBackend, ParityWithMemoryBackend) {
-  const std::string root = amrio::util::make_temp_dir("amrio_pfs_test");
+  const std::string root = testing::TempDir() + "amrio_pfs_test";
+  std::filesystem::remove_all(root);
   p::PosixBackend posix(root);
   p::MemoryBackend mem(true);
   auto scenario = [](p::StorageBackend& be) {
@@ -146,7 +153,7 @@ TEST(PosixBackend, ParityWithMemoryBackend) {
     EXPECT_EQ(posix.size(path), mem.size(path)) << path;
     EXPECT_EQ(posix.read(path), mem.read(path)) << path;
   }
-  amrio::util::remove_all(root);
+  std::filesystem::remove_all(root);
 }
 
 // ------------------------------------------------------------------ simfs
@@ -202,9 +209,9 @@ TEST(SimFs, DisjointOstsRunInParallel) {
   std::string f2;
   for (char c = 'a'; c <= 'z'; ++c) {
     f2 = std::string("file_") + c + "x";
-    if (fs.ost_of(f2) != fs.ost_of(f1)) break;
+    if (first_ost(cfg, f2) != first_ost(cfg, f1)) break;
   }
-  ASSERT_NE(fs.ost_of(f1), fs.ost_of(f2));
+  ASSERT_NE(first_ost(cfg, f1), first_ost(cfg, f2));
   const std::uint64_t bytes = 500'000'000;
   const auto res = fs.run({{0, 0.0, f1, bytes}, {1, 0.0, f2, bytes}});
   double makespan = 0.0;
@@ -471,12 +478,11 @@ TEST(SimFs, PrefetchStreamsAreBoundedPerNode) {
   cfg.bb.prefetch_concurrency = 1;
   // pick extent names hashing to three distinct OSTs, so the wide sweep
   // below is genuinely OST-parallel
-  p::SimFs probe(cfg);
   std::vector<std::string> names;
   std::vector<int> osts;
   for (int i = 0; names.size() < 3; ++i) {
     const std::string candidate = "data/ext" + std::to_string(i);
-    const int ost = probe.ost_of(candidate);
+    const int ost = first_ost(cfg, candidate);
     if (std::find(osts.begin(), osts.end(), ost) == osts.end()) {
       names.push_back(candidate);
       osts.push_back(ost);

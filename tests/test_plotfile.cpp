@@ -44,8 +44,10 @@ struct Fixture {
                                             m::DistributionStrategy::kRoundRobin);
     storage.emplace_back(ba0, dm0, ncomp, 0);
     storage.emplace_back(ba1, dm1, ncomp, 0);
-    storage[0].set_val(1.5);
-    storage[1].set_val(2.5);
+    for (std::size_t i = 0; i < storage[0].nfabs(); ++i)
+      storage[0].fab(i).set_val(1.5);
+    for (std::size_t i = 0; i < storage[1].nfabs(); ++i)
+      storage[1].fab(i).set_val(2.5);
     levels.push_back({g0, &storage[0]});
     levels.push_back({g1, &storage[1]});
     layouts.push_back({g0, ba0, dm0});

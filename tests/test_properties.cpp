@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "amr/cluster.hpp"
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "model/calibrate.hpp"
@@ -20,6 +21,7 @@
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
+namespace ex = amrio::exec;
 namespace pf = amrio::plotfile;
 namespace p = amrio::pfs;
 namespace m = amrio::mesh;
@@ -217,7 +219,8 @@ TEST_P(MacsioProperty, SizingIdentities) {
   // identity 1: closed-form per-dump bytes == actual driver bytes
   const auto predicted = amrio::model::macsio_per_dump_bytes(params);
   p::MemoryBackend be(false);
-  const auto stats = amrio::macsio::run_macsio(params, be);
+  const auto stats = amrio::macsio::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, params.nprocs), params, be);
   ASSERT_EQ(predicted.size(), stats.bytes_per_dump.size());
   for (std::size_t d = 0; d < predicted.size(); ++d)
     EXPECT_DOUBLE_EQ(predicted[d], static_cast<double>(stats.bytes_per_dump[d]));

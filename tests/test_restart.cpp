@@ -3,9 +3,8 @@
 /// reverse ship, the codec decode model and the CodecStats encode/decode
 /// split, the MACSio restart loop (byte-identical read-back across engines
 /// at 32 ranks / 8 aggregators, byte conservation, decode accounting, the
-/// read/prefetch request streams, contract failures on every engine), the
-/// exactness of the zero-block `restart_hash` against byte-wise FNV-1a, and
-/// the plotfile restart read plan.
+/// read/prefetch request streams, contract failures on every engine) and the
+/// exactness of the zero-block `restart_hash` against byte-wise FNV-1a.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +19,8 @@
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
-#include "mesh/distribution.hpp"
-#include "mesh/multifab.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
-#include "plotfile/reader.hpp"
-#include "plotfile/writer.hpp"
 #include "staging/aggregator.hpp"
 #include "staging/restage.hpp"
 #include "util/assert.hpp"
@@ -34,9 +29,7 @@
 namespace cd = amrio::codec;
 namespace ex = amrio::exec;
 namespace mc = amrio::macsio;
-namespace m = amrio::mesh;
 namespace p = amrio::pfs;
-namespace pf = amrio::plotfile;
 namespace st = amrio::staging;
 
 // ------------------------------------------------------------ RestagePlan
@@ -263,10 +256,8 @@ TEST(CodecStatsSplit, DecodeDoesNotPolluteEncodeReports) {
   EXPECT_EQ(stats.total.raw_bytes, 2000u);
   EXPECT_EQ(stats.total.chunks, 2u);
 
-  cd::CodecStats other;
-  other.add_decode(1, 2, enc, 0.3);
-  stats.merge(other);
-  EXPECT_DOUBLE_EQ(stats.total.encode_seconds, 0.5);  // merge keeps the split
+  stats.add_decode(1, 2, enc, 0.3);
+  EXPECT_DOUBLE_EQ(stats.total.encode_seconds, 0.5);  // still split
   EXPECT_DOUBLE_EQ(stats.total.decode_seconds, 0.5);
   EXPECT_DOUBLE_EQ(stats.by_level.at(2).decode_seconds, 0.3);
 }
@@ -624,56 +615,3 @@ INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestartContract,
                                            ex::EngineKind::kEvent,
                                            ex::EngineKind::kSpmd));
 
-// ---------------------------------------------- plotfile restart reads
-
-TEST(PlotfileRestart, PlanPartitionsEveryCellDFile) {
-  // A two-level plotfile written over 3 ranks: the restart plan must cover
-  // every Cell_D byte exactly once, predicted from metadata alone.
-  std::vector<m::Box> l0;
-  for (int j = 0; j < 2; ++j)
-    for (int i = 0; i < 2; ++i)
-      l0.emplace_back(i * 8, j * 8, i * 8 + 7, j * 8 + 7);
-  m::BoxArray ba0(l0);
-  m::BoxArray ba1(m::Box(8, 8, 23, 23));
-  const m::Geometry g0(m::Box(0, 0, 15, 15), {0.0, 0.0}, {1.0, 1.0});
-  const m::Geometry g1 = g0.refine(2);
-  const auto dm0 = m::DistributionMapping::make(
-      ba0, 3, m::DistributionStrategy::kRoundRobin);
-  const auto dm1 = m::DistributionMapping::make(
-      ba1, 3, m::DistributionStrategy::kRoundRobin);
-  std::vector<m::MultiFab> storage;
-  storage.emplace_back(ba0, dm0, 2, 0);
-  storage.emplace_back(ba1, dm1, 2, 0);
-  storage[0].set_val(1.5);
-  storage[1].set_val(2.5);
-  pf::PlotfileSpec spec;
-  spec.dir = "plt_restart";
-  spec.var_names = {"density", "pressure"};
-
-  p::MemoryBackend be(true);
-  (void)pf::write_plotfile(be, spec,
-                           {{g0, &storage[0]}, {g1, &storage[1]}});
-
-  const auto plan = pf::plan_restart_reads(be, spec.dir);
-  ASSERT_EQ(plan.items.size(), 5u);  // 4 level-0 grids + 1 level-1 grid
-  std::map<std::string, std::uint64_t> per_file;
-  for (const auto& item : plan.items) {
-    EXPECT_GT(item.bytes, 0u);
-    per_file[item.path] += item.bytes;
-  }
-  std::uint64_t cell_d_total = 0;
-  for (const auto& [path, bytes] : per_file) {
-    EXPECT_EQ(bytes, be.size(path)) << path;  // items partition the file
-    cell_d_total += be.size(path);
-  }
-  EXPECT_EQ(plan.total_bytes, cell_d_total);
-
-  // one tier-tagged read request per distinct Cell_D file, full extent
-  const auto reqs = plan.read_requests(1.0, p::kTierBurstBuffer);
-  ASSERT_EQ(reqs.size(), per_file.size());
-  for (const auto& req : reqs) {
-    EXPECT_EQ(req.op, p::kOpRead);
-    EXPECT_EQ(req.tier, p::kTierBurstBuffer);
-    EXPECT_EQ(req.bytes, per_file.at(req.file));
-  }
-}

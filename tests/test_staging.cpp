@@ -37,7 +37,7 @@ TEST(AggTopology, EvenPartition) {
   const auto topo = st::AggTopology::make(64, 8);
   EXPECT_EQ(topo.ngroups(), 8);
   for (int g = 0; g < 8; ++g) {
-    EXPECT_EQ(topo.group_size(g), 8);
+    EXPECT_EQ(static_cast<int>(topo.members_of(g).size()), 8);
     EXPECT_EQ(topo.aggregator_of_group(g), g * 8);
   }
   for (int r = 0; r < 64; ++r) {
@@ -49,10 +49,10 @@ TEST(AggTopology, EvenPartition) {
 TEST(AggTopology, RemainderRoundRobinsDeterministically) {
   // 10 ranks over 4 groups: sizes 3,3,2,2 — remainder on the leading groups.
   const auto topo = st::AggTopology::make(10, 4);
-  EXPECT_EQ(topo.group_size(0), 3);
-  EXPECT_EQ(topo.group_size(1), 3);
-  EXPECT_EQ(topo.group_size(2), 2);
-  EXPECT_EQ(topo.group_size(3), 2);
+  EXPECT_EQ(static_cast<int>(topo.members_of(0).size()), 3);
+  EXPECT_EQ(static_cast<int>(topo.members_of(1).size()), 3);
+  EXPECT_EQ(static_cast<int>(topo.members_of(2).size()), 2);
+  EXPECT_EQ(static_cast<int>(topo.members_of(3).size()), 2);
   // contiguous cover, every rank in exactly one group, aggregator = first
   int total = 0;
   int prev_last = -1;
@@ -365,12 +365,14 @@ TEST(AggregatedMif, SubfilesConcatenateTaskDocsInRankOrder) {
   // N-to-N run writes for the same ranks, in rank order
   auto params = agg_params(12, 4);
   p::MemoryBackend agg_be(true);
-  mc::run_macsio(params, agg_be);
+  mc::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, params.nprocs), params, agg_be);
 
   auto flat = params;
   flat.aggregators = 0;
   p::MemoryBackend flat_be(true);
-  mc::run_macsio(flat, flat_be);
+  mc::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, flat.nprocs), flat, flat_be);
 
   const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
   for (int dump = 0; dump < params.num_dumps; ++dump) {
@@ -392,7 +394,8 @@ TEST(AggregatedMif, RequestsTargetAggregatorsAndCarryShipCost) {
   params.compute_time = 2.0;
   params.stage_to_bb = true;
   p::MemoryBackend be(false);
-  const auto stats = mc::run_macsio(params, be);
+  const auto stats = mc::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, params.nprocs), params, be);
 
   const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
   int data_requests = 0;
@@ -417,7 +420,8 @@ TEST(AggregatedMif, RequestsCarryTierAndAggregator) {
   auto params = agg_params(16, 4);
   params.stage_to_bb = true;
   p::MemoryBackend be(false);
-  const auto stats = mc::run_macsio(params, be);
+  const auto stats = mc::run_macsio(
+      *ex::make_engine(ex::EngineKind::kSerial, params.nprocs), params, be);
   const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
   int subfile_requests = 0;
   for (const auto& req : stats.requests) {
@@ -456,7 +460,7 @@ PlotCase make_plot_case(int nranks, int aggregators) {
   PlotCase c{m::MultiFab(ba, dm, 2, 0),
              m::Geometry(m::Box(0, 0, 31, 31), {0.0, 0.0}, {1.0, 1.0}),
              {}};
-  c.mf.set_val(0.75);
+  for (std::size_t i = 0; i < c.mf.nfabs(); ++i) c.mf.fab(i).set_val(0.75);
   c.spec.dir = "agg_plt00000";
   c.spec.var_names = {"a", "b"};
   c.spec.aggregators = aggregators;
@@ -530,11 +534,13 @@ TEST(StageToBb, MovesTiersNotBytes) {
     params.fill = mc::FillMode::kReal;
     params.compute_time = 1.0;
     params.stage_to_bb = false;
+    const auto engine =
+        ex::make_engine(ex::EngineKind::kSerial, params.nprocs);
     p::MemoryBackend pfs_be(true);
-    const auto direct = mc::run_macsio(params, pfs_be);
+    const auto direct = mc::run_macsio(*engine, params, pfs_be);
     params.stage_to_bb = true;
     p::MemoryBackend bb_be(true);
-    const auto staged = mc::run_macsio(params, bb_be);
+    const auto staged = mc::run_macsio(*engine, params, bb_be);
 
     const auto paths = pfs_be.list("");
     ASSERT_EQ(bb_be.list(""), paths);
