@@ -215,13 +215,6 @@ inline void explain_row(const BenchContext& ctx, const obs::Tracer& row_tracer,
   }
 }
 
-/// Reference PFS + burst-buffer model shared by the staging and codec
-/// extension studies — delegates to the campaign layer's single definition
-/// so bench CSVs and campaign results stay cross-comparable.
-inline pfs::SimFsConfig study_fs_config(int ranks, bool burst_buffer) {
-  return campaign::reference_fs_config(ranks, burst_buffer);
-}
-
 /// The deterministic-row helper for all campaign output: write the
 /// canonical campaign CSV (rows sorted by cell name, virtual-clock columns
 /// only — never wall-clock, never cache-hit bits) and return its path.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "campaign/executor.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
@@ -123,7 +124,8 @@ int main(int argc, char** argv) {
           ok = false;
         }
 
-        pfs::SimFs fs(bench::study_fs_config(ranks, mode.burst_buffer));
+        pfs::SimFs fs(
+            campaign::reference_fs_config(ranks, mode.burst_buffer));
         const auto report =
             staging::staging_report(fs.run(stats.requests, probe));
         makespan[point.label] = report.perceived.makespan;
@@ -155,7 +157,7 @@ int main(int argc, char** argv) {
             .field(cp.binding_resource)
             .field(bench::predicted_2x_relief(
                 row_tracer,
-                bench::study_fs_config(ranks, mode.burst_buffer)));
+                campaign::reference_fs_config(ranks, mode.burst_buffer)));
         csv.endrow();
         ctx.row_done(row_tracer);
       }
@@ -191,6 +193,6 @@ int main(int argc, char** argv) {
   std::printf("csv: %s\n", csv.path().c_str());
   bench::export_obs(ctx, row_tracer);
   bench::explain_row(ctx, row_tracer,
-                     bench::study_fs_config(rank_counts.back(), true));
+                     campaign::reference_fs_config(rank_counts.back(), true));
   return ok ? 0 : 1;
 }

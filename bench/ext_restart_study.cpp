@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "campaign/executor.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
@@ -110,7 +111,8 @@ int main(int argc, char** argv) {
         auto requests = restart.requests;
         for (auto& req : requests)
           if (req.op == pfs::kOpRead) req.submit_time = kResumeDelay;
-        pfs::SimFsConfig cfg = bench::study_fs_config(ranks, mode.prefetch);
+        pfs::SimFsConfig cfg =
+            campaign::reference_fs_config(ranks, mode.prefetch);
         cfg.bb.prefetch_concurrency = params.prefetch_streams;
         pfs::SimFs fs(cfg);
         const auto results = fs.run(requests, probe);
@@ -192,6 +194,6 @@ int main(int argc, char** argv) {
   std::printf("csv: %s\n", csv.path().c_str());
   bench::export_obs(ctx, row_tracer);
   bench::explain_row(ctx, row_tracer,
-                     bench::study_fs_config(rank_counts.back(), true));
+                     campaign::reference_fs_config(rank_counts.back(), true));
   return ok ? 0 : 1;
 }

@@ -22,6 +22,7 @@
 #include <set>
 
 #include "bench_common.hpp"
+#include "campaign/executor.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
         data_bytes += req.bytes;
       }
 
-      pfs::SimFs fs(bench::study_fs_config(ranks, config.burst_buffer));
+      pfs::SimFs fs(campaign::reference_fs_config(ranks, config.burst_buffer));
 
       if (!config.aggregate) {
         if (baseline_data_files == 0) {
@@ -226,8 +227,8 @@ int main(int argc, char** argv) {
             .field(cp.critical_frac)
             .field(cp.binding_resource)
             .field(bench::predicted_2x_relief(
-                row_tracer, bench::study_fs_config(ranks,
-                                                   config.burst_buffer)));
+                row_tracer,
+                campaign::reference_fs_config(ranks, config.burst_buffer)));
         csv.endrow();
         ctx.row_done(row_tracer);
       }
@@ -251,6 +252,6 @@ int main(int argc, char** argv) {
   std::printf("csv: %s\n", csv.path().c_str());
   bench::export_obs(ctx, row_tracer);
   bench::explain_row(ctx, row_tracer,
-                     bench::study_fs_config(rank_counts.back(), true));
+                     campaign::reference_fs_config(rank_counts.back(), true));
   return ok ? 0 : 1;
 }

@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("running %zu cases...\n\n", cases.size());
-  const auto runs = core::run_campaign(cases);
+  std::vector<core::RunRecord> runs;
+  for (const auto& c : cases) runs.push_back(core::run_case(c));
 
   std::vector<util::Series> series;
   util::TextTable table({"case", "levels", "x range", "cumulative bytes",

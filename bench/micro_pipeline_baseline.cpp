@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "campaign/executor.hpp"
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "obs/critical_path.hpp"
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
       const auto stats =
           macsio::run_macsio(*engine, params, backend, probe);
 
-      pfs::SimFs fs(bench::study_fs_config(kRanks, mode.burst_buffer));
+      pfs::SimFs fs(campaign::reference_fs_config(kRanks, mode.burst_buffer));
       const auto report =
           staging::staging_report(fs.run(stats.requests, probe));
       const obs::CriticalPathReport cp =

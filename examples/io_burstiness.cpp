@@ -72,8 +72,9 @@ int main(int argc, char** argv) {
   params.compute_time = compute_time;
   params.part_size *= static_cast<std::uint64_t>(amplify);
   pfs::MemoryBackend backend(false);
-  exec::SerialEngine engine(params.nprocs);
-  const auto stats = macsio::run_macsio(engine, params, backend);
+  const auto engine =
+      exec::make_engine(exec::EngineKind::kEvent, params.nprocs);
+  const auto stats = macsio::run_macsio(*engine, params, backend);
   std::printf("proxy (part_size amplified x%lld): %d dumps, %s total, dumps "
               "every %.1fs of compute\n\n",
               static_cast<long long>(amplify), params.num_dumps,

@@ -63,10 +63,12 @@ int main(int argc, char** argv) {
     std::printf("backend: POSIX at %s/\n", cli.get("out").c_str());
   }
 
+  const auto engine =
+      exec::make_engine(exec::EngineKind::kEvent, inputs.nprocs);
   util::WallTimer timer;
   amr::AmrCore core(inputs);
   core.run([&](const amr::AmrCore& c, std::int64_t step, double time) {
-    core::write_plot_for(c, step, time, *backend);
+    core::write_plot_for(*engine, c, step, time, *backend);
     std::printf("  wrote %s at t=%.5e\n", c.plotfile_name(step).c_str(), time);
   });
   std::printf("\nran %lld steps to t=%.5e in %.2fs; hierarchy: ",

@@ -47,8 +47,8 @@ struct ExecutorStats {
 };
 
 /// Reference PFS + burst-buffer model every campaign cell is timed against
-/// (one definition, shared with bench::study_fs_config, so campaign CSVs
-/// stay cross-comparable with the staging/codec extension studies).
+/// (one definition, which the staging, codec and restart extension studies
+/// call too, so campaign CSVs stay cross-comparable with them).
 pfs::SimFsConfig reference_fs_config(int ranks, bool burst_buffer);
 
 /// Execute one cell end to end: run the MACSio proxy on the cell's engine,

@@ -11,44 +11,6 @@
 
 namespace amrio::codec {
 
-// ----------------------------------------------------------- smoothness
-
-/// Shared fallback smoothness (typical smooth hydro field): what the
-/// estimator reports with no samples and what ebl's data-free plan() uses —
-/// one constant so the two paths can never drift apart.
-constexpr double kDefaultSmoothness = 0.85;
-
-void SmoothnessEstimator::add(std::span<const double> values) {
-  if (values.empty()) return;
-  const double first = values.front();
-  if (!any_) {
-    min_ = max_ = first;
-    any_ = true;
-  }
-  for (double v : values) {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  for (std::size_t i = 1; i + 1 < values.size(); ++i) {
-    sum_abs_dd_ += std::abs(values[i + 1] - 2.0 * values[i] + values[i - 1]);
-    ++count_;
-  }
-}
-
-double SmoothnessEstimator::value() const {
-  if (!any_ || count_ == 0) return kDefaultSmoothness;
-  const double range = max_ - min_;
-  if (range <= 0.0) return 1.0;  // constant field: perfectly predictable
-  const double mean_dd = sum_abs_dd_ / static_cast<double>(count_) / range;
-  return std::clamp(1.0 - mean_dd, 0.0, 1.0);
-}
-
-double estimate_smoothness(std::span<const double> values) {
-  SmoothnessEstimator est;
-  est.add(values);
-  return est.value();
-}
-
 // ------------------------------------------------------------ container
 
 namespace {
@@ -196,18 +158,19 @@ class LosslessCodec final : public Codec {
 /// log2(roughness / error_bound) bits per 64-bit value plus a fixed
 /// entropy-coder overhead, so smooth fields and loose bounds compress hard
 /// (the 2–10x AMRIC band) while tight bounds on rough data approach
-/// incompressibility.
+/// incompressibility. Every chunk is priced at the smoothness of a typical
+/// smooth hydro field.
+constexpr double kDefaultSmoothness = 0.85;
+
 class EblCodec final : public Codec {
  public:
-  EblCodec(double error_bound, double throughput, double decode_throughput,
-           double smoothness)
+  EblCodec(double error_bound, double throughput, double decode_throughput)
       : error_bound_(error_bound),
         throughput_(throughput > 0.0 ? throughput : 3.0e9),
         // SZ-class decompression (Huffman decode + prediction replay) runs
         // roughly twice the compression throughput
         decode_throughput_(decode_throughput > 0.0 ? decode_throughput
-                                                   : 2.0 * throughput_),
-        smoothness_(smoothness) {}
+                                                   : 2.0 * throughput_) {}
 
   const std::string& name() const override {
     static const std::string n = "ebl";
@@ -215,25 +178,12 @@ class EblCodec final : public Codec {
   }
 
   CompressResult plan(std::uint64_t raw_bytes) const override {
-    return plan_with(raw_bytes,
-                     smoothness_ >= 0.0 ? smoothness_ : kDefaultSmoothness);
-  }
-
-  CompressResult plan_with(std::uint64_t raw_bytes,
-                           double smoothness) const override {
-    const double s = std::clamp(smoothness, 0.0, 1.0);
-    const double roughness = std::max(1.0 - s, 1e-6);
+    const double roughness = 1.0 - kDefaultSmoothness;
     constexpr double kOverheadBits = 1.5;  // entropy-coder + block headers
     const double bits = std::clamp(
         std::log2(roughness / error_bound_) + kOverheadBits, 1.0, 64.0);
     return CompressResult{raw_bytes, modeled_out_bytes(raw_bytes, 64.0 / bits),
                           cpu_cost(raw_bytes, throughput_)};
-  }
-
-  CompressResult plan_values(std::span<const double> values) const override {
-    const double s = smoothness_ >= 0.0 ? smoothness_
-                                        : estimate_smoothness(values);
-    return plan_with(values.size_bytes(), s);
   }
 
   double decode_seconds(std::uint64_t raw_bytes) const override {
@@ -244,7 +194,6 @@ class EblCodec final : public Codec {
   double error_bound_;
   double throughput_;
   double decode_throughput_;
-  double smoothness_;
 };
 
 // ------------------------------------------------------- per-variable ebl
@@ -257,10 +206,10 @@ class EblCodec final : public Codec {
 class MultiVarEblCodec final : public Codec {
  public:
   MultiVarEblCodec(std::vector<double> bounds, double throughput,
-                   double decode_throughput, double smoothness) {
+                   double decode_throughput) {
     vars_.reserve(bounds.size());
     for (const double b : bounds)
-      vars_.emplace_back(b, throughput, decode_throughput, smoothness);
+      vars_.emplace_back(b, throughput, decode_throughput);
   }
 
   const std::string& name() const override {
@@ -269,23 +218,14 @@ class MultiVarEblCodec final : public Codec {
   }
 
   CompressResult plan(std::uint64_t raw_bytes) const override {
-    return accumulate(raw_bytes, [](const EblCodec& c, std::uint64_t share) {
-      return c.plan(share);
-    });
-  }
-
-  CompressResult plan_with(std::uint64_t raw_bytes,
-                           double smoothness) const override {
-    return accumulate(raw_bytes,
-                      [smoothness](const EblCodec& c, std::uint64_t share) {
-                        return c.plan_with(share, smoothness);
-                      });
-  }
-
-  CompressResult plan_values(std::span<const double> values) const override {
-    // One smoothness estimate for the whole document (variables share the
-    // mesh), then per-variable bounds over the shares.
-    return plan_with(values.size_bytes(), estimate_smoothness(values));
+    CompressResult total{raw_bytes, 0, 0.0};
+    const std::uint64_t n = vars_.size();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const CompressResult r = vars_[i].plan(share_bytes(raw_bytes, i, n));
+      total.out_bytes += r.out_bytes;
+      total.cpu_seconds += r.cpu_seconds;
+    }
+    return total;
   }
 
   double decode_seconds(std::uint64_t raw_bytes) const override {
@@ -301,18 +241,6 @@ class MultiVarEblCodec final : public Codec {
   static std::uint64_t share_bytes(std::uint64_t raw, std::uint64_t i,
                                    std::uint64_t n) {
     return raw * (i + 1) / n - raw * i / n;
-  }
-
-  template <typename PlanFn>
-  CompressResult accumulate(std::uint64_t raw_bytes, PlanFn plan_fn) const {
-    CompressResult total{raw_bytes, 0, 0.0};
-    const std::uint64_t n = vars_.size();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const CompressResult r = plan_fn(vars_[i], share_bytes(raw_bytes, i, n));
-      total.out_bytes += r.out_bytes;
-      total.cpu_seconds += r.cpu_seconds;
-    }
-    return total;
   }
 
   std::vector<EblCodec> vars_;
@@ -413,9 +341,6 @@ void validate_spec(const CodecSpec& spec) {
   if (spec.decode_throughput < 0.0)
     throw std::invalid_argument(
         "codec: decode throughput must be >= 0 (0 = default)");
-  if (spec.smoothness > 1.0)
-    throw std::invalid_argument(
-        "codec: smoothness must be <= 1 (negative = auto)");
 }
 
 std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
@@ -428,10 +353,9 @@ std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
   if (!spec.var_error_bounds.empty())
     return std::make_unique<MultiVarEblCodec>(spec.var_error_bounds,
                                               spec.throughput,
-                                              spec.decode_throughput,
-                                              spec.smoothness);
+                                              spec.decode_throughput);
   return std::make_unique<EblCodec>(spec.error_bound, spec.throughput,
-                                    spec.decode_throughput, spec.smoothness);
+                                    spec.decode_throughput);
 }
 
 }  // namespace amrio::codec

@@ -19,10 +19,8 @@
 ///  * `ebl` — error-bounded lossy, AMRIC/SZ-style: a predictor+quantizer
 ///    whose residual width scales with field roughness. The modeled bits per
 ///    value are log2(roughness / error_bound) plus a fixed entropy-coder
-///    overhead, so the ratio is a function of the error bound and the FAB
-///    smoothness — estimated from real field data when contents are
-///    available (`plan_values` / `SmoothnessEstimator` over Sedov fabs),
-///    otherwise taken from the configured/default smoothness.
+///    overhead, so the ratio is a function of the error bound at a fixed
+///    smooth-hydro-field roughness.
 ///
 /// Codecs are immutable and stateless after construction: one instance can
 /// serve concurrent SPMD ranks.
@@ -54,28 +52,6 @@ struct CompressResult {
   }
 };
 
-/// Incremental FAB-smoothness estimate over field values: 1 minus the mean
-/// absolute second difference normalized by the value range — 1.0 for
-/// constant/linear fields, approaching 0 for noise at the value-range scale.
-/// Feed it every component span of a rank's fabs, then read `value()`.
-class SmoothnessEstimator {
- public:
-  void add(std::span<const double> values);
-  /// Smoothness in [0, 1]; the ebl default when nothing was added.
-  double value() const;
-  std::uint64_t samples() const { return count_; }
-
- private:
-  double sum_abs_dd_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t count_ = 0;  ///< second-difference samples
-  bool any_ = false;
-};
-
-/// One-shot convenience over a single span.
-double estimate_smoothness(std::span<const double> values);
-
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -83,24 +59,9 @@ class Codec {
 
   /// Deterministic size/cost model from the raw size alone — the prediction
   /// path (rank 0 re-deriving encoded sizes from gathered raw counts,
-  /// `predict_plotfile`, accounting-mode staging) relies on this being a pure
-  /// function of `raw_bytes`.
+  /// accounting-mode staging) relies on this being a pure function of
+  /// `raw_bytes`.
   virtual CompressResult plan(std::uint64_t raw_bytes) const = 0;
-
-  /// Size/cost model with an explicit smoothness estimate in [0, 1]. Only
-  /// `ebl` reads the smoothness; the others forward to `plan`.
-  virtual CompressResult plan_with(std::uint64_t raw_bytes,
-                                   double smoothness) const {
-    (void)smoothness;
-    return plan(raw_bytes);
-  }
-
-  /// Content-aware model over numeric field data (the plotfile Cell_D hook):
-  /// `ebl` configured for auto smoothness estimates it from the values;
-  /// everything else reduces to `plan(values.size_bytes())`.
-  virtual CompressResult plan_values(std::span<const double> values) const {
-    return plan(values.size_bytes());
-  }
 
   /// Modeled decode cpu cost of restoring `raw_bytes` of original data —
   /// what a restart reader pays after fetching encoded bytes off the
@@ -143,8 +104,8 @@ class Codec {
   }
 };
 
-/// Selection + tuning of a codec stage; the cross-layer currency (MACSio
-/// knobs and PlotfileSpec both carry one).
+/// Selection + tuning of a codec stage, built from the MACSio knobs
+/// (`macsio::Params::codec_spec`).
 struct CodecSpec {
   std::string name = "identity";
   /// ebl: relative error bound in (0, 1).
@@ -159,10 +120,6 @@ struct CodecSpec {
   /// Modeled decode throughput (bytes/sec) for the restart read path; 0 =
   /// the codec's default (decoders typically outrun their encoders).
   double decode_throughput = 0.0;
-  /// ebl: fixed smoothness in [0, 1]; negative = auto (estimate from field
-  /// contents when available, else the codec default). Pin it when predict
-  /// parity across data-free paths matters.
-  double smoothness = -1.0;
 
   bool enabled() const { return name != "identity"; }
 };
@@ -180,8 +137,7 @@ std::vector<double> parse_var_bounds(const std::string& csv);
 std::string format_var_bounds(const std::vector<double>& bounds);
 
 /// Build a codec from its spec. Throws std::invalid_argument with a one-line
-/// message on an unknown name or an out-of-range error bound / throughput /
-/// smoothness.
+/// message on an unknown name or an out-of-range error bound / throughput.
 std::unique_ptr<Codec> make_codec(const CodecSpec& spec);
 
 /// Validate spec fields without constructing (the CLI front-ends call this so

@@ -28,7 +28,8 @@ model::RunMeasurements RunRecord::measurements() const {
   return m;
 }
 
-void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
+void write_plot_for(exec::Engine& engine, const amr::AmrCore& core,
+                    std::int64_t step, double time,
                     pfs::StorageBackend& backend) {
   plotfile::PlotfileSpec spec;
   spec.dir = core.plotfile_name(step);
@@ -46,9 +47,7 @@ void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
     derived.push_back(core.derive_level(l));
     levels.push_back(plotfile::LevelPlotData{core.level(l).geom, &derived.back()});
   }
-  // Serial-engine write (fiber ranks sized to the widest level distribution);
-  // campaigns needing threaded writes can call the exec::Engine overload.
-  plotfile::write_plotfile(backend, spec, levels);
+  plotfile::write_plotfile(engine, backend, spec, levels);
 }
 
 RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
@@ -63,12 +62,16 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
     backend = owned.get();
   }
 
+  // Every level's DistributionMapping spans inputs.nprocs ranks, so one
+  // engine serves every plot and checkpoint write of the run.
+  const auto engine =
+      exec::make_engine(exec::EngineKind::kEvent, rec.inputs.nprocs);
   util::WallTimer timer;
   amr::AmrCore core(rec.inputs);
   core.init();
   core.run(
       [&](const amr::AmrCore& c, std::int64_t step, double time) {
-        write_plot_for(c, step, time, *backend);
+        write_plot_for(*engine, c, step, time, *backend);
       },
       [&](const amr::AmrCore& c, std::int64_t step, double time) {
         if (opts.check_int <= 0 || step % opts.check_int != 0 || step == 0)
@@ -86,7 +89,7 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
         for (int l = 0; l < c.num_levels(); ++l)
           levels.push_back(
               plotfile::LevelPlotData{c.level(l).geom, &c.level(l).state});
-        plotfile::write_checkpoint(*backend, spec, levels);
+        plotfile::write_checkpoint(*engine, *backend, spec, levels);
       });
   rec.wall_seconds = timer.elapsed();
   rec.steps = core.history();
@@ -106,14 +109,6 @@ RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts,
                          << " outputs, " << rec.total_bytes << " bytes, "
                          << rec.wall_seconds << "s");
   return rec;
-}
-
-std::vector<RunRecord> run_campaign(std::span<const CaseConfig> cases,
-                                    const CampaignOptions& opts) {
-  std::vector<RunRecord> out;
-  out.reserve(cases.size());
-  for (const auto& c : cases) out.push_back(run_case(c, opts));
-  return out;
 }
 
 }  // namespace amrio::core

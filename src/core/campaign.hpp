@@ -6,11 +6,11 @@
 /// Summit runs.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "amr/core.hpp"
 #include "core/case_def.hpp"
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "model/translate.hpp"
 #include "pfs/backend.hpp"
@@ -43,13 +43,11 @@ struct CampaignOptions {
 RunRecord run_case(const CaseConfig& config, const CampaignOptions& opts = {},
                    pfs::StorageBackend* backend = nullptr);
 
-/// Run a set of cases sequentially.
-std::vector<RunRecord> run_campaign(std::span<const CaseConfig> cases,
-                                    const CampaignOptions& opts = {});
-
 /// The plot hook used by run_case, exposed so examples can compose it with a
-/// live AmrCore: derives plot variables and writes one plotfile.
-void write_plot_for(const amr::AmrCore& core, std::int64_t step, double time,
+/// live AmrCore: derives plot variables and writes one plotfile on `engine`,
+/// which needs `core.inputs().nprocs` ranks.
+void write_plot_for(exec::Engine& engine, const amr::AmrCore& core,
+                    std::int64_t step, double time,
                     pfs::StorageBackend& backend);
 
 }  // namespace amrio::core

@@ -2,8 +2,8 @@
 /// \file probe.hpp
 /// The instrumentation handle threaded through the pipeline. Every
 /// instrumented layer (`codec` stage inside the macsio driver, `exec`
-/// collectives, `pfs::SimFs`, `plotfile::write_plotfile`) takes an
-/// `obs::Probe` — a bundle of optional pointers. A
+/// collectives, `pfs::SimFs`) takes an `obs::Probe` — a bundle of optional
+/// pointers. A
 /// default-constructed probe disables instrumentation with near-zero overhead
 /// (a few null checks per site), so hot paths don't fork on an #ifdef.
 

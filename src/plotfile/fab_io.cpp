@@ -29,16 +29,13 @@ std::uint64_t fab_disk_size(const mesh::Box& box, int ncomp) {
          static_cast<std::uint64_t>(box.num_pts()) * ncomp * sizeof(double);
 }
 
-namespace {
-
-/// One serialization body for every write_fab sink, so the backend-file and
-/// byte-buffer overloads cannot drift apart (and both stay in lockstep with
-/// fab_disk_size). `append` takes (pointer, byte count).
-template <typename AppendFn>
-std::uint64_t write_fab_impl(AppendFn&& append, const mesh::Fab& fab,
-                             const mesh::Box& valid) {
+std::uint64_t write_fab(pfs::OutFile& out, const mesh::Fab& fab,
+                        const mesh::Box& valid) {
   AMRIO_EXPECTS_MSG(fab.box().contains(valid),
                     "write_fab: valid box not contained in fab");
+  const auto append = [&out](const void* p, std::size_t n) {
+    out.write(std::span<const std::byte>(static_cast<const std::byte*>(p), n));
+  };
   const std::string header = fab_header(valid, fab.ncomp());
   append(header.data(), header.size());
   std::uint64_t bytes = header.size();
@@ -59,28 +56,6 @@ std::uint64_t write_fab_impl(AppendFn&& append, const mesh::Fab& fab,
     }
   }
   return bytes;
-}
-
-}  // namespace
-
-std::uint64_t write_fab(pfs::OutFile& out, const mesh::Fab& fab,
-                        const mesh::Box& valid) {
-  return write_fab_impl(
-      [&out](const void* p, std::size_t n) {
-        out.write(std::span<const std::byte>(
-            static_cast<const std::byte*>(p), n));
-      },
-      fab, valid);
-}
-
-std::uint64_t write_fab(std::vector<std::byte>& out, const mesh::Fab& fab,
-                        const mesh::Box& valid) {
-  return write_fab_impl(
-      [&out](const void* p, std::size_t n) {
-        const auto* b = static_cast<const std::byte*>(p);
-        out.insert(out.end(), b, b + n);
-      },
-      fab, valid);
 }
 
 FabHeaderInfo parse_fab_header(std::span<const std::byte> bytes,

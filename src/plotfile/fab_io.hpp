@@ -29,12 +29,6 @@ std::uint64_t fab_disk_size(const mesh::Box& box, int ncomp);
 std::uint64_t write_fab(pfs::OutFile& out, const mesh::Fab& fab,
                         const mesh::Box& valid);
 
-/// Append one fab (valid region only) to a byte buffer — the serialization
-/// the aggregated-MIF write path ships to its aggregator. Byte-identical to
-/// the backend-file overload. Returns bytes appended.
-std::uint64_t write_fab(std::vector<std::byte>& out, const mesh::Fab& fab,
-                        const mesh::Box& valid);
-
 /// Parse a FAB header line; returns {box, ncomp} and advances `offset` past
 /// the newline. Throws std::runtime_error on malformed headers.
 struct FabHeaderInfo {

@@ -1,14 +1,10 @@
 #include "plotfile/writer.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <sstream>
 
-#include "codec/codec.hpp"
 #include "plotfile/fab_io.hpp"
-#include "staging/aggregator.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
 
@@ -29,7 +25,6 @@ std::string fixed_real(double v) {
 namespace {
 
 struct FabRef {
-  std::size_t box_index = 0;
   std::string file;       // basename within the level dir
   std::uint64_t offset = 0;
 };
@@ -37,56 +32,24 @@ struct FabRef {
 /// Per-level plan: which rank writes which boxes to which file, with offsets.
 struct LevelPlan {
   std::vector<FabRef> fabs;                   // indexed by box index
-  std::map<int, std::vector<std::size_t>> rank_boxes;  // rank -> box indices
-  std::map<int, std::uint64_t> rank_bytes;    // Cell_D payload per rank
-  /// Aggregated MIF only: group -> total Cell_D bytes (groups with data).
-  std::map<int, std::uint64_t> group_bytes;
+  std::map<int, std::uint64_t> rank_bytes;    // Cell_D payload per owning rank
 };
 
-/// Effective aggregation group count for a level (never more than its ranks).
-int level_groups(int aggregators, int level_ranks) {
-  return std::min(aggregators, level_ranks);
-}
-
+/// One `Cell_D_<rank>` file per rank that owns grids at the level, holding
+/// its fabs in box order.
 LevelPlan plan_level(const mesh::BoxArray& ba, const mesh::DistributionMapping& dm,
-                     int ncomp, int aggregators) {
+                     int ncomp) {
   LevelPlan plan;
   plan.fabs.resize(ba.size());
-  if (aggregators > 0) {
-    // Aggregated MIF: one Cell_D file per aggregation group, holding member
-    // fabs in rank order; the per-rank subtotals still drive the gather
-    // cross-check in the write path.
-    const auto topo = staging::AggTopology::make(
-        dm.nranks(), level_groups(aggregators, dm.nranks()));
-    for (int g = 0; g < topo.ngroups(); ++g) {
-      const std::string file =
-          "Cell_D_" + util::zero_pad(static_cast<std::uint64_t>(g), 5);
-      std::uint64_t offset = 0;
-      for (int rank : topo.members_of(g)) {
-        auto boxes = dm.boxes_of(rank);
-        if (boxes.empty()) continue;
-        const std::uint64_t rank_start = offset;
-        for (std::size_t bi : boxes) {
-          plan.fabs[bi] = FabRef{bi, file, offset};
-          offset += fab_disk_size(ba[bi], ncomp);
-        }
-        plan.rank_boxes[rank] = std::move(boxes);
-        plan.rank_bytes[rank] = offset - rank_start;
-      }
-      if (offset > 0) plan.group_bytes[g] = offset;
-    }
-    return plan;
-  }
   for (int rank = 0; rank < dm.nranks(); ++rank) {
-    auto boxes = dm.boxes_of(rank);
+    const auto boxes = dm.boxes_of(rank);
     if (boxes.empty()) continue;  // no file for this task at this level
     const std::string file = "Cell_D_" + util::zero_pad(static_cast<std::uint64_t>(rank), 5);
     std::uint64_t offset = 0;
     for (std::size_t bi : boxes) {
-      plan.fabs[bi] = FabRef{bi, file, offset};
+      plan.fabs[bi] = FabRef{file, offset};
       offset += fab_disk_size(ba[bi], ncomp);
     }
-    plan.rank_boxes[rank] = std::move(boxes);
     plan.rank_bytes[rank] = offset;
   }
   return plan;
@@ -167,64 +130,6 @@ std::string header_text(const PlotfileSpec& spec,
   return os.str();
 }
 
-/// Size-prediction implementation: no backend is touched, min/max
-/// placeholders stand in for field data, byte counts come from the plan.
-WriteStats predict_impl(const PlotfileSpec& spec,
-                        const std::vector<LevelLayout>& layouts, int ncomp,
-                        bool checkpoint) {
-  AMRIO_EXPECTS(!layouts.empty());
-  AMRIO_EXPECTS(ncomp >= 1);
-  AMRIO_EXPECTS_MSG(spec.aggregators >= 0,
-                    "plotfile: spec.aggregators must be >= 0");
-
-  WriteStats stats;
-  stats.rank_level_bytes.assign(layouts.size(), {});
-
-  // Data-free codec model: plan() from sizes alone. Matches the write path
-  // exactly for identity/lossless (pure size functions) and for ebl with
-  // pinned smoothness; auto-smoothness ebl measures real fabs on write and
-  // diverges here by design (there is no data to measure).
-  const auto cdc = codec::make_codec(spec.codec);
-  const bool encoded = spec.codec.enabled();
-
-  // ---- per-level data files + Cell_H
-  for (std::size_t l = 0; l < layouts.size(); ++l) {
-    const auto& layout = layouts[l];
-    const int nranks = layout.dm.nranks();
-    stats.rank_level_bytes[l].assign(static_cast<std::size_t>(nranks), 0);
-    const LevelPlan plan = plan_level(layout.ba, layout.dm, ncomp,
-                                      spec.aggregators);
-
-    for (const auto& [rank, written] : plan.rank_bytes) {
-      stats.rank_level_bytes[l][static_cast<std::size_t>(rank)] = written;
-      stats.data_bytes += written;
-      if (encoded && written > 0)
-        stats.codec.add(static_cast<int>(spec.step), static_cast<int>(l),
-                        cdc->plan(written));
-    }
-    // One Cell_D file per aggregation group with data, or per owning rank.
-    stats.nfiles += spec.aggregators > 0 ? plan.group_bytes.size()
-                                         : plan.rank_boxes.size();
-
-    const std::string cell_h = cell_h_text(
-        layout.ba, ncomp, plan, [](std::size_t, int, bool) { return 0.0; });
-    stats.metadata_bytes += cell_h.size();
-    ++stats.nfiles;
-  }
-
-  // ---- top-level Header and job_info
-  std::string header = header_text(spec, layouts);
-  if (checkpoint) header = "CheckPointVersion_1.0\n" + header;
-  stats.metadata_bytes += header.size();
-  ++stats.nfiles;
-
-  stats.metadata_bytes += spec.job_info.size();
-  ++stats.nfiles;
-
-  stats.total_bytes = stats.metadata_bytes + stats.data_bytes;
-  return stats;
-}
-
 std::vector<LevelLayout> layouts_of(const std::vector<LevelPlotData>& levels) {
   std::vector<LevelLayout> out;
   out.reserve(levels.size());
@@ -239,16 +144,14 @@ std::vector<LevelLayout> layouts_of(const std::vector<LevelPlotData>& levels) {
 /// The single SPMD write body shared by every execution mode: each rank
 /// writes its own Cell_D files (one per level where it owns grids, fully
 /// concurrent under an SPMD engine), per-rank byte counts are gathered to
-/// rank 0, and rank 0 writes all metadata. Rank 0 returns full statistics;
-/// other ranks return only their own contributions.
+/// rank 0, and rank 0 writes all metadata. Rank 0 returns the statistics;
+/// what the other ranks return is not read.
 WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
                                const PlotfileSpec& spec,
                                const std::vector<LevelPlotData>& levels,
                                const std::vector<LevelLayout>& layouts,
                                int ncomp, bool checkpoint) {
   const int rank = ctx.rank();
-  AMRIO_EXPECTS_MSG(spec.aggregators >= 0,
-                    "plotfile: spec.aggregators must be >= 0");
   for (const auto& lay : layouts)
     AMRIO_EXPECTS_MSG(lay.dm.nranks() <= ctx.nranks(),
                       "write_plotfile: DM ranks " << lay.dm.nranks()
@@ -263,31 +166,11 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
   if (rank == 0) {
     plans.reserve(layouts.size());
     for (const auto& layout : layouts)
-      plans.push_back(plan_level(layout.ba, layout.dm, ncomp,
-                                 spec.aggregators));
+      plans.push_back(plan_level(layout.ba, layout.dm, ncomp));
   }
-  constexpr int kShipTag = 74;
 
-  // Per-Cell_D codec hook: each rank's chunk is modeled (and, under
-  // aggregation, physically containered) before it leaves the node. With
-  // auto smoothness the ebl model reads the rank's real FAB values.
-  const auto cdc = codec::make_codec(spec.codec);
-  const bool encoded = spec.codec.enabled();
-  const auto plan_chunk = [&](std::uint64_t raw_bytes,
-                              const std::vector<std::size_t>& boxes,
-                              const mesh::MultiFab& mf) {
-    if (spec.codec.smoothness < 0.0) {
-      codec::SmoothnessEstimator est;
-      for (std::size_t bi : boxes) est.add(mf.fab(bi).data());
-      return cdc->plan_with(raw_bytes, est.value());
-    }
-    return cdc->plan(raw_bytes);
-  };
-
-  // Phase 1: Cell_D data. Classic MIF: every rank writes its own file,
-  // concurrently. Aggregated MIF: members serialize their fabs into memory
-  // and ship them to their group's aggregator, which writes the one
-  // Cell_D_<group> file — only aggregators open files.
+  // Phase 1: Cell_D data. Every rank that owns grids at a level writes its
+  // own file, concurrently.
   for (std::size_t l = 0; l < layouts.size(); ++l) {
     const auto& layout = layouts[l];
     const int level_ranks = layout.dm.nranks();
@@ -296,42 +179,7 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
                               ? layout.dm.boxes_of(rank)
                               : std::vector<std::size_t>{};
     std::uint64_t written = 0;
-    std::uint64_t my_files = 0;
-    codec::CompressResult enc{};
-    if (spec.aggregators > 0) {
-      if (rank < level_ranks) {
-        const auto topo = staging::AggTopology::make(
-            level_ranks, level_groups(spec.aggregators, level_ranks));
-        const int group = topo.group_of(rank);
-        const int agg = topo.aggregator_of_group(group);
-        std::vector<std::byte> payload(cdc->header_bytes());
-        const auto& mf = *levels[l].data;
-        for (std::size_t bi : my_boxes)
-          written += write_fab(payload, mf.fab(bi), mf.valid_box(bi));
-        // Encoded chunks cross the link; the aggregator decodes them, so the
-        // subfile stays the raw rank-order concatenation either way.
-        if (encoded) enc = plan_chunk(written, my_boxes, mf);
-        cdc->seal(payload, enc);
-        // The aggregator lands each chunk as it arrives and opens the
-        // Cell_D file at the first one that carries bytes, so a group with
-        // no data on this level writes no file.
-        std::optional<pfs::OutFile> out;
-        const auto land = [&](int, std::span<const std::byte> pl) {
-          const std::span<const std::byte> raw = cdc->payload(pl);
-          if (!out && !raw.empty())
-            out.emplace(backend,
-                        spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
-                            util::zero_pad(static_cast<std::uint64_t>(group), 5));
-          if (out) out->write(raw);
-        };
-        exec::gatherv_group(ctx, std::move(payload), topo.members_of(group),
-                            agg, kShipTag, land);
-        if (out) {
-          out->close();  // surface flush errors
-          ++my_files;
-        }
-      }
-    } else if (!my_boxes.empty()) {
+    if (!my_boxes.empty()) {
       const std::string path =
           spec.dir + "/Level_" + std::to_string(l) + "/Cell_D_" +
           util::zero_pad(static_cast<std::uint64_t>(rank), 5);
@@ -340,35 +188,15 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
       for (std::size_t bi : my_boxes)
         written += write_fab(out, mf.fab(bi), mf.valid_box(bi));
       out.close();  // surface flush errors (destructor closes quietly)
-      ++my_files;
-      if (encoded) enc = plan_chunk(written, my_boxes, mf);
     }
     // Gather per-rank data bytes — the collective AMReX performs so the
     // metadata writer knows every FabOnDisk offset is consistent.
     const auto all_bytes = ctx.gather(written, 0);
-    // Codec dimensions ride two extra gathers (uniformly gated on the spec,
-    // so every rank joins the same collective sequence).
-    const std::vector<std::uint64_t> all_enc =
-        encoded ? ctx.gather(enc.out_bytes, 0) : std::vector<std::uint64_t>{};
-    const std::vector<std::uint64_t> all_cpu_ns =
-        encoded ? ctx.gather(static_cast<std::uint64_t>(
-                                 std::llround(enc.cpu_seconds * 1e9)),
-                             0)
-                : std::vector<std::uint64_t>{};
     if (rank == 0) {
       for (int r = 0; r < level_ranks; ++r) {
         stats.rank_level_bytes[l][static_cast<std::size_t>(r)] =
             all_bytes[static_cast<std::size_t>(r)];
         stats.data_bytes += all_bytes[static_cast<std::size_t>(r)];
-        if (encoded && all_bytes[static_cast<std::size_t>(r)] > 0) {
-          stats.codec.add(
-              static_cast<int>(spec.step), static_cast<int>(l),
-              codec::CompressResult{
-                  all_bytes[static_cast<std::size_t>(r)],
-                  all_enc[static_cast<std::size_t>(r)],
-                  static_cast<double>(all_cpu_ns[static_cast<std::size_t>(r)]) *
-                      1e-9});
-        }
       }
       // cross-check the gathered totals against the deterministic plan
       const LevelPlan& plan = plans[l];
@@ -376,12 +204,7 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
         AMRIO_ENSURES(stats.rank_level_bytes[l][static_cast<std::size_t>(r)] ==
                       bytes);
       }
-      stats.nfiles += spec.aggregators > 0 ? plan.group_bytes.size()
-                                           : plan.rank_boxes.size();
-    } else if (rank < level_ranks) {
-      stats.rank_level_bytes[l][static_cast<std::size_t>(rank)] = written;
-      stats.data_bytes += written;
-      stats.nfiles += my_files;
+      stats.nfiles += plan.rank_bytes.size();
     }
   }
   ctx.barrier();
@@ -428,30 +251,16 @@ WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
   return stats;
 }
 
-int checked_ncomp(const PlotfileSpec& spec,
-                  const std::vector<LevelPlotData>& levels, const char* what) {
-  AMRIO_EXPECTS(!levels.empty());
-  AMRIO_EXPECTS(levels.front().data != nullptr);
-  const int ncomp = levels.front().data->ncomp();
-  AMRIO_EXPECTS_MSG(static_cast<std::size_t>(ncomp) == spec.var_names.size(),
-                    what << " var_names must match data components");
-  return ncomp;
-}
-
-/// Engine ranks needed to host every level's distribution.
-int engine_ranks_for(const std::vector<LevelLayout>& layouts) {
-  int n = 1;
-  for (const auto& lay : layouts) n = std::max(n, lay.dm.nranks());
-  return n;
-}
-
 WriteStats write_on_engine(exec::Engine& engine, pfs::StorageBackend& backend,
                            const PlotfileSpec& spec,
                            const std::vector<LevelPlotData>& levels,
-                           const std::vector<LevelLayout>& layouts,
                            bool checkpoint) {
-  const int ncomp = checked_ncomp(spec, levels,
-                                  checkpoint ? "checkpoint" : "plotfile");
+  AMRIO_EXPECTS(!levels.empty());
+  const auto layouts = layouts_of(levels);
+  const int ncomp = levels.front().data->ncomp();
+  AMRIO_EXPECTS_MSG(static_cast<std::size_t>(ncomp) == spec.var_names.size(),
+                    (checkpoint ? "checkpoint" : "plotfile")
+                        << " var_names must match data components");
   WriteStats result;
   engine.run([&](exec::RankCtx& ctx) {
     WriteStats local = write_plotfile_rank(ctx, backend, spec, levels, layouts,
@@ -466,33 +275,51 @@ WriteStats write_on_engine(exec::Engine& engine, pfs::StorageBackend& backend,
 WriteStats write_plotfile(exec::Engine& engine, pfs::StorageBackend& backend,
                           const PlotfileSpec& spec,
                           const std::vector<LevelPlotData>& levels) {
-  AMRIO_EXPECTS(!levels.empty());
-  return write_on_engine(engine, backend, spec, levels, layouts_of(levels),
-                         /*checkpoint=*/false);
+  return write_on_engine(engine, backend, spec, levels, /*checkpoint=*/false);
 }
 
-WriteStats write_plotfile(pfs::StorageBackend& backend, const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels) {
-  AMRIO_EXPECTS(!levels.empty());
-  const auto layouts = layouts_of(levels);
-  exec::SerialEngine engine(engine_ranks_for(layouts));
-  return write_on_engine(engine, backend, spec, levels, layouts,
-                         /*checkpoint=*/false);
-}
-
+/// Size prediction: no backend is touched, min/max placeholders stand in for
+/// field data, byte counts come from the plan.
 WriteStats predict_plotfile(const PlotfileSpec& spec,
                             const std::vector<LevelLayout>& levels, int ncomp) {
-  return predict_impl(spec, levels, ncomp, /*checkpoint=*/false);
+  AMRIO_EXPECTS(!levels.empty());
+  AMRIO_EXPECTS(ncomp >= 1);
+
+  WriteStats stats;
+  stats.rank_level_bytes.assign(levels.size(), {});
+
+  // ---- per-level data files + Cell_H
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const auto& layout = levels[l];
+    stats.rank_level_bytes[l].assign(
+        static_cast<std::size_t>(layout.dm.nranks()), 0);
+    const LevelPlan plan = plan_level(layout.ba, layout.dm, ncomp);
+    for (const auto& [rank, written] : plan.rank_bytes) {
+      stats.rank_level_bytes[l][static_cast<std::size_t>(rank)] = written;
+      stats.data_bytes += written;
+    }
+    stats.nfiles += plan.rank_bytes.size();  // one Cell_D per owning rank
+
+    const std::string cell_h = cell_h_text(
+        layout.ba, ncomp, plan, [](std::size_t, int, bool) { return 0.0; });
+    stats.metadata_bytes += cell_h.size();
+    ++stats.nfiles;
+  }
+
+  // ---- top-level Header and job_info
+  stats.metadata_bytes += header_text(spec, levels).size();
+  ++stats.nfiles;
+  stats.metadata_bytes += spec.job_info.size();
+  ++stats.nfiles;
+
+  stats.total_bytes = stats.metadata_bytes + stats.data_bytes;
+  return stats;
 }
 
-WriteStats write_checkpoint(pfs::StorageBackend& backend,
+WriteStats write_checkpoint(exec::Engine& engine, pfs::StorageBackend& backend,
                             const PlotfileSpec& spec,
                             const std::vector<LevelPlotData>& levels) {
-  AMRIO_EXPECTS(!levels.empty());
-  const auto layouts = layouts_of(levels);
-  exec::SerialEngine engine(engine_ranks_for(layouts));
-  return write_on_engine(engine, backend, spec, levels, layouts,
-                         /*checkpoint=*/true);
+  return write_on_engine(engine, backend, spec, levels, /*checkpoint=*/true);
 }
 
 }  // namespace amrio::plotfile

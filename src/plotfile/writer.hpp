@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "codec/stats.hpp"
 #include "exec/engine.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/geometry.hpp"
@@ -54,22 +53,6 @@ struct PlotfileSpec {
   std::int64_t step = 0;
   int ref_ratio = 2;
   std::string job_info;  ///< free text stored in the job_info file
-  /// Aggregated MIF: partition each level's ranks into this many groups
-  /// (staging::AggTopology); members ship their FAB payloads to the group's
-  /// aggregator, which writes one `Cell_D_<group>` file holding the group's
-  /// fabs in rank order (offsets in Cell_H point into it). 0 = classic
-  /// one-file-per-owning-rank. Levels with fewer ranks than groups fall back
-  /// to one group per rank. `predict_plotfile` honors the same setting.
-  int aggregators = 0;
-  /// Per-Cell_D codec hook: each rank's Cell_D chunk passes through this
-  /// codec before it leaves the node — encoded bytes cross the aggregation
-  /// link and fill `WriteStats::codec`, while file
-  /// contents stay raw (reader-compatible; the modeled PFS stores the
-  /// decoded image). With `codec.smoothness < 0` (auto) the ebl model
-  /// estimates smoothness from the rank's real FAB data; pin the smoothness
-  /// for byte-exact codec parity with `predict_plotfile` (identity and
-  /// lossless are always parity-exact, being pure size functions).
-  codec::CodecSpec codec;
 };
 
 struct WriteStats {
@@ -79,26 +62,17 @@ struct WriteStats {
   std::uint64_t nfiles = 0;
   /// bytes per [level][rank] of Cell_D data (size nlevels × nranks).
   std::vector<std::vector<std::uint64_t>> rank_level_bytes;
-  /// Codec accounting (one chunk per rank per level with data, keyed by
-  /// spec.step / level; metadata is never compressed). Identity: encoded ==
-  /// raw, zero cpu. Populated on rank 0.
-  codec::CodecStats codec;
 };
 
 /// Write a multi-level plotfile (the WriteMultiLevelPlotfile path the paper
-/// identifies in Castro) on an execution engine: each rank writes its own
-/// `Cell_D` files (concurrently under `exec::SpmdEngine`, as fibers under
-/// `exec::SerialEngine`), per-rank byte counts are gathered to rank 0, which
-/// writes all metadata. One write body serves every execution mode, so the
-/// engines are byte-identical by construction. `scan_plotfiles` reads the
+/// identifies in Castro) on the caller's execution engine: each rank writes
+/// its own `Cell_D` files, per-rank byte counts are gathered to rank 0, which
+/// writes all metadata. One write body serves every engine, so the engines
+/// are byte-identical by construction. The engine needs at least as many
+/// ranks as every level's DistributionMapping. `scan_plotfiles` reads the
 /// written tree back at (step, level, task) granularity.
 WriteStats write_plotfile(exec::Engine& engine, pfs::StorageBackend& backend,
                           const PlotfileSpec& spec,
-                          const std::vector<LevelPlotData>& levels);
-
-/// Convenience: write on a fiber-scheduled SerialEngine sized to the widest
-/// level distribution.
-WriteStats write_plotfile(pfs::StorageBackend& backend, const PlotfileSpec& spec,
                           const std::vector<LevelPlotData>& levels);
 
 /// Byte-exact size prediction of write_plotfile for the same spec/layouts —
@@ -109,7 +83,7 @@ WriteStats predict_plotfile(const PlotfileSpec& spec,
 
 /// Checkpoint variant (amr.check_file / amr.check_int): same N-to-N tree with
 /// a checkpoint Header carrying restart state description.
-WriteStats write_checkpoint(pfs::StorageBackend& backend,
+WriteStats write_checkpoint(exec::Engine& engine, pfs::StorageBackend& backend,
                             const PlotfileSpec& spec,
                             const std::vector<LevelPlotData>& levels);
 

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
@@ -383,22 +385,33 @@ TEST(EngineParity, PlotfileWriteIdenticalAcrossEngines) {
   spec.dir = "engine_plt00000";
   spec.var_names = {"a", "b"};
 
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(nranks);
-  const auto ref = pf::write_plotfile(serial, serial_be, spec, {{geom, &mf}});
-
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(nranks);
-  const auto got = pf::write_plotfile(spmd, spmd_be, spec, {{geom, &mf}});
-
-  EXPECT_EQ(got.total_bytes, ref.total_bytes);
-  EXPECT_EQ(got.metadata_bytes, ref.metadata_bytes);
-  EXPECT_EQ(got.data_bytes, ref.data_bytes);
-  EXPECT_EQ(got.nfiles, ref.nfiles);
-  EXPECT_EQ(got.rank_level_bytes, ref.rank_level_bytes);
-  expect_backends_equal(spmd_be, serial_be);
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+  // The plotfile and checkpoint trees come from one write body; each must
+  // be byte-identical on every engine.
+  using WriteFn = pf::WriteStats (*)(ex::Engine&, p::StorageBackend&,
+                                     const pf::PlotfileSpec&,
+                                     const std::vector<pf::LevelPlotData>&);
+  const std::pair<const char*, WriteFn> writers[] = {
+      {"plotfile", &pf::write_plotfile}, {"checkpoint", &pf::write_checkpoint}};
+  for (const auto& [what, write] : writers) {
+    SCOPED_TRACE(what);
+    p::MemoryBackend serial_be(true);
+    ex::SerialEngine serial(nranks);
+    const auto ref = write(serial, serial_be, spec, {{geom, &mf}});
+    for (const auto kind : {ex::EngineKind::kSpmd, ex::EngineKind::kEvent}) {
+      SCOPED_TRACE(ex::engine_kind_name(kind));
+      p::MemoryBackend be(true);
+      const auto got =
+          write(*ex::make_engine(kind, nranks), be, spec, {{geom, &mf}});
+      EXPECT_EQ(got.total_bytes, ref.total_bytes);
+      EXPECT_EQ(got.metadata_bytes, ref.metadata_bytes);
+      EXPECT_EQ(got.data_bytes, ref.data_bytes);
+      EXPECT_EQ(got.nfiles, ref.nfiles);
+      EXPECT_EQ(got.rank_level_bytes, ref.rank_level_bytes);
+      expect_backends_equal(be, serial_be);
+      for (const auto& path : serial_be.list(""))
+        EXPECT_EQ(be.read(path), serial_be.read(path)) << path;
+    }
+  }
 }
 
 // ----------------------------------------------------- OutFile move state

@@ -65,7 +65,9 @@ TEST(Checkpoint, ReadsBackThroughPlotfileReader) {
   spec.dir = "chk00007";
   spec.var_names = {"density", "xmom", "ymom", "rho_E"};
   spec.step = 7;
-  pf::write_checkpoint(be, spec, {{geom, &state}});
+  const auto engine =
+      amrio::exec::make_engine(amrio::exec::EngineKind::kEvent, 1);
+  pf::write_checkpoint(*engine, be, spec, {{geom, &state}});
   const auto back = pf::read_plotfile(be, "chk00007");
   EXPECT_EQ(back.var_names.size(), 4u);
   ASSERT_EQ(back.levels.size(), 1u);

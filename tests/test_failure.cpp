@@ -132,7 +132,9 @@ struct WrittenPlotfile {
     spec.dir = "plt00000";
     spec.var_names = {"density"};
     const m::Geometry geom(m::Box(0, 0, 15, 15), {0.0, 0.0}, {1.0, 1.0});
-    pf::write_plotfile(backend, spec, {{geom, &storage[0]}});
+    const auto engine =
+        amrio::exec::make_engine(amrio::exec::EngineKind::kEvent, 2);
+    pf::write_plotfile(*engine, backend, spec, {{geom, &storage[0]}});
   }
 
   void corrupt(const std::string& path, const std::string& new_text) {
@@ -216,8 +218,10 @@ TEST(FailureWriter, InjectedWriteFaultPropagates) {
   p::MemoryBackend inner(false);
   FaultyBackend faulty(inner, 2);
   const m::Geometry geom(m::Box(0, 0, 15, 15), {0.0, 0.0}, {1.0, 1.0});
+  const auto engine =
+      amrio::exec::make_engine(amrio::exec::EngineKind::kEvent, 2);
   EXPECT_THROW(
-      pf::write_plotfile(faulty, wp.spec, {{geom, &wp.storage[0]}}),
+      pf::write_plotfile(*engine, faulty, wp.spec, {{geom, &wp.storage[0]}}),
       std::runtime_error);
   EXPECT_GE(faulty.writes_seen(), 2);
 }

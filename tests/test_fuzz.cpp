@@ -15,6 +15,7 @@
 
 #include "campaign/cache.hpp"
 #include "core/run_flags.hpp"
+#include "exec/engine.hpp"
 #include "macsio/params.hpp"
 #include "plotfile/fab_io.hpp"
 #include "plotfile/reader.hpp"
@@ -24,6 +25,7 @@
 #include "util/inputs.hpp"
 #include "util/rng.hpp"
 
+namespace ex = amrio::exec;
 namespace pf = amrio::plotfile;
 namespace p = amrio::pfs;
 namespace m = amrio::mesh;
@@ -48,7 +50,8 @@ std::unique_ptr<p::MemoryBackend> make_valid_plotfile(
   pf::PlotfileSpec spec;
   spec.dir = "fz_plt00000";
   spec.var_names = {"a", "b"};
-  pf::write_plotfile(*be, spec,
+  const auto engine = ex::make_engine(ex::EngineKind::kEvent, 2);
+  pf::write_plotfile(*engine, *be, spec,
                      {{g0, &storage[0]}, {g0.refine(2), &storage[1]}});
   return be;
 }

@@ -134,7 +134,8 @@ TEST(Pipeline, CampaignRunsMultipleCases) {
     c.max_level = 1;
     cases.push_back(c);
   }
-  const auto runs = core::run_campaign(cases);
+  std::vector<core::RunRecord> runs;
+  for (const auto& c : cases) runs.push_back(core::run_case(c));
   ASSERT_EQ(runs.size(), 3u);
   // larger meshes produce more bytes (Fig. 5's spread over decades)
   EXPECT_GT(runs[1].total_bytes, runs[0].total_bytes);

@@ -7,6 +7,7 @@
 
 #include "amr/core.hpp"
 #include "core/campaign.hpp"
+#include "exec/engine.hpp"
 #include "hydro/derive.hpp"
 #include "plotfile/fab_io.hpp"
 #include "plotfile/reader.hpp"
@@ -27,8 +28,11 @@ struct Fixture {
   std::vector<pf::LevelLayout> layouts;
   std::vector<m::MultiFab> storage;
   pf::PlotfileSpec spec;
+  std::unique_ptr<amrio::exec::Engine> engine;
 
-  explicit Fixture(int nranks = 3, int ncomp = 2) {
+  explicit Fixture(int nranks = 3, int ncomp = 2)
+      : engine(amrio::exec::make_engine(amrio::exec::EngineKind::kEvent,
+                                        nranks)) {
     // level 0: 2x2 boxes of 8x8; level 1: one refined box
     std::vector<m::Box> l0;
     for (int j = 0; j < 2; ++j)
@@ -147,7 +151,7 @@ TEST(FabIo, MalformedHeaderThrows) {
 TEST(Writer, ProducesFig2Layout) {
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_plotfile(be, fx.spec, fx.levels);
+  pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   EXPECT_TRUE(be.exists("test_plt00000/Header"));
   EXPECT_TRUE(be.exists("test_plt00000/job_info"));
   EXPECT_TRUE(be.exists("test_plt00000/Level_0/Cell_H"));
@@ -163,7 +167,7 @@ TEST(Writer, NoFileForTaskWithoutData) {
   // "file only produced if there is data on that task at that level")
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_plotfile(be, fx.spec, fx.levels);
+  pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   EXPECT_TRUE(be.exists("test_plt00000/Level_1/Cell_D_00000"));
   EXPECT_FALSE(be.exists("test_plt00000/Level_1/Cell_D_00001"));
   EXPECT_FALSE(be.exists("test_plt00000/Level_1/Cell_D_00002"));
@@ -172,7 +176,7 @@ TEST(Writer, NoFileForTaskWithoutData) {
 TEST(Writer, StatsMatchBackendTotals) {
   Fixture fx;
   p::MemoryBackend be(true);
-  const auto stats = pf::write_plotfile(be, fx.spec, fx.levels);
+  const auto stats = pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   EXPECT_EQ(stats.total_bytes, be.total_bytes());
   EXPECT_EQ(stats.nfiles, be.file_count());
   EXPECT_EQ(stats.total_bytes, stats.metadata_bytes + stats.data_bytes);
@@ -186,7 +190,7 @@ TEST(Writer, StatsMatchBackendTotals) {
 TEST(Writer, PredictMatchesActualByteForByte) {
   Fixture fx;
   p::MemoryBackend be(true);
-  const auto actual = pf::write_plotfile(be, fx.spec, fx.levels);
+  const auto actual = pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   const auto predicted = pf::predict_plotfile(fx.spec, fx.layouts, 2);
   EXPECT_EQ(predicted.total_bytes, actual.total_bytes);
   EXPECT_EQ(predicted.metadata_bytes, actual.metadata_bytes);
@@ -206,14 +210,23 @@ TEST(Writer, VarNameCountEnforced) {
   Fixture fx;
   fx.spec.var_names = {"only_one"};
   p::MemoryBackend be(true);
-  EXPECT_THROW(pf::write_plotfile(be, fx.spec, fx.levels),
+  EXPECT_THROW(pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels),
+               amrio::ContractViolation);
+}
+
+TEST(Writer, EngineSmallerThanDistributionRejected) {
+  Fixture fx;  // level 0 spreads over 3 ranks
+  p::MemoryBackend be(true);
+  const auto engine =
+      amrio::exec::make_engine(amrio::exec::EngineKind::kEvent, 2);
+  EXPECT_THROW(pf::write_plotfile(*engine, be, fx.spec, fx.levels),
                amrio::ContractViolation);
 }
 
 TEST(Writer, CheckpointHasDifferentMagic) {
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_checkpoint(be, fx.spec, fx.levels);
+  pf::write_checkpoint(*fx.engine, be, fx.spec, fx.levels);
   const auto bytes = be.read("test_plt00000/Header");
   const std::string text(reinterpret_cast<const char*>(bytes.data()),
                          bytes.size());
@@ -225,7 +238,7 @@ TEST(Writer, CheckpointHasDifferentMagic) {
 TEST(Reader, RoundTripsWrittenPlotfile) {
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_plotfile(be, fx.spec, fx.levels);
+  pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   const auto pf_in = pf::read_plotfile(be, "test_plt00000");
   EXPECT_EQ(pf_in.var_names, fx.spec.var_names);
   EXPECT_DOUBLE_EQ(pf_in.time, 0.125);
@@ -242,7 +255,7 @@ TEST(Reader, RoundTripsWrittenPlotfile) {
 TEST(Reader, MetadataOnlyMode) {
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_plotfile(be, fx.spec, fx.levels);
+  pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   const auto pf_in = pf::read_plotfile(be, "test_plt00000", /*load_data=*/false);
   EXPECT_EQ(pf_in.levels[0].fab_files.size(), 4u);
   EXPECT_TRUE(pf_in.levels[0].fabs.empty());
@@ -273,12 +286,12 @@ TEST(Reader, CorruptHeaderThrows) {
 TEST(Scanner, ClassifiesPerStepLevelTask) {
   Fixture fx;
   p::MemoryBackend be(true);
-  pf::write_plotfile(be, fx.spec, fx.levels);
+  pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   // second plotfile at step 20
   Fixture fx2;
   fx2.spec.dir = "test_plt00020";
   fx2.spec.step = 20;
-  pf::write_plotfile(be, fx2.spec, fx2.levels);
+  pf::write_plotfile(*fx2.engine, be, fx2.spec, fx2.levels);
 
   const auto scan = pf::scan_plotfiles(be, "test_plt");
   EXPECT_EQ(scan.plotfile_dirs.size(), 2u);
@@ -301,7 +314,7 @@ TEST(Scanner, ClassifiesPerStepLevelTask) {
 TEST(Scanner, AgreesWithWriterStats) {
   Fixture fx;
   p::MemoryBackend be(true);
-  const auto stats = pf::write_plotfile(be, fx.spec, fx.levels);
+  const auto stats = pf::write_plotfile(*fx.engine, be, fx.spec, fx.levels);
   const auto scan = pf::scan_plotfiles(be, "test_plt");
   // scanner's per-(level,rank) data equals writer's accounting
   for (std::size_t l = 0; l < stats.rank_level_bytes.size(); ++l) {
@@ -336,8 +349,10 @@ TEST(PlotfileIntegration, AmrCoreWriteScanReadAgree) {
   in.nprocs = 4;
   amrio::amr::AmrCore core(in);
   p::MemoryBackend be(true);
+  const auto engine =
+      amrio::exec::make_engine(amrio::exec::EngineKind::kEvent, in.nprocs);
   core.run([&](const amrio::amr::AmrCore& c, std::int64_t step, double time) {
-    amrio::core::write_plot_for(c, step, time, be);
+    amrio::core::write_plot_for(*engine, c, step, time, be);
   });
   const auto scan = pf::scan_plotfiles(be, in.plot_file);
   EXPECT_EQ(scan.plotfile_dirs.size(), 2u);  // steps 0 and 4

@@ -91,7 +91,8 @@ TEST_P(HierarchyProperty, PredictEqualsWrite) {
   for (int nranks : {1, 3, 8}) {
     RandomHierarchy h(seed * 31 + nranks, nranks);
     p::MemoryBackend be(false);
-    const auto actual = pf::write_plotfile(be, h.spec(0), h.levels);
+    const auto engine = ex::make_engine(ex::EngineKind::kEvent, nranks);
+    const auto actual = pf::write_plotfile(*engine, be, h.spec(0), h.levels);
     const auto predicted = pf::predict_plotfile(h.spec(0), h.layouts, h.ncomp);
     EXPECT_EQ(predicted.total_bytes, actual.total_bytes) << "seed " << seed;
     EXPECT_EQ(predicted.rank_level_bytes, actual.rank_level_bytes);
@@ -106,10 +107,12 @@ TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
   RandomHierarchy h(seed * 97 + 7, nranks);
 
   p::MemoryBackend serial_be(true);
-  const auto serial = pf::write_plotfile(serial_be, h.spec(0), h.levels);
+  ex::SerialEngine serial_engine(nranks);
+  const auto serial =
+      pf::write_plotfile(serial_engine, serial_be, h.spec(0), h.levels);
 
   p::MemoryBackend spmd_be(true);
-  amrio::exec::SpmdEngine engine(nranks);
+  ex::SpmdEngine engine(nranks);
   const auto spmd = pf::write_plotfile(engine, spmd_be, h.spec(0), h.levels);
   EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
   EXPECT_EQ(spmd.rank_level_bytes, serial.rank_level_bytes);
@@ -124,7 +127,8 @@ TEST_P(HierarchyProperty, ScannerMatchesWriteStats) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   RandomHierarchy h(seed * 13 + 1, 4);
   p::MemoryBackend be(false);
-  const auto written = pf::write_plotfile(be, h.spec(20), h.levels);
+  const auto engine = ex::make_engine(ex::EngineKind::kEvent, 4);
+  const auto written = pf::write_plotfile(*engine, be, h.spec(20), h.levels);
   const auto scanned = pf::scan_plotfiles(be, "prop_plt").table;
   std::uint64_t meta = 0;
   for (const auto& [key, bytes] : scanned) {

@@ -65,7 +65,6 @@ TEST(RestagePlan, AggregatedPlanReadsThroughAggregators) {
   spec.name = "ebl";
   spec.error_bound = 1e-3;
   spec.throughput = 1.0e9;
-  spec.smoothness = 0.8;
   const auto codec = cd::make_codec(spec);
   std::vector<std::string> files;
   std::vector<std::uint64_t> sizes;

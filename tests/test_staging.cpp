@@ -1,34 +1,27 @@
 /// Tests for the staging subsystem: two-phase aggregation topology and CLI
 /// validation, the group gatherv primitive, aggregated-MIF byte conservation
-/// and engine parity for both the MACSio and plotfile drivers, `--staging bb`
+/// and engine parity for the MACSio driver, `--staging bb`
 /// request tagging, and the two-tier SimFs (absorb + async drain, capacity
 /// stalls, drain concurrency).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
 #include <tuple>
 
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
-#include "mesh/distribution.hpp"
-#include "mesh/multifab.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
-#include "plotfile/reader.hpp"
-#include "plotfile/writer.hpp"
 #include "staging/aggregator.hpp"
 #include "staging/drain.hpp"
 #include "util/assert.hpp"
 
 namespace ex = amrio::exec;
 namespace mc = amrio::macsio;
-namespace m = amrio::mesh;
 namespace p = amrio::pfs;
-namespace pf = amrio::plotfile;
 namespace st = amrio::staging;
 
 // ------------------------------------------------------------ AggTopology
@@ -437,86 +430,6 @@ TEST(AggregatedMif, RequestsCarryTierAndAggregator) {
     EXPECT_EQ(req.file, mc::aggregated_file_path(params, group, dump));
   }
   EXPECT_EQ(subfile_requests, params.aggregators * params.num_dumps);
-}
-
-// --------------------------------------------- aggregated plotfile MIF
-
-namespace {
-
-struct PlotCase {
-  m::MultiFab mf;
-  m::Geometry geom;
-  pf::PlotfileSpec spec;
-};
-
-PlotCase make_plot_case(int nranks, int aggregators) {
-  std::vector<m::Box> boxes;
-  for (int j = 0; j < 4; ++j)
-    for (int i = 0; i < 4; ++i)
-      boxes.emplace_back(i * 8, j * 8, i * 8 + 7, j * 8 + 7);
-  m::BoxArray ba(boxes);
-  const auto dm =
-      m::DistributionMapping::make(ba, nranks, m::DistributionStrategy::kSfc);
-  PlotCase c{m::MultiFab(ba, dm, 2, 0),
-             m::Geometry(m::Box(0, 0, 31, 31), {0.0, 0.0}, {1.0, 1.0}),
-             {}};
-  for (std::size_t i = 0; i < c.mf.nfabs(); ++i) c.mf.fab(i).set_val(0.75);
-  c.spec.dir = "agg_plt00000";
-  c.spec.var_names = {"a", "b"};
-  c.spec.aggregators = aggregators;
-  return c;
-}
-
-}  // namespace
-
-TEST(AggregatedPlotfile, FewerFilesSameDataBytesAndReadableRoundTrip) {
-  const int nranks = 8;
-  auto flat = make_plot_case(nranks, 0);
-  p::MemoryBackend flat_be(true);
-  const auto ref =
-      pf::write_plotfile(flat_be, flat.spec, {{flat.geom, &flat.mf}});
-
-  auto agg = make_plot_case(nranks, 2);
-  p::MemoryBackend agg_be(true);
-  const auto got = pf::write_plotfile(agg_be, agg.spec, {{agg.geom, &agg.mf}});
-
-  EXPECT_EQ(got.data_bytes, ref.data_bytes);
-  EXPECT_EQ(got.rank_level_bytes, ref.rank_level_bytes);
-  // 8 Cell_D files collapse to 2; Header/job_info/Cell_H stay
-  EXPECT_EQ(got.nfiles, ref.nfiles - 8 + 2);
-
-  // the aggregated tree reads back with identical values
-  const auto pfile = pf::read_plotfile(agg_be, "agg_plt00000");
-  ASSERT_EQ(pfile.levels.size(), 1u);
-  ASSERT_EQ(pfile.levels[0].fabs.size(), 16u);
-  for (const auto& fab : pfile.levels[0].fabs) {
-    EXPECT_EQ(fab.ncomp(), 2);
-    EXPECT_DOUBLE_EQ(fab(fab.box().lo(0), fab.box().lo(1), 0), 0.75);
-  }
-}
-
-TEST(AggregatedPlotfile, PredictMatchesWriteAndEnginesAgree) {
-  const int nranks = 8;
-  auto c = make_plot_case(nranks, 4);
-  p::MemoryBackend serial_be(true);
-  ex::SerialEngine serial(nranks);
-  const auto ref =
-      pf::write_plotfile(serial, serial_be, c.spec, {{c.geom, &c.mf}});
-
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(nranks);
-  const auto got = pf::write_plotfile(spmd, spmd_be, c.spec, {{c.geom, &c.mf}});
-  EXPECT_EQ(got.total_bytes, ref.total_bytes);
-  EXPECT_EQ(got.nfiles, ref.nfiles);
-  ASSERT_EQ(serial_be.list(""), spmd_be.list(""));
-  for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
-
-  const pf::LevelLayout layout{c.geom, c.mf.box_array(), c.mf.distribution()};
-  const auto predicted = pf::predict_plotfile(c.spec, {layout}, 2);
-  EXPECT_EQ(predicted.total_bytes, ref.total_bytes);
-  EXPECT_EQ(predicted.nfiles, ref.nfiles);
-  EXPECT_EQ(predicted.data_bytes, ref.data_bytes);
 }
 
 // ---------------------------------------------------- --staging bb tagging

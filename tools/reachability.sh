@@ -14,6 +14,9 @@
 # libamrio.a minus the symbols of those binaries, cut down to non-template
 # functions in namespace amrio.
 #
+# Every example and bench must build; the script exits 2 when one did not
+# (bench/micro_substrate needs Google Benchmark).
+#
 # tools/reachability.allow keeps a symbol on purpose: one line per symbol,
 # `<demangled signature>  # <reason>`. The script exits non-zero when a
 # listed symbol has no allow line, when an allow line gives no reason, or
@@ -44,16 +47,19 @@ step cmake --build "$build" -j4
 step cmake -S "$root/perfbench" -B "$build/perfbench" "${flags[@]}"
 step cmake --build "$build/perfbench" -j4
 
-# bench/micro_substrate needs Google Benchmark; a program that was not built
-# is named, and what only it calls shows up as unreached.
+# Every program must be built: what only a missing program calls would show
+# up as unreached. bench/micro_substrate builds only with Google Benchmark.
 programs=("$build/perfbench/perfbench")
 for src in "$root"/examples/*.cpp "$root"/bench/*.cpp; do
-  bin="$build/$(basename "$src" .cpp)"
-  if [ -x "$bin" ]; then
-    programs+=("$bin")
-  else
-    echo "reachability: $(basename "$bin") was not built; left out"
+  name=$(basename "$src" .cpp)
+  if [ ! -x "$build/$name" ]; then
+    need=""
+    [ "$name" = micro_substrate ] && need=" (it needs Google Benchmark)"
+    echo "reachability: program $name was not built$need; cannot judge" \
+         "reachability without it"
+    exit 2
   fi
+  programs+=("$build/$name")
 done
 
 work=$(mktemp -d)
