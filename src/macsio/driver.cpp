@@ -140,10 +140,13 @@ std::uint64_t aggregated_index_bytes(const Params& p) {
 
 namespace {
 
-/// What every rank derives once per run from the parameters, for the dump
-/// and the restart body alike. The bodies keep it on the heap, and the
-/// out-of-line steps below hold their own paths, files and sinks, so a
-/// body's frame — what an engine parks across a gather — stays a few words.
+/// What the rank bodies derive from the parameters, for the dump and the
+/// restart alike. run_macsio builds one per run and every dump body shares
+/// it read-only (interfaces and codecs are const and stateless, so SPMD
+/// threads may share them too); each restart body builds its own (see
+/// run_restart_rank). The out-of-line steps below hold their own paths,
+/// files and sinks, so a body's frame — what an engine parks across a
+/// gather — stays a few words.
 struct RankSetup {
   explicit RankSetup(const Params& p)
       : params(p),
@@ -151,8 +154,7 @@ struct RankSetup {
         agg_cfg{p.aggregators, p.agg_link_bandwidth, 1.0e-6},
         write_tier(p.stage_to_bb ? pfs::kTierBurstBuffer : pfs::kTierPfs),
         // The in-situ codec stage: every rank encodes its task document
-        // before it leaves the node. Codecs are stateless; each rank holds
-        // its own instance.
+        // before it leaves the node.
         cdc(codec::make_codec(p.codec_spec())),
         encoded(p.codec_spec().enabled()),
         topo(p.aggregators > 0 ? std::optional(staging::AggTopology::make(
@@ -512,16 +514,15 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
 /// engines' wall clock never reaches the model (SimFs replays the requests),
 /// so no barrier surrounds it: on EventEngine a MIF/SIF rank suspends once
 /// per dump.
-void run_macsio_rank(exec::RankCtx& ctx, const Params& params,
+void run_macsio_rank(exec::RankCtx& ctx, const RankSetup& run,
                      pfs::StorageBackend& backend, obs::Probe probe,
                      DumpStats* stats) {
-  const auto run = std::make_unique<const RankSetup>(params);
-  for (int dump = 0; dump < params.num_dumps; ++dump) {
+  for (int dump = 0; dump < run.params.num_dumps; ++dump) {
     const std::uint64_t written =
-        write_task_doc(ctx, *run, backend, probe, dump);
+        write_task_doc(ctx, run, backend, probe, dump);
     const auto all_bytes = ctx.gather(written, 0);
     if (stats != nullptr)
-      record_dump(*run, *stats, backend, probe, dump, all_bytes);
+      record_dump(run, *stats, backend, probe, dump, all_bytes);
   }
 }
 
@@ -807,6 +808,11 @@ void run_restart_rank(exec::RankCtx& ctx, const Params& params,
                       const staging::RestagePlan& plan,
                       pfs::StorageBackend& backend, obs::Probe probe,
                       RestartStats* stats) {
+  // A setup per rank, unlike the dump: its small heap blocks, allocated
+  // after the aggregator's wire blobs, keep glibc from trimming the freed
+  // blobs back to the OS between aggregation groups. With one shared setup
+  // the 1,024-rank ebl BB restart faulted ~29k pages per restart instead of
+  // ~100 and ran 2-4x slower.
   const auto run = std::make_unique<const RankSetup>(params);
   const RecoveredDoc doc = read_task_doc(ctx, *run, plan, backend, probe);
   auto all_bytes = ctx.gather(doc.bytes, 0);
@@ -880,12 +886,19 @@ DumpStats run_macsio(exec::Engine& engine, const Params& params,
                     "run_macsio: engine ranks " << engine.nranks()
                                                 << " != nprocs "
                                                 << params.nprocs);
+  const RankSetup run(params);
   DumpStats result;
   result.task_bytes.assign(static_cast<std::size_t>(params.num_dumps),
                            std::vector<std::uint64_t>(
                                static_cast<std::size_t>(params.nprocs), 0));
+  // record_dump appends one request per rank (per subfile when aggregated,
+  // plus the index) and the root per dump.
+  const int per_dump =
+      run.topo ? run.topo->ngroups() + 2 : params.nprocs + 1;
+  result.requests.reserve(static_cast<std::size_t>(params.num_dumps) *
+                          static_cast<std::size_t>(per_dump));
   engine.run([&](exec::RankCtx& ctx) {
-    run_macsio_rank(ctx, params, backend, probe,
+    run_macsio_rank(ctx, run, backend, probe,
                     ctx.rank() == 0 ? &result : nullptr);
   });
   return result;

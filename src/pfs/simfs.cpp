@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <queue>
 
@@ -80,8 +81,9 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   std::vector<IoResult> results(requests.size());
 
   // Per-request observability bookkeeping, filled during the event loop and
-  // turned into spans/metrics *after* it, in request-index order — emission
-  // inherits the loop's determinism and never perturbs the timeline.
+  // turned into spans/metrics/ledger entries *after* it, in request-index
+  // order — emission inherits the loop's determinism and never perturbs the
+  // timeline. Only a probed run keeps it.
   struct Aux {
     double service_sum = 0.0;   // summed chunk service time (no queue waits)
     double flight_start = 0.0;  // direct issue / drain start / prefetch start
@@ -90,7 +92,8 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     bool capacity_stalled = false;  // ever parked on the capacity wait list
     bool prefetch_gated = false;    // BB read gated on a pending prefetch
   };
-  std::vector<Aux> aux(requests.size());
+  const bool observed = static_cast<bool>(probe);
+  std::vector<Aux> aux(observed ? requests.size() : 0);
   const bool want_series = cfg_.bb.enabled && probe.metrics != nullptr;
   std::vector<std::pair<double, std::int64_t>> occ_deltas;    // occupancy
   std::vector<std::pair<double, std::int64_t>> drain_deltas;  // busy streams
@@ -147,7 +150,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     double time;
     int kind;
     std::uint64_t seq;
-    std::size_t id;  // flight index (kChunk) or request index (others)
+    std::size_t id;  // flight slot (kChunk) or request index (others, opens)
     bool operator>(const Event& other) const {
       if (time != other.time) return time > other.time;
       if (kind != other.kind) return kind > other.kind;
@@ -155,9 +158,38 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     }
   };
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> pq;
-  std::uint64_t seq = 0;
+  // Opens take their MDS position as seq; later events number after them.
+  std::uint64_t seq = order.size();
+
+  // A flight exists from its first chunk to its last; finished flights'
+  // slots are recycled, so `flights` holds only the peak concurrent ones.
+  // Path, rate and node follow from the request and its served tier.
   std::vector<Flight> flights;
-  flights.reserve(requests.size());
+  std::vector<std::size_t> free_slots;
+  auto start_flight = [&](std::size_t idx, double ready) {
+    Flight fl;
+    fl.index = idx;
+    fl.remaining = requests[idx].bytes;
+    fl.first_ost = results[idx].first_ost;
+    fl.ready = ready;
+    if (results[idx].tier == kTierBurstBuffer) {
+      fl.is_prefetch = requests[idx].op == kOpPrefetch;
+      fl.is_drain = !fl.is_prefetch;
+      fl.rate = cfg_.bb.drain_bandwidth;
+      fl.node = node_of(requests[idx].client);
+    } else {
+      fl.rate = cfg_.client_bandwidth;
+    }
+    if (observed) aux[idx].flight_start = ready;
+    if (free_slots.empty()) {
+      flights.push_back(fl);
+      return flights.size() - 1;
+    }
+    const std::size_t slot = free_slots.back();
+    free_slots.pop_back();
+    flights[slot] = fl;
+    return slot;
+  };
 
   struct Node {
     double ingest_free = 0.0;       // absorb server is FIFO per node
@@ -208,6 +240,8 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   }
 
   double mds_free = 0.0;
+  const std::string* hashed_file = nullptr;  // consecutive opens share paths
+  std::uint64_t file_hash = 0;
   for (std::size_t idx : order) {
     const IoRequest& req = requests[idx];
     AMRIO_EXPECTS(req.client >= 0);
@@ -237,27 +271,35 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     res.bytes = req.bytes;
     res.op = req.op;
     res.tier = (staged || prefetch || bb_read) ? kTierBurstBuffer : kTierPfs;
-    res.first_ost = static_cast<int>(
-        fnv1a(req.file) % static_cast<std::uint64_t>(cfg_.n_ost));
-    if (req.bytes == 0) continue;
-    if (staged) {
-      pq.push({open_end, kAbsorbTry, seq++, idx});
-    } else if (prefetch) {
-      pq.push({open_end, kPrefetchStart, seq++, idx});
-    } else if (bb_read) {
-      pq.push({open_end, kBbRead, seq++, idx});
-    } else {
-      Flight fl;
-      fl.index = idx;
-      fl.remaining = req.bytes;
-      fl.first_ost = res.first_ost;
-      fl.ready = open_end;
-      fl.rate = cfg_.client_bandwidth;
-      aux[idx].flight_start = open_end;
-      flights.push_back(fl);
-      pq.push({fl.ready, kChunk, seq++, flights.size() - 1});
+    if (hashed_file == nullptr || *hashed_file != req.file) {
+      file_hash = fnv1a(req.file);
+      hashed_file = &req.file;
     }
+    res.first_ost =
+        static_cast<int>(file_hash % static_cast<std::uint64_t>(cfg_.n_ost));
   }
+
+  // Opens enter the queue lazily: before each pop, every open due no later
+  // than the queue top is pushed. Open times never decrease along `order`
+  // and an open's seq is below every later event's, so the (time, kind,
+  // seq) pop order — and with it the RNG draw order — is the one of pushing
+  // them all up front, while the queue holds only live events.
+  std::size_t next_open = 0;
+  auto admit_opens = [&] {
+    for (; next_open < order.size(); ++next_open) {
+      const std::size_t idx = order[next_open];
+      const IoResult& res = results[idx];
+      if (!pq.empty() && res.open_end > pq.top().time) break;
+      if (res.bytes == 0) continue;
+      int kind = kChunk;  // direct: its flight starts at the first chunk
+      if (res.tier == kTierBurstBuffer)
+        kind = res.op == kOpWrite     ? kAbsorbTry
+               : res.op == kOpPrefetch ? kPrefetchStart
+                                       : kBbRead;
+      pq.push({res.open_end, kind, next_open, idx});
+    }
+    return !pq.empty();
+  };
 
   std::vector<double> ost_free(static_cast<std::size_t>(cfg_.n_ost), 0.0);
   util::Xoshiro256 rng(cfg_.seed);
@@ -278,7 +320,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     nd.waiting.clear();
   };
 
-  while (!pq.empty()) {
+  while (admit_opens()) {
     const Event ev = pq.top();
     pq.pop();
 
@@ -290,7 +332,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
       if (cfg_.bb.capacity > 0 &&
           nd.occupancy + req.bytes > cfg_.bb.capacity) {
         nd.waiting.push_back(idx);  // woken when a drain/read frees space
-        aux[idx].capacity_stalled = true;
+        if (observed) aux[idx].capacity_stalled = true;
         lq(bb_res(node, "capacity_wait"), ev.time, 1);
         continue;
       }
@@ -303,17 +345,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
         continue;
       }
       --nd.idle_prefetch_streams;
-      Flight fl;
-      fl.index = idx;
-      fl.remaining = req.bytes;
-      fl.first_ost = results[idx].first_ost;
-      fl.ready = ev.time;
-      fl.rate = cfg_.bb.drain_bandwidth;
-      fl.is_prefetch = true;
-      fl.node = node;
-      aux[idx].flight_start = ev.time;
-      flights.push_back(fl);
-      pq.push({fl.ready, kChunk, seq++, flights.size() - 1});
+      pq.push({ev.time, kChunk, seq++, start_flight(idx, ev.time)});
       continue;
     }
 
@@ -330,19 +362,20 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           // completion of the key wakes the waiters to re-check (FIFO), so
           // reads drain the pool between prefetch waves.
           read_waiters[key].push_back(idx);
-          aux[idx].prefetch_gated = true;
+          if (observed) aux[idx].prefetch_gated = true;
           continue;
         }
         // Completions may already be *booked* (their last chunks were
         // issued) but lie in the future — the read still cannot start
         // before the bytes it consumes are resident.
-        if (st.resident_time > start) aux[idx].prefetch_gated = true;
+        if (observed && st.resident_time > start)
+          aux[idx].prefetch_gated = true;
         start = std::max(start, st.resident_time);
       }
       const int node = node_of(req.client);
       Node& nd = nodes[static_cast<std::size_t>(node)];
       start = std::max(start, nd.read_free);  // node read server is FIFO
-      aux[idx].read_start = start;
+      if (observed) aux[idx].read_start = start;
       const double read_end =
           start + static_cast<double>(req.bytes) / cfg_.bb.read_bandwidth;
       nd.read_free = read_end;
@@ -375,7 +408,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
       if (cfg_.bb.capacity > 0 &&
           nd.occupancy + req.bytes > cfg_.bb.capacity) {
         nd.waiting.push_back(idx);  // woken when a drain frees space
-        aux[idx].capacity_stalled = true;
+        if (observed) aux[idx].capacity_stalled = true;
         lq(bb_res(node, "capacity_wait"), ev.time, 1);
         continue;
       }
@@ -386,7 +419,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
       if (want_series)
         occ_deltas.emplace_back(ev.time, static_cast<std::int64_t>(req.bytes));
       nd.ingest_free = absorb_end;
-      aux[idx].absorb_start = ev.time;
+      if (observed) aux[idx].absorb_start = ev.time;
       results[idx].end = absorb_end;  // perceived completion
       pq.push({absorb_end, kDrainStart, seq++, idx});
       continue;
@@ -402,23 +435,17 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
         continue;
       }
       nd.slots.pop();  // stream acquired; released at flight completion
-      Flight fl;
-      fl.index = idx;
-      fl.remaining = requests[idx].bytes;
-      fl.first_ost = results[idx].first_ost;
-      fl.ready = ev.time;
-      fl.rate = cfg_.bb.drain_bandwidth;
-      fl.is_drain = true;
-      fl.node = node;
-      aux[idx].flight_start = ev.time;
       if (want_series) drain_deltas.emplace_back(ev.time, 1);
-      flights.push_back(fl);
-      pq.push({fl.ready, kChunk, seq++, flights.size() - 1});
+      pq.push({ev.time, kChunk, seq++, start_flight(idx, ev.time)});
       continue;
     }
 
-    // kChunk: issue the flight's next chunk onto its OST.
-    Flight& fl = flights[ev.id];
+    // kChunk: issue the flight's next chunk onto its OST. A direct request's
+    // open (seq below order.size()) carries its request index: its flight
+    // starts with this first chunk.
+    const std::size_t slot =
+        ev.seq < order.size() ? start_flight(ev.id, ev.time) : ev.id;
+    Flight& fl = flights[slot];
     const std::uint64_t chunk =
         std::min<std::uint64_t>(fl.remaining, cfg_.stripe_size);
     const int ost = (fl.first_ost + fl.next_stripe) % cfg_.n_ost;
@@ -436,45 +463,36 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     if (want_ledger) ost_busy[static_cast<std::size_t>(ost)] += service;
     fl.ready = end;
     fl.remaining -= chunk;
-    aux[fl.index].service_sum += service;
+    if (observed) aux[fl.index].service_sum += service;
 
     if (fl.remaining > 0) {
-      pq.push({fl.ready, kChunk, seq++, ev.id});
+      pq.push({fl.ready, kChunk, seq++, slot});
       continue;
     }
-    IoResult& res = results[fl.index];
+    // Flight complete: free its slot. Starting the next prefetch below may
+    // reuse the slot or grow `flights`, so keep a copy, not `fl`.
+    const Flight done = fl;
+    free_slots.push_back(slot);
+    IoResult& res = results[done.index];
     res.pfs_end = end;
-    if (fl.is_prefetch) {
+    if (done.is_prefetch) {
       // Prefetch complete: the extent is resident node-local. Release the
       // stream to the next queued prefetch and wake reads gated on this
-      // (node, file). Copy what we need first: starting the next prefetch
-      // grows `flights` and would invalidate `fl`.
-      const std::size_t done_index = fl.index;
-      const int node_id = fl.node;
+      // (node, file).
       res.end = end;
-      Node& nd = nodes[static_cast<std::size_t>(node_id)];
+      Node& nd = nodes[static_cast<std::size_t>(done.node)];
       ++nd.idle_prefetch_streams;
       if (!nd.pending_prefetch.empty()) {
         const std::size_t next = nd.pending_prefetch.front();
         nd.pending_prefetch.pop_front();
-        lq(bb_res(node_id, "prefetch"), end, -1);
+        lq(bb_res(done.node, "prefetch"), end, -1);
         --nd.idle_prefetch_streams;
-        Flight pf;
-        pf.index = next;
-        pf.remaining = requests[next].bytes;
-        pf.first_ost = results[next].first_ost;
-        pf.ready = end;
-        pf.rate = cfg_.bb.drain_bandwidth;
-        pf.is_prefetch = true;
-        pf.node = node_id;
-        aux[next].flight_start = end;
-        flights.push_back(pf);
-        pq.push({end, kChunk, seq++, flights.size() - 1});
+        pq.push({end, kChunk, seq++, start_flight(next, end)});
       }
-      const std::string key = bb_key(requests[done_index]);
+      const std::string key = bb_key(requests[done.index]);
       PrefetchState& st = prefetch_state[key];
       --st.pending;
-      st.resident += requests[done_index].bytes;
+      st.resident += res.bytes;
       st.resident_time = std::max(st.resident_time, end);
       // Wake the key's waiting reads to re-check the pool — unsatisfied
       // ones re-register, satisfied ones consume in FIFO order.
@@ -486,14 +504,14 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
       }
       continue;
     }
-    if (!fl.is_drain) {
+    if (!done.is_drain) {
       res.end = end;
       continue;
     }
     // Drain complete: free staging space and the stream, hand the stream to
     // the next absorbed-but-undrained request, wake stalled
     // absorbs/prefetches.
-    Node& nd = nodes[static_cast<std::size_t>(fl.node)];
+    Node& nd = nodes[static_cast<std::size_t>(done.node)];
     nd.occupancy -= res.bytes;
     if (want_series) {
       occ_deltas.emplace_back(end, -static_cast<std::int64_t>(res.bytes));
@@ -503,10 +521,10 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     if (!nd.pending_drains.empty()) {
       const std::size_t next = nd.pending_drains.front();
       nd.pending_drains.pop_front();
-      lq(bb_res(fl.node, "drain"), end, -1);
+      lq(bb_res(done.node, "drain"), end, -1);
       pq.push({end, kDrainStart, seq++, next});
     }
-    wake_waiting(nd, fl.node, end);
+    wake_waiting(nd, done.node, end);
   }
 
   // A batch must drain completely: anything still parked here means the BB
@@ -679,24 +697,30 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
 
     // Happens-before from the prefetch wave that staged a BB read's bytes:
     // the latest same-(node, file) prefetch completing at or before the
-    // read's start.
-    if (tr != nullptr) {
+    // read's start, the lowest request index among equal completions. Each
+    // key's prefetches are indexed once, sorted by (end, request index).
+    if (tr != nullptr && bb_on) {
+      using Wave = std::pair<double, std::size_t>;  // (end, request index)
+      std::map<std::string, std::vector<Wave>> waves;
+      for (std::size_t j = 0; j < requests.size(); ++j)
+        if (requests[j].op == kOpPrefetch && span_of[j] != 0)
+          waves[bb_key(requests[j])].emplace_back(results[j].end, j);
+      for (auto& [key, w] : waves) std::sort(w.begin(), w.end());
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        const IoRequest& req = requests[i];
-        if (req.bytes == 0 || span_of[i] == 0) continue;
-        if (!(results[i].op == kOpRead &&
-              results[i].tier == kTierBurstBuffer && bb_on))
+        if (span_of[i] == 0 || results[i].op != kOpRead ||
+            results[i].tier != kTierBurstBuffer)
           continue;
-        const std::string key = bb_key(req);
-        std::size_t best = requests.size();
-        for (std::size_t j = 0; j < requests.size(); ++j) {
-          if (requests[j].op != kOpPrefetch || span_of[j] == 0) continue;
-          if (bb_key(requests[j]) != key) continue;
-          if (results[j].end > aux[i].read_start + kEps) continue;
-          if (best == requests.size() || results[j].end > results[best].end)
-            best = j;
-        }
-        if (best != requests.size()) tr->edge(span_of[best], span_of[i]);
+        const auto it = waves.find(bb_key(requests[i]));
+        if (it == waves.end()) continue;
+        const std::vector<Wave>& w = it->second;
+        const auto after = std::upper_bound(
+            w.begin(), w.end(), aux[i].read_start + kEps,
+            [](double t, const Wave& x) { return t < x.first; });
+        if (after == w.begin()) continue;
+        const auto best = std::lower_bound(
+            w.begin(), after, std::prev(after)->first,
+            [](const Wave& x, double t) { return x.first < t; });
+        tr->edge(span_of[best->second], span_of[i]);
       }
     }
 

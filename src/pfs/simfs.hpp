@@ -58,6 +58,11 @@
 /// With the BB tier disabled, reads and prefetches tagged for it are served
 /// as direct PFS reads — one tagged workload replays against both setups,
 /// exactly like the write path.
+///
+/// Memory: beyond the batch and its results, a replay holds only what is
+/// live — opens enter the event queue as the clock reaches them and a
+/// flight exists from its first chunk to its last. Per-request
+/// observability bookkeeping exists only when the run carries a probe.
 
 #include <cstdint>
 #include <string>

@@ -5,12 +5,19 @@
 
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <thread>
+#include <tuple>
 
+#include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
 #include "pfs/timeline.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace p = amrio::pfs;
 
@@ -502,6 +509,196 @@ TEST(SimFs, PrefetchStreamsAreBoundedPerNode) {
   double wide_last = 0.0;
   for (const auto& r : wide) wide_last = std::max(wide_last, r.end);
   EXPECT_LT(wide_last, 1.5);  // distinct files hash over 8 OSTs: parallel
+}
+
+namespace {
+/// FNV-1a over every field of every result, doubles by bit pattern.
+std::uint64_t results_digest(const std::vector<p::IoResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& r : results) {
+    for (double d : {r.open_start, r.open_end, r.end, r.pfs_end}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof bits);
+      mix(&bits, sizeof bits);
+    }
+    for (std::int64_t v : {std::int64_t{r.first_ost}, std::int64_t{r.tier},
+                           std::int64_t{r.op},
+                           static_cast<std::int64_t>(r.bytes)})
+      mix(&v, sizeof v);
+  }
+  return h;
+}
+}  // namespace
+
+TEST(SimFs, MixedTieredBatchIsPinned) {
+  // Direct writes, staged writes, cold reads, and prefetch + BB-read waves
+  // of one shared restart file per node, on a tight staging tier with
+  // service noise. mds_latency = 0 makes the opens of every kind tie at
+  // each submit time, so the pinned digest fixes the event order across
+  // kinds, the RNG draw order and the capacity/stream hand-offs.
+  p::SimFsConfig cfg;
+  cfg.n_ost = 4;
+  cfg.stripe_count = 2;
+  cfg.stripe_size = 1'000'000;
+  cfg.mds_latency = 0.0;
+  cfg.variability_sigma = 0.25;
+  cfg.seed = 7;
+  cfg.bb.enabled = true;
+  cfg.bb.nodes = 2;
+  cfg.bb.ranks_per_node = 2;
+  cfg.bb.write_bandwidth = 4.0e9;
+  cfg.bb.drain_bandwidth = 1.0e9;
+  cfg.bb.read_bandwidth = 8.0e9;
+  cfg.bb.capacity = 9'000'000;
+  cfg.bb.drain_concurrency = 2;
+  cfg.bb.prefetch_concurrency = 1;
+  const std::uint64_t mb = 1'000'000;
+  std::vector<p::IoRequest> reqs;
+  for (int c = 0; c < 8; ++c) {
+    const double t = 0.01 * (c % 3);
+    const auto u = static_cast<std::uint64_t>(c);
+    const std::string shared = "ckpt/n" + std::to_string(c / 2 % 2);
+    reqs.push_back({c, t, "data/w" + std::to_string(c), (1 + u % 3) * 3 * mb});
+    reqs.push_back({c, t, "data/s" + std::to_string(c), (2 + u % 2) * mb,
+                    p::kTierBurstBuffer});
+    reqs.push_back({c, t, "data/r" + std::to_string(c % 4), 2 * mb,
+                    p::kTierPfs, p::kOpRead});
+    reqs.push_back(
+        {c, t, shared, 4 * mb, p::kTierBurstBuffer, p::kOpPrefetch});
+    reqs.push_back({c, t, shared, 4 * mb, p::kTierBurstBuffer, p::kOpRead});
+  }
+  const auto plain = p::SimFs(cfg).run(reqs);
+  EXPECT_EQ(results_digest(plain), 0xbc0b1310587c556cull);
+
+  // Observability never perturbs the timeline.
+  amrio::obs::Tracer tracer;
+  amrio::obs::MetricsRegistry metrics;
+  amrio::obs::ResourceLedger ledger;
+  const auto probed =
+      p::SimFs(cfg).run(reqs, amrio::obs::Probe{&tracer, &metrics, &ledger});
+  EXPECT_EQ(results_digest(probed), results_digest(plain));
+  // The batch exercises what it is meant to pin.
+  EXPECT_GT(metrics.snapshot().counters.at("simfs.bb.capacity_stalls"), 0);
+  std::size_t gated = 0;
+  for (const auto& s : tracer.spans())
+    gated += s.resource == "prefetch_gate" ? 1 : 0;
+  EXPECT_GT(gated, 0u);
+}
+
+TEST(SimFs, PrefetchToBbReadEdgesMatchBruteForce) {
+  // Randomized batches with several prefetch waves per (node, file) key:
+  // each BB read's edge must come from the latest same-key prefetch that
+  // completed by the read's start, the lowest request index on a tie.
+  for (std::uint64_t trial = 0; trial < 16; ++trial) {
+    amrio::util::Xoshiro256 rng(1000 + trial);
+    auto pick = [&rng](std::uint64_t n) { return rng.uniform_int(n); };
+    p::SimFsConfig cfg;
+    cfg.n_ost = 3;
+    cfg.mds_latency = 1.0e-3 * static_cast<double>(pick(3));
+    cfg.variability_sigma = trial % 2 == 0 ? 0.0 : 0.2;
+    cfg.seed = trial;
+    cfg.bb.enabled = true;
+    cfg.bb.nodes = 2;
+    cfg.bb.ranks_per_node = 6;
+    cfg.bb.drain_bandwidth = 1.0e9;
+    cfg.bb.prefetch_concurrency = 1 + static_cast<int>(pick(2));
+    const std::uint64_t slice[] = {1'000'000, 2'000'000, 3'000'000};
+    cfg.bb.capacity = 2 * slice[2];
+    std::vector<p::IoRequest> reqs;
+    // One prefetch + read per client (so (rank, stage, file) names a
+    // request's span), a few unmatched BB reads, and direct writes.
+    for (int c = 0; c < 24; ++c) {
+      const std::uint64_t f = pick(3);
+      const std::string file = "ckpt/f" + std::to_string(f);
+      const double t = 0.002 * static_cast<double>(pick(4));
+      reqs.push_back({c, t, file, slice[f], p::kTierBurstBuffer,
+                      p::kOpPrefetch});
+      reqs.push_back({c, t + 0.001 * static_cast<double>(pick(3)), file,
+                      slice[f], p::kTierBurstBuffer, p::kOpRead});
+      if (pick(4) == 0)
+        reqs.push_back({c, t, "ckpt/unmatched", slice[0], p::kTierBurstBuffer,
+                        p::kOpRead});
+      if (pick(2) == 0)
+        reqs.push_back({c, t, "data/w" + std::to_string(c), slice[1]});
+    }
+    for (std::size_t i = reqs.size(); i > 1; --i)
+      std::swap(reqs[i - 1], reqs[pick(i)]);
+
+    amrio::obs::Tracer tracer;
+    p::SimFs fs(cfg);
+    const auto res = fs.run(reqs, amrio::obs::Probe{&tracer});
+    std::map<std::tuple<int, std::string, std::string>, amrio::obs::Span>
+        by_name;
+    for (const auto& s : tracer.spans())
+      if (s.rank >= 0) by_name[{s.rank, s.stage, s.detail}] = s;
+    std::set<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (reqs[i].op != p::kOpRead || reqs[i].tier != p::kTierBurstBuffer)
+        continue;
+      const auto& read = by_name.at({reqs[i].client, "bb_read", reqs[i].file});
+      const double read_start = read.end - read.service;
+      std::size_t best = reqs.size();
+      for (std::size_t j = 0; j < reqs.size(); ++j) {
+        if (reqs[j].op != p::kOpPrefetch || reqs[j].file != reqs[i].file ||
+            fs.node_of(reqs[j].client) != fs.node_of(reqs[i].client) ||
+            res[j].end > read_start + 1e-12)
+          continue;
+        if (best == reqs.size() || res[j].end > res[best].end) best = j;
+      }
+      if (best == reqs.size()) continue;
+      const auto& from =
+          by_name.at({reqs[best].client, "bb_prefetch", reqs[best].file});
+      expected.insert({from.id, read.id});
+    }
+    std::set<std::pair<std::uint64_t, std::uint64_t>> got;
+    for (const auto& e : tracer.edges()) got.insert({e.from, e.to});
+    EXPECT_FALSE(expected.empty()) << "trial " << trial;
+    EXPECT_EQ(got, expected) << "trial " << trial;
+  }
+}
+
+TEST(SimFs, PrefetchEdgeTieGoesToTheLowestRequestIndex) {
+  // Two prefetches of one (node, file) complete at the same instant: rank 0's
+  // two chunks run on OSTs 0 and 1 back to back, rank 1's one chunk queues
+  // behind rank 0's first on OST 0. Both reads take their edge from the
+  // lower request index.
+  p::SimFsConfig cfg;
+  cfg.n_ost = 4;
+  cfg.stripe_count = 4;
+  cfg.stripe_size = 1'000'000;
+  cfg.ost_bandwidth = 1.0e9;
+  cfg.mds_latency = 0.0;
+  cfg.bb.enabled = true;
+  cfg.bb.nodes = 1;
+  cfg.bb.ranks_per_node = 4;
+  cfg.bb.drain_bandwidth = 1.0e9;
+  cfg.bb.prefetch_concurrency = 2;
+  const std::string file = "ckpt/f";
+  const std::vector<p::IoRequest> reqs = {
+      {0, 0.0, file, 2'000'000, p::kTierBurstBuffer, p::kOpPrefetch},
+      {1, 0.0, file, 1'000'000, p::kTierBurstBuffer, p::kOpPrefetch},
+      {2, 0.01, file, 1'000'000, p::kTierBurstBuffer, p::kOpRead},
+      {3, 0.01, file, 2'000'000, p::kTierBurstBuffer, p::kOpRead}};
+  amrio::obs::Tracer tracer;
+  const auto res = p::SimFs(cfg).run(reqs, amrio::obs::Probe{&tracer});
+  ASSERT_EQ(res[0].end, res[1].end);
+
+  std::map<int, std::uint64_t> span_of_rank;
+  for (const auto& s : tracer.spans())
+    if (s.rank >= 0) span_of_rank[s.rank] = s.id;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> got;
+  for (const auto& e : tracer.edges()) got.insert({e.from, e.to});
+  const std::set<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {span_of_rank.at(0), span_of_rank.at(2)},
+      {span_of_rank.at(0), span_of_rank.at(3)}};
+  EXPECT_EQ(got, expected);
 }
 
 TEST(SimFs, InvalidConfigRejected) {
