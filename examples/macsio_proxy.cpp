@@ -319,8 +319,10 @@ int main(int argc, char** argv) {
     // before finish() closes the stream.
     std::vector<obs::Span> envelopes;
     if (sampling) envelopes = stream->envelope_spans();
-    if (sampling) {
-      if (cli.flag("no_approx_critical_path")) {
+    if (sampling && cli.flag("no_approx_critical_path")) {
+      // The approximation is refused: an error when a path or an explain
+      // report was asked for, otherwise the summary line is left out.
+      if (cli.flag("critical_path") || run.explain) {
         std::fprintf(stderr,
                      "macsio_proxy: critical path under --trace_sample uses "
                      "the per-stage envelope approximation; drop "
@@ -328,6 +330,7 @@ int main(int argc, char** argv) {
                      "--trace_sample for the exact span-level path\n");
         return 3;
       }
+    } else if (sampling) {
       const obs::CriticalPathReport cp = obs::critical_path(envelopes, {});
       std::printf("critical path (approximate: per-stage envelopes over all "
                   "%d ranks) over %.4gs of virtual time: %s\n",

@@ -332,11 +332,22 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
           r, submit_time + enc.cpu_seconds, path, enc.out_bytes, tier});
     }
   }
+  // Each group's ship window, shared by its request, its ship span and its
+  // ledger entries: it opens once every member has encoded its document
+  // (concurrently — the slowest encode gates the group) and lasts while
+  // the other members' encoded bytes cross the interconnect.
+  struct GroupShip {
+    int agg;
+    std::uint64_t shipped;  // encoded bytes sent to the aggregator
+    double start;           // submit_time + encode gate
+    double cost;
+    double ready;           // start + cost: the subfile request's submit
+  };
+  std::vector<GroupShip> ships;
   if (aggregated) {
-    // One request per subfile, submitted once every member has encoded
-    // its document (concurrently — the slowest encode gates the group)
-    // and the encoded bytes have crossed the interconnect.
+    // One request per subfile, submitted when its ship window closes.
     const staging::AggTopology& topo = *run.topo;
+    ships.reserve(static_cast<std::size_t>(topo.ngroups()));
     for (int g = 0; g < topo.ngroups(); ++g) {
       const int agg = topo.aggregator_of_group(g);
       std::uint64_t subfile_encoded = 0;
@@ -352,11 +363,13 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
           ++nmessages;
         }
       }
-      const double ready = submit_time + encode_gate +
-                           staging::ship_cost(agg_cfg, shipped, nmessages);
+      const double start = submit_time + encode_gate;
+      const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
+      ships.push_back(GroupShip{agg, shipped, start, cost, start + cost});
       stats.requests.push_back(pfs::IoRequest{
-          agg, ready, aggregated_file_path_for(params, iface, g, dump),
-          subfile_encoded, tier});
+          agg, ships.back().ready,
+          aggregated_file_path_for(params, iface, g, dump), subfile_encoded,
+          tier});
     }
     stats.nfiles += static_cast<std::uint64_t>(topo.ngroups());
   }
@@ -430,43 +443,26 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
       encode_span[static_cast<std::size_t>(r)] =
           probe.tracer->record(std::move(es));
     }
-    if (aggregated) {
-      const staging::AggTopology& topo = *run.topo;
-      for (int g = 0; g < topo.ngroups(); ++g) {
-        const int agg = topo.aggregator_of_group(g);
-        double encode_gate = 0.0;
-        std::uint64_t shipped = 0;
-        int nmessages = 0;
-        for (int r : topo.members_of(g)) {
-          encode_gate = std::max(encode_gate,
-                                 encs[static_cast<std::size_t>(r)].cpu_seconds);
-          if (r != agg) {
-            shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-            ++nmessages;
-          }
-        }
-        const double ship_start = submit_time + encode_gate;
-        const double ready =
-            ship_start + staging::ship_cost(agg_cfg, shipped, nmessages);
-        if (ready <= ship_start) continue;
-        obs::Span ss;
-        ss.parent = phase;
-        ss.rank = agg;
-        ss.stage = "ship";
-        ss.detail = label;
-        ss.start = ship_start;
-        ss.end = ready;
-        ss.resource = "agg_link";
-        // The bandwidth part only: the per-message latency term does not
-        // shrink when the link gets faster, so the what-if engine must
-        // not scale it.
-        ss.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
-        ss.res = "agg_link";
-        const std::uint64_t ship = probe.tracer->record(std::move(ss));
-        for (int r : topo.members_of(g)) {
-          const std::uint64_t from = encode_span[static_cast<std::size_t>(r)];
-          if (from != 0) probe.tracer->edge(from, ship);
-        }
+    for (std::size_t g = 0; g < ships.size(); ++g) {
+      const GroupShip& ship = ships[g];
+      if (ship.ready <= ship.start) continue;
+      obs::Span ss;
+      ss.parent = phase;
+      ss.rank = ship.agg;
+      ss.stage = "ship";
+      ss.detail = label;
+      ss.start = ship.start;
+      ss.end = ship.ready;
+      ss.resource = "agg_link";
+      // The bandwidth part only: the per-message latency term does not
+      // shrink when the link gets faster, so the what-if engine must not
+      // scale it.
+      ss.service = static_cast<double>(ship.shipped) / agg_cfg.link_bandwidth;
+      ss.res = "agg_link";
+      const std::uint64_t id = probe.tracer->record(std::move(ss));
+      for (int r : run.topo->members_of(static_cast<int>(g))) {
+        const std::uint64_t from = encode_span[static_cast<std::size_t>(r)];
+        if (from != 0) probe.tracer->edge(from, id);
       }
     }
   }
@@ -481,24 +477,10 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
       cpu_total += encs[static_cast<std::size_t>(r)].cpu_seconds;
     lg.add_busy("codec_cpu", cpu_total);
     if (aggregated) {
-      const staging::AggTopology& topo = *run.topo;
-      lg.declare("agg_link", topo.ngroups());
-      for (int g = 0; g < topo.ngroups(); ++g) {
-        const int agg = topo.aggregator_of_group(g);
-        double encode_gate = 0.0;
-        std::uint64_t shipped = 0;
-        int nmessages = 0;
-        for (int r : topo.members_of(g)) {
-          encode_gate = std::max(encode_gate,
-                                 encs[static_cast<std::size_t>(r)].cpu_seconds);
-          if (r != agg) {
-            shipped += encs[static_cast<std::size_t>(r)].out_bytes;
-            ++nmessages;
-          }
-        }
-        const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
-        lg.add_busy("agg_link", cost);
-        lg.extend_makespan(submit_time + encode_gate + cost);
+      lg.declare("agg_link", run.topo->ngroups());
+      for (const GroupShip& ship : ships) {
+        lg.add_busy("agg_link", ship.cost);
+        lg.extend_makespan(ship.ready);
       }
     }
   }
@@ -673,10 +655,16 @@ struct RecoveredDoc {
   stats.raw_bytes = plan.raw_bytes();
   stats.encoded_bytes = plan.encoded_bytes();
   stats.decode_gate = plan.decode_gate();
-  std::vector<double> group_cost;  // per-group fan-out cost (aggregated)
+  // Each group's fan-out (aggregated): the encoded bytes its aggregator
+  // scatters to the other members, and what that costs on the link.
+  struct GroupScatter {
+    std::uint64_t shipped;
+    double cost;
+  };
+  std::vector<GroupScatter> scatters;
   if (aggregated) {
     // Concurrent groups: the slowest scatter gates the restart.
-    group_cost.assign(static_cast<std::size_t>(topo->ngroups()), 0.0);
+    scatters.reserve(static_cast<std::size_t>(topo->ngroups()));
     for (int g = 0; g < topo->ngroups(); ++g) {
       const int agg = topo->aggregator_of_group(g);
       std::uint64_t shipped = 0;
@@ -686,12 +674,17 @@ struct RecoveredDoc {
         shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
         ++nmessages;
       }
-      group_cost[static_cast<std::size_t>(g)] =
-          staging::ship_cost(agg_cfg, shipped, nmessages);
-      stats.scatter_seconds = std::max(stats.scatter_seconds,
-                                       group_cost[static_cast<std::size_t>(g)]);
+      const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
+      scatters.push_back(GroupScatter{shipped, cost});
+      stats.scatter_seconds = std::max(stats.scatter_seconds, cost);
     }
   }
+  // Rank r's data arrival (see the spans below).
+  auto arrival = [&](int r) {
+    return aggregated
+               ? scatters[static_cast<std::size_t>(topo->group_of(r))].cost
+               : 0.0;
+  };
   stats.requests = plan.read_requests(0.0, params.restart_from_bb);
   // Metadata read-back: the root document, and under aggregation the index
   // locating every task document — always cold PFS reads (metadata never
@@ -718,14 +711,10 @@ struct RecoveredDoc {
     // epoch (direct reads are timed by the SimFs replay instead).
     const std::string label = "restart " + std::to_string(dump);
     double phase_end = 0.0;
-    for (int r = 0; r < params.nprocs; ++r) {
-      const double arrival =
-          aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                     : 0.0;
+    for (int r = 0; r < params.nprocs; ++r)
       phase_end = std::max(
-          arrival + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
+          arrival(r) + plan.slices[static_cast<std::size_t>(r)].decode_seconds,
           phase_end);
-    }
     obs::Span ph;
     ph.stage = "restart";
     ph.detail = label;
@@ -735,23 +724,20 @@ struct RecoveredDoc {
     if (aggregated) {
       scatter_span.assign(static_cast<std::size_t>(topo->ngroups()), 0);
       for (int g = 0; g < topo->ngroups(); ++g) {
-        if (group_cost[static_cast<std::size_t>(g)] <= 0.0) continue;
-        const int agg = topo->aggregator_of_group(g);
-        std::uint64_t shipped = 0;
-        for (int r : topo->members_of(g))
-          if (r != agg)
-            shipped += plan.slices[static_cast<std::size_t>(r)].encoded_bytes;
+        const GroupScatter& scatter = scatters[static_cast<std::size_t>(g)];
+        if (scatter.cost <= 0.0) continue;
         obs::Span sc;
         sc.parent = phase;
-        sc.rank = agg;
+        sc.rank = topo->aggregator_of_group(g);
         sc.stage = "scatter";
         sc.detail = label;
         sc.start = 0.0;
-        sc.end = group_cost[static_cast<std::size_t>(g)];
+        sc.end = scatter.cost;
         sc.resource = "agg_link";
         // Bandwidth part only — the per-message latency term is invariant
         // under link relief (see the ship span).
-        sc.service = static_cast<double>(shipped) / agg_cfg.link_bandwidth;
+        sc.service =
+            static_cast<double>(scatter.shipped) / agg_cfg.link_bandwidth;
         sc.res = "agg_link";
         scatter_span[static_cast<std::size_t>(g)] =
             probe.tracer->record(std::move(sc));
@@ -762,15 +748,13 @@ struct RecoveredDoc {
           plan.slices[static_cast<std::size_t>(r)].decode_seconds;
       if (decode <= 0.0) continue;
       const int g = aggregated ? topo->group_of(r) : -1;
-      const double arrival =
-          aggregated ? group_cost[static_cast<std::size_t>(g)] : 0.0;
       obs::Span ds;
       ds.parent = phase;
       ds.rank = r;
       ds.stage = "decode";
       ds.detail = label;
-      ds.start = arrival;
-      ds.end = arrival + decode;
+      ds.start = arrival(r);
+      ds.end = ds.start + decode;
       ds.service = decode;
       ds.res = "codec_cpu";
       const std::uint64_t span = probe.tracer->record(std::move(ds));
@@ -786,16 +770,13 @@ struct RecoveredDoc {
       const double decode =
           plan.slices[static_cast<std::size_t>(r)].decode_seconds;
       decode_total += decode;
-      const double arrival =
-          aggregated ? group_cost[static_cast<std::size_t>(topo->group_of(r))]
-                     : 0.0;
-      lg.extend_makespan(arrival + decode);
+      lg.extend_makespan(arrival(r) + decode);
     }
     lg.add_busy("codec_cpu", decode_total);
     if (aggregated) {
       lg.declare("agg_link", topo->ngroups());
-      for (int g = 0; g < topo->ngroups(); ++g)
-        lg.add_busy("agg_link", group_cost[static_cast<std::size_t>(g)]);
+      for (const GroupScatter& scatter : scatters)
+        lg.add_busy("agg_link", scatter.cost);
     }
   }
 }

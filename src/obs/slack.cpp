@@ -11,13 +11,6 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr int kMaxPasses = 128;  // >= longest out-of-order dependency chain
 
-/// The global span order every obs pass shares (Tracer::spans order).
-bool order_less(const Span& a, const Span& b) {
-  if (a.start != b.start) return a.start < b.start;
-  if (a.rank != b.rank) return a.rank < b.rank;
-  return a.id < b.id;
-}
-
 }  // namespace
 
 SpanDag build_span_dag(const std::vector<Span>& spans,
@@ -30,7 +23,7 @@ SpanDag build_span_dag(const std::vector<Span>& spans,
   for (std::size_t i = 0; i < n; ++i) dag.order[i] = i;
   std::sort(dag.order.begin(), dag.order.end(),
             [&](std::size_t a, std::size_t b) {
-              return order_less(spans[a], spans[b]);
+              return span_less(spans[a], spans[b]);
             });
 
   std::map<std::uint64_t, std::size_t> by_id;
@@ -60,7 +53,7 @@ SpanDag build_span_dag(const std::vector<Span>& spans,
   for (auto& [rank, idx] : by_rank) {
     std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
       if (spans[a].end != spans[b].end) return spans[a].end < spans[b].end;
-      return order_less(spans[a], spans[b]);
+      return span_less(spans[a], spans[b]);
     });
     for (std::size_t i : idx) {
       if (!dag.edge_preds[i].empty()) continue;
@@ -72,7 +65,7 @@ SpanDag build_span_dag(const std::vector<Span>& spans,
                                  });
       while (it != idx.begin()) {
         --it;
-        if (*it != i && order_less(spans[*it], spans[i])) {
+        if (*it != i && span_less(spans[*it], spans[i])) {
           dag.po_pred[i] = static_cast<std::ptrdiff_t>(*it);
           break;
         }

@@ -5,16 +5,17 @@
 /// owned by a rank track, optionally nested under a parent span and linked to
 /// other spans by happens-before edges (absorb→drain, prefetch→bb_read).
 ///
-/// Determinism contract: ranks append to sharded, contention-free sinks;
-/// span ids are `(rank+1) << 32 | per-rank-seq`, so they depend only on
-/// per-rank program order (engine-invariant); `spans()` merges the sinks
-/// under a total order.
-/// The merged stream is byte-identical across the serial, spmd, and event
+/// Determinism contract: a sink is one log. Span ids are
+/// `(rank+1) << 32 | per-rank-seq` (`span_id`), so they depend only on
+/// per-rank program order (engine-invariant), and every reader sees the
+/// spans in the one total order `span_less`: (start, rank, id).
+/// The ordered stream is byte-identical across the serial, spmd, and event
 /// engines for the same configuration.
 
+#include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,17 +52,65 @@ struct SpanEdge {
   std::uint64_t to = 0;
 };
 
-/// The rank track a span id belongs to (inverse of the id layout).
+/// The id of the `seq`-th span (from 1) recorded on `rank`'s track.
+inline std::uint64_t span_id(int rank, std::uint32_t seq) {
+  return (static_cast<std::uint64_t>(static_cast<std::int64_t>(rank) + 1)
+          << 32) |
+         seq;
+}
+
+/// The rank track a span id belongs to (inverse of `span_id`).
 inline int span_rank(std::uint64_t id) {
   return static_cast<int>(static_cast<std::int64_t>(id >> 32)) - 1;
 }
+
+/// A span's place in the global order every obs pass shares:
+/// (start, rank, id). Ids are unique, so the order is total.
+struct SpanKey {
+  double start;
+  int rank;
+  std::uint64_t id;
+
+  explicit SpanKey(const Span& s) : start(s.start), rank(s.rank), id(s.id) {}
+
+  bool operator<(const SpanKey& o) const {
+    if (start != o.start) return start < o.start;
+    if (rank != o.rank) return rank < o.rank;
+    return id < o.id;
+  }
+};
+
+inline bool span_less(const Span& a, const Span& b) {
+  return SpanKey(a) < SpanKey(b);
+}
+
+/// Edge order of every edge list a sink returns: (from, to).
+inline bool edge_less(const SpanEdge& a, const SpanEdge& b) {
+  if (a.from != b.from) return a.from < b.from;
+  return a.to < b.to;
+}
+
+/// Hands out span ids: one program-order counter per rank track, in a flat
+/// table indexed by rank + 1 (the driver track is rank -1).
+class SpanIds {
+ public:
+  std::uint64_t next(int rank) {
+    assert(rank >= -1);
+    const auto slot = static_cast<std::size_t>(rank + 1);
+    if (slot >= seq_.size()) seq_.resize(slot + 1, 0);
+    return span_id(rank, ++seq_[slot]);
+  }
+
+ private:
+  std::vector<std::uint32_t> seq_;
+};
 
 /// Abstract destination for recorded spans. Instrumentation sites only ever
 /// `record` and `edge`; what happens to the span afterwards — buffered in
 /// memory (`Tracer`) or streamed through bounded buffers to a file
 /// (`TraceStream`, stream.hpp) — is the sink's business. Every sink assigns
-/// ids with the same `(rank+1) << 32 | per-rank-seq` rule, so the id a site
-/// gets back is independent of the sink implementation.
+/// ids through `SpanIds`, so the id a site gets back is independent of the
+/// sink implementation.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
@@ -74,41 +123,39 @@ class SpanSink {
   virtual void edge(std::uint64_t from, std::uint64_t to) = 0;
 };
 
-/// Contention-free span collector. Thread-safe: ranks hash to one of
-/// `nsinks` sinks (mixed hash, see shard.hpp) and only contend within a
-/// shard. Snapshot accessors merge deterministically.
+/// In-memory span collector: one span log and one edge log. Thread-safe
+/// (one mutex), so concurrent recorders yield the same snapshot as a serial
+/// pass as long as each rank records in program order.
 class Tracer : public SpanSink {
  public:
-  explicit Tracer(std::size_t nsinks = 64);
-
   std::uint64_t record(Span s) override;
 
   void edge(std::uint64_t from, std::uint64_t to) override;
 
-  /// Deterministic merged snapshot, ordered by (start, rank, id).
+  /// Deterministic snapshot, ordered by `span_less`.
   std::vector<Span> spans() const;
 
-  /// Calls `fn` once with the spans() order as pointers into the sinks, so
-  /// a consumer that only reads (the trace exporter) copies no span. Every
-  /// sink stays locked while `fn` runs: `fn` must not touch this tracer.
+  /// Calls `fn` once with the spans() order as pointers into the log, so a
+  /// consumer that only reads (the trace exporter) copies no span. The log
+  /// stays locked while `fn` runs: `fn` must not touch this tracer.
   void visit_merged(
       const std::function<void(const std::vector<const Span*>&)>& fn) const;
 
-  /// Deterministic merged edge list, ordered by (from, to).
+  /// Deterministic edge list, ordered by `edge_less`.
   std::vector<SpanEdge> edges() const;
 
-  std::size_t nsinks() const { return sinks_.size(); }
-
  private:
-  struct Sink {
+  struct Log {
     std::mutex mu;
-    std::vector<Span> spans;
+    // A deque grows without moving spans: a vector's doubling holds three
+    // times the log at once (+8 MiB peak RSS on an 8,192-rank explain run).
+    std::deque<Span> spans;
     std::vector<SpanEdge> edges;
-    std::map<int, std::uint32_t> next_seq;  // per-rank sequence numbers
+    SpanIds ids;
   };
-  Sink& sink_for(int rank);
-
-  std::vector<std::unique_ptr<Sink>> sinks_;
+  // Behind a pointer so a Tracer stays move-assignable (benches reset one
+  // per study row).
+  std::unique_ptr<Log> log_ = std::make_unique<Log>();
 };
 
 }  // namespace amrio::obs

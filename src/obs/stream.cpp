@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdio>  // std::remove
+#include <cstdio>  // std::remove, std::snprintf
 #include <fstream>
 #include <queue>
 #include <stdexcept>
@@ -12,17 +11,9 @@
 #include <unordered_set>
 
 #include "obs/export.hpp"
-#include "obs/shard.hpp"
 
 namespace amrio::obs {
 namespace {
-
-/// Global span order shared with Tracer::spans() and the spill runs.
-bool span_less(const Span& a, const Span& b) {
-  if (a.start != b.start) return a.start < b.start;
-  if (a.rank != b.rank) return a.rank < b.rank;
-  return a.id < b.id;
-}
 
 void put_u32(std::ostream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -73,6 +64,11 @@ Span get_span(std::istream& is) {
 
 constexpr std::size_t kRefillBatch = 256;  // spans read per spill-run refill
 
+/// The synthetic track of envelope spans, just above the real ranks.
+int envelope_rank(const TraceSample& sample) {
+  return std::max(sample.nranks, 0);
+}
+
 }  // namespace
 
 std::vector<int> TraceSample::sample_set(int nranks, int n) {
@@ -107,12 +103,8 @@ bool TraceSample::keep(int rank) const {
 }
 
 TraceStream::TraceStream(Options opt) : opt_(std::move(opt)) {
-  if (opt_.nsinks == 0) opt_.nsinks = 1;
-  if (opt_.shard_capacity == 0) opt_.shard_capacity = 1;
+  if (opt_.capacity == 0) opt_.capacity = 1;
   opt_.sample.seal();
-  shards_.reserve(opt_.nsinks);
-  for (std::size_t i = 0; i < opt_.nsinks; ++i)
-    shards_.push_back(std::make_unique<Shard>());
   spill_path_ = opt_.path + ".spill";
 }
 
@@ -120,63 +112,46 @@ TraceStream::~TraceStream() {
   if (spill_open_) std::remove(spill_path_.c_str());
 }
 
-TraceStream::Shard& TraceStream::shard_for(int rank) {
-  return *shards_[rank_shard(rank, shards_.size())];
+std::int64_t TraceStream::StageAgg::add(const Span& s) {
+  if (count == 0) {
+    min_start = s.start;
+    max_end = s.end;
+  } else {
+    min_start = std::min(min_start, s.start);
+    max_end = std::max(max_end, s.end);
+  }
+  ++count;
+  dur_ns += std::llround((s.end - s.start) * 1e9);
+  const std::int64_t ns = std::llround(s.wait * 1e9);
+  wait_ns += ns;
+  return ns;
 }
 
 std::uint64_t TraceStream::record(Span s) {
   assert(s.end >= s.start);
-  Shard& sh = shard_for(s.rank);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  // Identical id rule to Tracer::record — a sampled stream's kept spans
-  // carry the ids a buffered run would have assigned them.
-  const std::uint32_t seq = ++sh.next_seq[s.rank];
-  s.id = (static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rank) + 1)
-          << 32) |
-         seq;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Same id rule as Tracer::record: a sampled stream's kept spans carry the
+  // ids a buffered run would have assigned them.
+  s.id = ids_.next(s.rank);
   const std::uint64_t id = s.id;
-  ++sh.recorded;
-  {
-    // Per-stage envelope over EVERY span (kept and dropped) — feeds the
-    // envelope-span critical-path approximation (envelope_spans()).
-    auto [it, fresh] = sh.stages.try_emplace(s.stage);
-    StageAgg& agg = it->second;
-    if (fresh) {
-      agg.min_start = s.start;
-      agg.max_end = s.end;
-    } else {
-      agg.min_start = std::min(agg.min_start, s.start);
-      agg.max_end = std::max(agg.max_end, s.end);
-    }
-    ++agg.count;
-    agg.dur_ns += std::llround((s.end - s.start) * 1e9);
-    const std::int64_t wait_ns = std::llround(s.wait * 1e9);
-    agg.wait_ns += wait_ns;
-    if (wait_ns > 0 && !s.resource.empty())
-      agg.wait_by_res[s.resource] += wait_ns;
-  }
+  ++recorded_;
+  // Per-stage envelope over EVERY span (kept and dropped) — feeds the
+  // envelope-span critical-path approximation (envelope_spans()).
+  StageAgg& all = stages_[s.stage];
+  const std::int64_t wait_ns = all.add(s);
+  if (wait_ns > 0 && !s.resource.empty())
+    all.wait_by_res[s.resource] += wait_ns;
   if (opt_.sample.keep(s.rank)) {
-    ++sh.kept;
-    sh.ranks_seen.insert(s.rank);
-    sh.buf.push_back(std::move(s));
-    sh.peak = std::max(sh.peak, sh.buf.size());
-    if (sh.buf.size() >= opt_.shard_capacity) spill_locked(sh);
+    ++kept_;
+    ranks_seen_.insert(s.rank);
+    buf_.push_back(std::move(s));
+    peak_ = std::max(peak_, buf_.size());
+    if (buf_.size() >= opt_.capacity) spill();
   } else {
     // Dropped spans fold into a per-stage envelope. Integer-nanosecond sums
     // and min/max are commutative, so the aggregate — like everything else
     // here — is engine- and interleaving-invariant.
-    auto [it, fresh] = sh.dropped.try_emplace(s.stage);
-    StageAgg& agg = it->second;
-    if (fresh) {
-      agg.min_start = s.start;
-      agg.max_end = s.end;
-    } else {
-      agg.min_start = std::min(agg.min_start, s.start);
-      agg.max_end = std::max(agg.max_end, s.end);
-    }
-    ++agg.count;
-    agg.dur_ns += std::llround((s.end - s.start) * 1e9);
-    agg.wait_ns += std::llround(s.wait * 1e9);
+    dropped_[s.stage].add(s);
   }
   return id;
 }
@@ -184,14 +159,12 @@ std::uint64_t TraceStream::record(Span s) {
 void TraceStream::edge(std::uint64_t from, std::uint64_t to) {
   if (!opt_.sample.keep(span_rank(from)) || !opt_.sample.keep(span_rank(to)))
     return;
-  Shard& sh = shard_for(span_rank(from));
-  std::lock_guard<std::mutex> lock(sh.mu);
-  sh.edges.push_back(SpanEdge{from, to});
+  std::lock_guard<std::mutex> lock(mu_);
+  edges_.push_back(SpanEdge{from, to});
 }
 
-void TraceStream::spill_locked(Shard& sh) {
-  std::sort(sh.buf.begin(), sh.buf.end(), span_less);
-  std::lock_guard<std::mutex> lock(spill_mu_);
+void TraceStream::spill() {
+  std::sort(buf_.begin(), buf_.end(), span_less);
   std::ofstream out(spill_path_, spill_open_
                                      ? (std::ios::binary | std::ios::app)
                                      : (std::ios::binary | std::ios::trunc));
@@ -200,79 +173,54 @@ void TraceStream::spill_locked(Shard& sh) {
   out.seekp(0, std::ios::end);
   RunInfo run;
   run.offset = static_cast<std::uint64_t>(out.tellp());
-  run.count = sh.buf.size();
-  for (const Span& s : sh.buf) put_span(out, s);
+  run.count = buf_.size();
+  for (const Span& s : buf_) put_span(out, s);
   if (!out) throw std::runtime_error("obs: short write to " + spill_path_);
   runs_.push_back(run);
-  sh.buf.clear();
+  buf_.clear();
 }
 
 std::size_t TraceStream::peak_buffered_spans() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    total += sh->peak;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_;
 }
 
 std::uint64_t TraceStream::spans_recorded() const {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    total += sh->recorded;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_;
 }
 
 std::uint64_t TraceStream::spans_kept() const {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh->mu);
-    total += sh->kept;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return kept_;
 }
 
-std::vector<Span> TraceStream::envelope_spans() const {
-  // Merge the per-shard stage aggregates (std::map order makes the merge —
-  // and therefore the emitted ids — deterministic).
-  std::map<std::string, StageAgg> stages;
-  for (const auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> lock(sh.mu);
-    for (const auto& [stage, agg] : sh.stages) {
-      auto [it, fresh] = stages.try_emplace(stage, agg);
-      if (fresh) continue;
-      StageAgg& d = it->second;
-      d.count += agg.count;
-      d.dur_ns += agg.dur_ns;
-      d.wait_ns += agg.wait_ns;
-      d.min_start = std::min(d.min_start, agg.min_start);
-      d.max_end = std::max(d.max_end, agg.max_end);
-      for (const auto& [res, ns] : agg.wait_by_res) d.wait_by_res[res] += ns;
-    }
-  }
+std::vector<Span> TraceStream::envelope_track(const StageMap& stages,
+                                              bool dominant_resource) const {
+  const int agg_rank = envelope_rank(opt_.sample);
   std::vector<Span> out;
   out.reserve(stages.size());
-  const int agg_rank = std::max(opt_.sample.nranks, 0);
   std::uint32_t seq = 0;
   for (const auto& [stage, agg] : stages) {
     Span s;
-    s.id = (static_cast<std::uint64_t>(agg_rank + 1) << 32) | ++seq;
+    s.id = span_id(agg_rank, ++seq);
     s.rank = agg_rank;
     s.stage = stage;
     s.start = agg.min_start;
     s.end = agg.max_end;
     s.wait = static_cast<double>(agg.wait_ns) / 1e9;
-    // Dominant wait resource: largest accumulated wait, ties to the
-    // lexicographically first name (map order).
-    std::int64_t best = 0;
-    for (const auto& [res, ns] : agg.wait_by_res)
-      if (ns > best) {
-        best = ns;
-        s.resource = res;
-      }
+    if (dominant_resource) {
+      // Largest accumulated wait, ties to the lexicographically first name
+      // (map order).
+      std::int64_t best = 0;
+      for (const auto& [res, ns] : agg.wait_by_res)
+        if (ns > best) {
+          best = ns;
+          s.resource = res;
+        }
+    } else if (s.wait > 0) {
+      s.resource = "(aggregated)";
+    }
     char detail[96];
     std::snprintf(detail, sizeof(detail), "%llu spans, %.9f s busy",
                   static_cast<unsigned long long>(agg.count),
@@ -284,14 +232,20 @@ std::vector<Span> TraceStream::envelope_spans() const {
   return out;
 }
 
+std::vector<Span> TraceStream::envelope_spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return envelope_track(stages_, true);
+}
+
 void TraceStream::finish() {
+  // Held throughout, so a late record() waits instead of touching the
+  // buffer mid-merge.
+  std::lock_guard<std::mutex> lock(mu_);
   if (finished_) throw std::logic_error("TraceStream::finish called twice");
   finished_ = true;
 
-  // One run per spill + one per non-empty shard remainder (+ the aggregate
-  // run). Everything below runs single-threaded; locks are no longer needed
-  // but we take them anyway so a late-recording thread fails loudly on the
-  // sorted buffers rather than corrupting them silently.
+  // One run per spill, one for the buffered remainder and one for the
+  // envelopes of the dropped ranks.
   struct Cursor {
     std::vector<Span> buf;  // whole run (in-memory) or refill window (file)
     std::size_t idx = 0;
@@ -299,65 +253,16 @@ void TraceStream::finish() {
     std::uint64_t offset = 0;     // next byte to read from the spill file
   };
   std::vector<Cursor> cursors;
-
-  std::set<int> ranks;
-  std::vector<SpanEdge> edges;
-  std::map<std::string, StageAgg> dropped;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> lock(sh.mu);
-    std::sort(sh.buf.begin(), sh.buf.end(), span_less);
-    if (!sh.buf.empty()) {
-      Cursor c;
-      c.buf = std::move(sh.buf);
-      cursors.push_back(std::move(c));
-    }
-    ranks.insert(sh.ranks_seen.begin(), sh.ranks_seen.end());
-    edges.insert(edges.end(), sh.edges.begin(), sh.edges.end());
-    for (const auto& [stage, agg] : sh.dropped) {
-      auto [it, fresh] = dropped.try_emplace(stage, agg);
-      if (!fresh) {
-        StageAgg& d = it->second;
-        d.count += agg.count;
-        d.dur_ns += agg.dur_ns;
-        d.wait_ns += agg.wait_ns;
-        d.min_start = std::min(d.min_start, agg.min_start);
-        d.max_end = std::max(d.max_end, agg.max_end);
-      }
-    }
-  }
-
-  std::sort(edges.begin(), edges.end(),
-            [](const SpanEdge& a, const SpanEdge& b) {
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
+  std::sort(buf_.begin(), buf_.end(), span_less);
+  if (!buf_.empty()) cursors.push_back(Cursor{std::move(buf_)});
+  std::sort(edges_.begin(), edges_.end(), edge_less);
 
   // Envelope spans for the sampled-away ranks, one per stage on a synthetic
   // "aggregated" track just above the real rank range.
-  const int agg_rank = opt_.sample.nranks;
-  if (!dropped.empty()) {
-    Cursor c;
-    std::uint32_t seq = 0;
-    for (const auto& [stage, agg] : dropped) {
-      Span s;
-      s.id = (static_cast<std::uint64_t>(agg_rank + 1) << 32) | ++seq;
-      s.rank = agg_rank;
-      s.stage = stage;
-      s.start = agg.min_start;
-      s.end = agg.max_end;
-      s.wait = static_cast<double>(agg.wait_ns) / 1e9;
-      if (s.wait > 0) s.resource = "(aggregated)";
-      char detail[96];
-      std::snprintf(detail, sizeof(detail), "%llu spans, %.9f s busy",
-                    static_cast<unsigned long long>(agg.count),
-                    static_cast<double>(agg.dur_ns) / 1e9);
-      s.detail = detail;
-      c.buf.push_back(std::move(s));
-    }
-    std::sort(c.buf.begin(), c.buf.end(), span_less);
-    cursors.push_back(std::move(c));
-    ranks.insert(agg_rank);
+  const int agg_rank = envelope_rank(opt_.sample);
+  if (!dropped_.empty()) {
+    cursors.push_back(Cursor{envelope_track(dropped_, false)});
+    ranks_seen_.insert(agg_rank);
   }
 
   std::ifstream spill;
@@ -391,8 +296,8 @@ void TraceStream::finish() {
   // Which span coordinates the flow-pair pass will need: collect them during
   // the merge so memory stays O(edges), never O(spans).
   std::unordered_set<std::uint64_t> needed;
-  needed.reserve(edges.size() * 2);
-  for (const SpanEdge& e : edges) {
+  needed.reserve(edges_.size() * 2);
+  for (const SpanEdge& e : edges_) {
     needed.insert(e.from);
     needed.insert(e.to);
   }
@@ -408,8 +313,8 @@ void TraceStream::finish() {
   ChromeTraceEmitter em(out);
 
   std::vector<TraceTrack> tracks;
-  tracks.reserve(ranks.size());
-  for (int rank : ranks)
+  tracks.reserve(ranks_seen_.size());
+  for (int rank : ranks_seen_)
     tracks.push_back({rank + 1, opt_.sample.enabled() && rank == agg_rank
                                     ? std::string("aggregated")
                                     : track_name(rank)});
@@ -439,7 +344,7 @@ void TraceStream::finish() {
 
   // Same skip-missing-endpoint rule and iteration order as the buffered
   // exporter, so flow ids line up byte for byte.
-  for (const SpanEdge& e : edges) {
+  for (const SpanEdge& e : edges_) {
     auto from_it = coords.find(e.from);
     auto to_it = coords.find(e.to);
     if (from_it == coords.end() || to_it == coords.end()) continue;

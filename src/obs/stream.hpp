@@ -5,16 +5,16 @@
 /// hopeless at the 100k–516k virtual ranks `exec::EventEngine` makes
 /// routine. `TraceStream` is a `SpanSink` that keeps peak memory bounded:
 ///
-///  * spans land in bounded per-shard buffers (same splitmix64 rank
-///    sharding as `Tracer`, same id assignment, so ids — and therefore
-///    edges — are identical to a buffered run of the same workload);
-///  * a full shard buffer is sorted by the global `(start, rank, id)` order
-///    and spilled to a binary side file as a sorted run;
+///  * spans land in one bounded buffer (ids from the same `SpanIds` rule as
+///    `Tracer`, so ids — and therefore edges — are identical to a buffered
+///    run of the same workload);
+///  * a full buffer is sorted by the global `span_less` order and spilled
+///    to a binary side file as a sorted run;
 ///  * `finish()` k-way-merges the spilled runs with the still-buffered
-///    remainders and emits the final Chrome-trace JSON through the same
+///    remainder and emits the final Chrome-trace JSON through the same
 ///    `ChromeTraceEmitter` the buffered exporter uses — an unsampled
 ///    streamed file is byte-identical to `write_chrome_trace` on the same
-///    span stream (pinned by tests/test_obs.cpp).
+///    span stream (pinned by tests/test_obs.cpp), however the runs split.
 ///
 /// Deterministic rank sampling (`TraceSample`) bounds the *output* as well:
 /// only spans from N evenly spaced representative ranks (plus the driver
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -58,16 +57,15 @@ struct TraceSample {
   bool sealed_ = false;
 };
 
-/// Bounded-memory streaming span sink. Thread-safe like `Tracer` (per-shard
-/// mutexes). Call `finish()` exactly once when the run is complete; the
+/// Bounded-memory streaming span sink. Thread-safe like `Tracer` (one
+/// mutex). Call `finish()` exactly once when the run is complete; the
 /// destructor discards unfinished state and removes the spill file.
 class TraceStream : public SpanSink {
  public:
   struct Options {
-    std::string path;           ///< output Chrome-trace JSON path
-    TraceSample sample;         ///< default: keep every span
-    std::size_t shard_capacity = 4096;  ///< spans buffered per shard
-    std::size_t nsinks = 64;    ///< shard count (same default as Tracer)
+    std::string path;             ///< output Chrome-trace JSON path
+    TraceSample sample;           ///< default: keep every span
+    std::size_t capacity = 4096;  ///< spans buffered before a spill
   };
 
   explicit TraceStream(Options opt);
@@ -76,13 +74,12 @@ class TraceStream : public SpanSink {
   std::uint64_t record(Span s) override;
   void edge(std::uint64_t from, std::uint64_t to) override;
 
-  /// Merge spilled runs + in-memory remainders and write the final JSON.
+  /// Merge spilled runs + the in-memory remainder and write the final JSON.
   void finish();
 
-  /// Sum over shards of each shard's buffered-span high-water mark — an
-  /// upper bound on how many spans were ever resident at once. With
-  /// `shard_capacity` C and S shards this never exceeds S*C regardless of
-  /// how many spans the run records (the boundedness the 131k test pins).
+  /// High-water mark of the recording buffer. Never exceeds `capacity`,
+  /// however many spans the run records (the boundedness the 131k test
+  /// pins).
   std::size_t peak_buffered_spans() const;
 
   /// Spans recorded (pre-sampling) / kept verbatim (post-sampling).
@@ -108,29 +105,35 @@ class TraceStream : public SpanSink {
     double min_start = 0.0;
     double max_end = 0.0;
     /// wait nanoseconds keyed by Span::resource — picks the envelope's
-    /// dominant resource (empty-resource wait is not attributed).
+    /// dominant resource (empty-resource wait is not attributed). Filled
+    /// for `stages_` only.
     std::map<std::string, std::int64_t> wait_by_res;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::vector<Span> buf;
-    std::vector<SpanEdge> edges;
-    std::map<int, std::uint32_t> next_seq;
-    std::map<std::string, StageAgg> dropped;  // only when sampling
-    std::map<std::string, StageAgg> stages;   // every span, kept or dropped
-    std::set<int> ranks_seen;                 // kept ranks only
-    std::size_t peak = 0;
-    std::uint64_t recorded = 0;
-    std::uint64_t kept = 0;
-  };
 
-  Shard& shard_for(int rank);
-  void spill_locked(Shard& sh);  // caller holds sh.mu
+    /// Folds `s` in; returns its wait in integer nanoseconds.
+    std::int64_t add(const Span& s);
+  };
+  using StageMap = std::map<std::string, StageAgg>;
+
+  /// One span per stage on the synthetic track just above the real ranks
+  /// (rank `nranks`), numbered in stage order and sorted by `span_less`.
+  /// With `dominant_resource` each names its stage's largest wait
+  /// resource; otherwise a waiting envelope names "(aggregated)".
+  std::vector<Span> envelope_track(const StageMap& stages,
+                                   bool dominant_resource) const;
+  void spill();  // caller holds mu_
 
   Options opt_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::vector<Span> buf_;
+  std::vector<SpanEdge> edges_;
+  SpanIds ids_;
+  StageMap dropped_;  // only when sampling
+  StageMap stages_;   // every span, kept or dropped
+  std::set<int> ranks_seen_;  // kept ranks only
+  std::size_t peak_ = 0;
+  std::uint64_t recorded_ = 0;
+  std::uint64_t kept_ = 0;
 
-  std::mutex spill_mu_;
   std::string spill_path_;
   struct RunInfo {
     std::uint64_t offset = 0;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -247,6 +248,37 @@ TEST(ProxyExtrasCli, MalformedValuesExitTwoWithOneLine) {
     const std::string flag = bad.substr(0, bad.find_first_of(" ="));
     EXPECT_NE(err.find(flag), std::string::npos) << bad << ": " << err;
   }
+}
+
+TEST(ProxyExtrasCli, NoApproxCriticalPathRefusesOnlyWhatWasAsked) {
+  // Under --trace_sample, --no_approx_critical_path turns --critical_path
+  // and --explain into exit 3; a run asking for neither still writes its
+  // sampled trace.
+  const std::filesystem::path proxy =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path() /
+      "macsio_proxy";
+  if (!std::filesystem::exists(proxy))
+    GTEST_SKIP() << proxy << " is not built";
+  const std::string trace = testing::TempDir() + "no_approx_trace.json";
+  auto run = [&](const std::string& extra) {
+    std::remove(trace.c_str());
+    const std::string cmd =
+        "timeout 20 '" + proxy.string() +
+        "' --nprocs 16 --aggregators 4 --num_dumps 1 --trace_sample 4 "
+        "--trace_out '" + trace + "' --no_approx_critical_path " + extra +
+        " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(status)) << extra << ": killed by a signal";
+    return WEXITSTATUS(status);
+  };
+  EXPECT_EQ(run(""), 0);
+  std::ifstream in(trace);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.rfind("{\"displayTimeUnit\"", 0), 0u) << "no trace written";
+  EXPECT_EQ(run("--critical_path"), 3);
+  EXPECT_EQ(run("--explain"), 3);
+  std::remove(trace.c_str());
 }
 
 TEST_P(ParserFuzz, FabHeaderNeverCrashes) {

@@ -1,7 +1,7 @@
 /// Tests for the observability layer (src/obs): span tracer determinism and
-/// id scheme, the mixed-hash sink sharding (the rank % 64 stride fix), the
-/// metrics registry (counters / gauges / log-bucketed histograms / series),
-/// critical-path attribution, the Chrome-trace and metrics exporters, and the
+/// id scheme, concurrent recording into one tracer, the metrics registry
+/// (counters / gauges / log-bucketed histograms / series), critical-path
+/// attribution, the Chrome-trace and metrics exporters, and the
 /// span-nesting/edge invariants on a full 32-rank agg+bb dump+restart
 /// pipeline run.
 
@@ -29,7 +29,6 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/selfprof.hpp"
-#include "obs/shard.hpp"
 #include "obs/slack.hpp"
 #include "obs/span.hpp"
 #include "obs/stream.hpp"
@@ -57,26 +56,6 @@ obs::Span make_span(int rank, const std::string& stage, double start,
 }
 
 }  // namespace
-
-// ------------------------------------------------------------- sharding
-
-TEST(RankShard, SpreadsStride64Ranks) {
-  // The old `rank % 64` sharding mapped ranks 0, 64, 128, ... (one rank per
-  // 64-rank node, a natural aggregator stride) onto ONE sink, serializing
-  // every recorder call. The mixed hash must spread them.
-  std::set<std::size_t> sinks;
-  for (int rank = 0; rank < 64 * 64; rank += 64)
-    sinks.insert(obs::rank_shard(rank, 64));
-  EXPECT_GT(sinks.size(), 16u) << "stride-64 ranks collapsed onto few sinks";
-}
-
-TEST(RankShard, StableAndInRange) {
-  for (int rank : {-1, 0, 1, 63, 64, 1 << 20}) {
-    const std::size_t shard = obs::rank_shard(rank, 7);
-    EXPECT_LT(shard, 7u);
-    EXPECT_EQ(shard, obs::rank_shard(rank, 7));  // pure function
-  }
-}
 
 // --------------------------------------------------------------- tracer
 
@@ -115,9 +94,9 @@ TEST(Tracer, DeterministicIdsAndMergedOrder) {
 
 TEST(Tracer, ConcurrentRanksMergeToOneDeterministicStream) {
   // Per-rank program order is what matters: concurrent ranks recording into
-  // the sharded sinks must yield the same merged snapshot as a serial pass.
+  // one tracer must yield the same snapshot as a serial pass.
   auto build = [](bool threaded) {
-    obs::Tracer t(8);
+    obs::Tracer t;
     auto body = [&t](int rank) {
       for (int i = 0; i < 50; ++i)
         t.record(make_span(rank, "s", i, i + 0.5));
@@ -861,12 +840,12 @@ TEST(TraceStream, UnsampledStreamMatchesBufferedExportByteForByte) {
   std::ostringstream expect;
   obs::write_chrome_trace(expect, tracer.spans(), tracer.edges());
 
-  // Streamed: tiny shard buffers force many spill runs, so the k-way merge
-  // path (not just the in-memory remainders) produces the bytes.
+  // Streamed: a tiny buffer forces many spill runs, so the k-way merge
+  // path (not just the in-memory remainder) produces the bytes.
   const std::string path = testing::TempDir() + "obs_stream_unsampled.json";
   obs::TraceStream::Options opt;
   opt.path = path;
-  opt.shard_capacity = 16;
+  opt.capacity = 16;
   obs::TraceStream stream(opt);
   obs::MetricsRegistry m2;
   {
@@ -892,7 +871,7 @@ TEST(TraceStream, SampledStreamIsDeterministicAcrossEnginesAndRuns) {
     opt.sample.nranks = 32;
     opt.sample.sample = 4;
     opt.sample.keep_extra = {0, 4, 8, 12, 16, 20, 24, 28};  // aggregators
-    opt.shard_capacity = 32;
+    opt.capacity = 32;
     obs::TraceStream stream(opt);
     obs::MetricsRegistry metrics;
     obs::Probe probe;
@@ -1456,8 +1435,8 @@ TEST(TraceStream, EnvelopeSpansApproximateTheCriticalPath) {
 
 TEST(TraceStreamScale, EventEngine131kSampledExportStaysBounded) {
   // The tentpole scenario: a 131,072-rank event-engine dump streamed through
-  // bounded shard buffers with 64-rank sampling. Peak resident spans must
-  // respect the nsinks x shard_capacity bound and the output file must stay
+  // one bounded buffer with 64-rank sampling. Peak resident spans must
+  // respect the buffer's capacity and the output file must stay
   // small enough to load in Perfetto, no matter how many spans the run emits.
   constexpr int kRanks = 131072;
   mc::Params params;
@@ -1472,7 +1451,7 @@ TEST(TraceStreamScale, EventEngine131kSampledExportStaysBounded) {
   opt.path = path;
   opt.sample.nranks = kRanks;
   opt.sample.sample = 64;
-  opt.shard_capacity = 512;
+  opt.capacity = 512;
   obs::TraceStream stream(opt);
   obs::Probe probe;
   probe.tracer = &stream;
@@ -1487,8 +1466,8 @@ TEST(TraceStreamScale, EventEngine131kSampledExportStaysBounded) {
 
   EXPECT_GT(stream.spans_recorded(), 100000u);  // the run really was huge
   EXPECT_LT(stream.spans_kept(), 10000u);       // sampling really dropped
-  EXPECT_LE(stream.peak_buffered_spans(), opt.shard_capacity * 64)
-      << "per-shard buffers exceeded their bound";
+  EXPECT_LE(stream.peak_buffered_spans(), opt.capacity)
+      << "the stream's buffer exceeded its capacity";
 
   const std::string bytes = read_file(path);
   std::remove(path.c_str());
