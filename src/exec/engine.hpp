@@ -197,19 +197,21 @@ class SpmdEngine final : public Engine {
 /// body, which suspends once per dump — is copied into a size-classed arena
 /// pool and the stack is reused, so a 516k-rank dump costs megabytes of
 /// engine state plus the suspended slices instead of 516k fiber stacks or OS
-/// threads. Mailboxes are drained: a receive that empties its (src, dst,
-/// tag) mailbox erases it. Wake-ups go through a ready queue: a collective
-/// release wakes the other ranks in rank order, a token send wakes the
-/// matching receiver at the back, and a byte send wakes it at the front, so
-/// a gatherv_group root lands each payload before the next member runs and
-/// an aggregation group holds one shipped document in flight. Fresh ranks
-/// start only when nothing is ready, so one scheduling step is O(1) and a
-/// full run is O(total events), not O(nranks) per step. Deterministic by
-/// construction; byte- and stats-parity with SpmdEngine is asserted by
-/// tests/test_event_engine.cpp.
+/// threads. Each rank's undelivered messages wait in one FIFO inbox of
+/// pooled nodes; a receive takes the oldest one with its (src, tag) and kind
+/// (token or bytes) and recycles the node, so steady-state messaging
+/// allocates nothing. Wake-ups go through a ready queue: a collective
+/// release wakes the other ranks in rank order, a token send wakes its
+/// destination at the back only if it is blocked on exactly that message,
+/// and a byte send wakes it likewise at the front, so a gatherv_group root
+/// lands each payload before the next member runs and an aggregation group
+/// holds one shipped document in flight. Fresh ranks start only when nothing
+/// is ready, so one scheduling step is O(1) and a full run is O(total
+/// events), not O(nranks) per step. Deterministic by construction; byte- and
+/// stats-parity with SpmdEngine is asserted by tests/test_event_engine.cpp.
 ///
-/// Restrictions (checked): nranks < 2^24 and p2p tags in [0, 65535] — the
-/// mailbox key packs (src, dst, tag) into 64 bits. Under Address- or
+/// Restrictions (checked): nranks < 2^24 and p2p tags in [0, 65535] — a
+/// message key packs (src, dst, tag) into 64 bits. Under Address- or
 /// ThreadSanitizer and on non-x86-64 targets the engine transparently runs
 /// on per-rank ucontext stacks, as SerialEngine always does (same semantics,
 /// more memory per suspended rank).

@@ -18,14 +18,21 @@
 ///    only in the resume/yield primitives; scheduling, collectives, mailboxes
 ///    and error handling are one code path.
 ///
+///  * **Pooled inboxes.** Every rank has one FIFO inbox of undelivered
+///    point-to-point messages, a linked list of nodes drawn from one pool
+///    with a free list. A receive takes the oldest message with its
+///    (src, tag) and kind (token or bytes) and returns the node to the pool,
+///    payload already moved out; once the pool covers the most messages ever
+///    in flight, messaging allocates nothing.
+///
 ///  * **Event-driven wake-ups.** Blocked ranks are never polled. A collective
 ///    keeps an arrival counter; the last participant computes the result and
 ///    moves every waiter to the ready queue in rank order. A tagged send
-///    wakes exactly the receiver registered for that (src, dst, tag) key; a
-///    byte send puts it at the *front* of the queue, so a gatherv_group root
-///    lands each member's document before the next member runs. One
-///    scheduling step is: pop the ready queue, or start the next fresh rank
-///    if nothing is ready — O(1) either way. Together the two rules bound an
+///    wakes its destination only if that rank is blocked receiving exactly
+///    this (src, tag) and kind; a byte send puts it at the *front* of the
+///    queue, so a gatherv_group root lands each member's document before the
+///    next member runs. One scheduling step is: pop the ready queue, or
+///    start the next fresh rank if nothing is ready — O(1) either way. Together the two rules bound an
 ///    aggregation group to one shipped document in flight, dump after dump:
 ///    after the end-of-dump gather the aggregator (the group's lowest rank)
 ///    resumes before its members and is already waiting for the first one.
@@ -60,13 +67,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/selfprof.hpp"
@@ -160,15 +165,14 @@ namespace {
 /// ends, which is exactly the lifetime of the suspensions it backs.
 class SliceArena {
  public:
-  std::byte* alloc(std::size_t len, std::uint32_t* cls_out) {
-    const auto cls = static_cast<std::uint32_t>((len + kGrain - 1) / kGrain);
-    *cls_out = cls;
+  std::byte* alloc(std::size_t len) {
+    const std::size_t cls = size_class(len);
     if (cls < free_.size() && !free_[cls].empty()) {
       std::byte* p = free_[cls].back();
       free_[cls].pop_back();
       return p;
     }
-    const std::size_t bytes = static_cast<std::size_t>(cls) * kGrain;
+    const std::size_t bytes = cls * kGrain;
     if (bump_left_ < bytes) {
       const std::size_t chunk = bytes > kChunk ? bytes : kChunk;
       // uninitialized by design: every slice is written before it is read
@@ -183,7 +187,9 @@ class SliceArena {
     return p;
   }
 
-  void release(std::byte* p, std::uint32_t cls) {
+  /// Recycle a slice `alloc(len)` returned.
+  void release(std::byte* p, std::size_t len) {
+    const std::size_t cls = size_class(len);
     if (cls >= free_.size()) free_.resize(cls + 1);
     free_[cls].push_back(p);
   }
@@ -195,6 +201,9 @@ class SliceArena {
  private:
   static constexpr std::size_t kGrain = 512;
   static constexpr std::size_t kChunk = std::size_t{1} << 20;
+  static std::size_t size_class(std::size_t len) {
+    return (len + kGrain - 1) / kGrain;
+  }
   std::byte* bump_ = nullptr;
   std::size_t bump_left_ = 0;
   std::size_t allocated_ = 0;
@@ -221,13 +230,27 @@ struct EventState {
     kDone,            ///< body returned or threw
   };
 
+  static constexpr std::uint32_t kNoMsg = UINT32_MAX;
+
   struct VRank {
     St state = St::kUnstarted;
-    std::uint32_t slice_class = 0;
     std::uint32_t slice_len = 0;
     void* sp = nullptr;        ///< saved stack pointer while suspended
     std::byte* slice = nullptr;  ///< saved stack bytes [sp, stack_top)
-    std::uint64_t wait_key = 0;
+    std::uint64_t wait_key = 0;  ///< mail_key of the message awaited
+    std::uint32_t inbox_head = kNoMsg;  ///< oldest undelivered message to it
+    std::uint32_t inbox_tail = kNoMsg;  ///< newest
+  };
+
+  /// One undelivered point-to-point message, a node of its destination's
+  /// inbox. `kind` is the state a receive of it blocks in, so token and byte
+  /// messages on one (src, dst, tag) never match each other.
+  struct Msg {
+    std::uint64_t key = 0;  ///< mail_key(src, dst, tag)
+    St kind = St::kWaitToken;
+    std::uint32_t next = kNoMsg;  ///< next message in the inbox, or free node
+    std::uint64_t token = 0;
+    std::vector<std::byte> bytes;
   };
 
   /// A rank's ucontext, for per-rank-stack runs only. Kept out of VRank: a
@@ -302,14 +325,13 @@ struct EventState {
   std::vector<std::uint64_t> u64_slots;
   std::vector<std::uint64_t> u64_result;
 
-  // Mailboxes keyed by packed (src, dst, tag); at most one rank (dst) can
-  // block per key, so a send wakes its receiver by direct lookup. A receive
-  // that drains a mailbox erases it, so only undelivered messages hold
-  // entries.
-  std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> mail;
-  std::unordered_map<std::uint64_t, std::deque<std::vector<std::byte>>>
-      byte_mail;
-  std::unordered_map<std::uint64_t, int> recv_waiters;
+  // Point-to-point messages: each rank's inbox is a FIFO list of nodes of
+  // one pool, threaded through Msg::next from VRank::inbox_head to
+  // inbox_tail. Taken nodes go to the `free_msg` list, so once the pool has
+  // grown to the most messages ever undelivered at once, a send or receive
+  // allocates nothing.
+  std::vector<Msg> msgs;
+  std::uint32_t free_msg = kNoMsg;
 
   std::exception_ptr first_error;
   bool aborted = false;
@@ -349,19 +371,52 @@ struct EventState {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
   }
 
-  bool token_available(std::uint64_t key) const {
-    const auto it = mail.find(key);
-    return it != mail.end() && !it->second.empty();
+  /// Append `m` to `dst`'s inbox and wake `dst` (at the front of the ready
+  /// queue with `front`) if it is blocked receiving exactly this key and
+  /// kind — the only wake a p2p message triggers, since sends are buffered.
+  void post(int dst, Msg m, bool front) {
+    std::uint32_t i = free_msg;
+    if (i == kNoMsg) {
+      i = static_cast<std::uint32_t>(msgs.size());
+      msgs.push_back(std::move(m));
+    } else {
+      free_msg = msgs[i].next;
+      msgs[i] = std::move(m);
+    }
+    msgs[i].next = kNoMsg;
+    VRank& v = vr[static_cast<std::size_t>(dst)];
+    if (v.inbox_tail == kNoMsg)
+      v.inbox_head = i;
+    else
+      msgs[v.inbox_tail].next = i;
+    v.inbox_tail = i;
+    if (v.state == msgs[i].kind && v.wait_key == msgs[i].key) wake(dst, front);
   }
 
-  bool bytes_available(std::uint64_t key) const {
-    const auto it = byte_mail.find(key);
-    return it != byte_mail.end() && !it->second.empty();
+  /// Unlink the oldest message of `dst`'s inbox with this key and kind into
+  /// `out` and recycle its node; false when there is none. The payload
+  /// leaves the node here, so no shipped buffer outlives its receive.
+  bool take(int dst, std::uint64_t key, St kind, Msg& out) {
+    VRank& v = vr[static_cast<std::size_t>(dst)];
+    std::uint32_t prev = kNoMsg;
+    for (std::uint32_t i = v.inbox_head; i != kNoMsg; i = msgs[i].next) {
+      Msg& m = msgs[i];
+      if (m.key != key || m.kind != kind) {
+        prev = i;
+        continue;
+      }
+      (prev == kNoMsg ? v.inbox_head : msgs[prev].next) = m.next;
+      if (v.inbox_tail == i) v.inbox_tail = prev;
+      out = std::move(m);  // the node's vector is left empty
+      m.next = free_msg;
+      free_msg = i;
+      return true;
+    }
+    return false;
   }
 
   /// Move a suspended rank to the back of the ready queue (the front with
-  /// `front`); no-op for any other state, so a stale waiter registration can
-  /// never double-enqueue.
+  /// `front`); no-op for any other state, so a rank is never enqueued twice.
   void wake(int r, bool front = false) {
     VRank& v = vr[static_cast<std::size_t>(r)];
     if (v.state == St::kWaitCollective || v.state == St::kWaitToken ||
@@ -378,16 +433,6 @@ struct EventState {
           (ready_tail + ready.size() - ready_head) % ready.size();
       if (depth > prof_ready_peak) prof_ready_peak = depth;
     }
-  }
-
-  /// Wake the receiver registered for `key`, if any (sends are buffered, so
-  /// this is the only wake a p2p message triggers).
-  void wake_receiver(std::uint64_t key, bool front) {
-    const auto it = recv_waiters.find(key);
-    if (it == recv_waiters.end()) return;
-    const int r = it->second;
-    recv_waiters.erase(it);
-    wake(r, front);
   }
 
   // --- stackful primitives -------------------------------------------------
@@ -498,55 +543,50 @@ class EventCtx final : public RankCtx {
   void send_token(std::uint64_t value, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
     check_tag(tag);
-    const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
-    st_->mail[key].push_back(value);
-    st_->wake_receiver(key, /*front=*/false);
+    EventState::Msg m;
+    m.key = EventState::mail_key(rank_, dest, tag);
+    m.token = value;
+    st_->post(dest, std::move(m), /*front=*/false);
   }
 
   std::uint64_t recv_token(int src, int tag) override {
     AMRIO_EXPECTS(src >= 0 && src < st_->n && src != rank_);
     check_tag(tag);
-    const std::uint64_t key = EventState::mail_key(src, rank_, tag);
-    while (!st_->token_available(key)) {
-      check_abort();
-      block_on(key, EventState::St::kWaitToken);
-    }
-    return take(st_->mail, key);
+    return receive(EventState::mail_key(src, rank_, tag),
+                   EventState::St::kWaitToken)
+        .token;
   }
 
-  /// The receiver blocked on this mailbox runs next, so it consumes the
+  /// A receiver blocked on this message runs next, so it consumes the
   /// payload before anyone else can queue another.
   void send_bytes(std::vector<std::byte> data, int dest, int tag) override {
     AMRIO_EXPECTS(dest >= 0 && dest < st_->n && dest != rank_);
     check_tag(tag);
-    const std::uint64_t key = EventState::mail_key(rank_, dest, tag);
-    st_->byte_mail[key].push_back(std::move(data));  // the buffer itself
-    st_->wake_receiver(key, /*front=*/true);
+    EventState::Msg m;
+    m.key = EventState::mail_key(rank_, dest, tag);
+    m.kind = EventState::St::kWaitBytes;
+    m.bytes = std::move(data);  // the buffer itself
+    st_->post(dest, std::move(m), /*front=*/true);
   }
 
   std::vector<std::byte> recv_bytes(int src, int tag) override {
     AMRIO_EXPECTS(src >= 0 && src < st_->n && src != rank_);
     check_tag(tag);
-    const std::uint64_t key = EventState::mail_key(src, rank_, tag);
-    while (!st_->bytes_available(key)) {
-      check_abort();
-      block_on(key, EventState::St::kWaitBytes);
-    }
-    return take(st_->byte_mail, key);
+    return receive(EventState::mail_key(src, rank_, tag),
+                   EventState::St::kWaitBytes)
+        .bytes;
   }
 
  private:
-  /// Pop the oldest message of a non-empty mailbox, and drop the mailbox once
-  /// it is drained: a baton pair leaves nothing behind, so a 131k-rank dump
-  /// does not keep one empty deque per (src, dst, tag) alive for the run.
-  template <typename Map>
-  static typename Map::mapped_type::value_type take(Map& boxes,
-                                                    std::uint64_t key) {
-    const auto it = boxes.find(key);
-    auto v = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) boxes.erase(it);
-    return v;
+  /// Take the oldest message for this rank with `key` and `kind`, blocking
+  /// until one is posted.
+  EventState::Msg receive(std::uint64_t key, EventState::St kind) {
+    EventState::Msg m;
+    while (!st_->take(rank_, key, kind, m)) {
+      check_abort();
+      block_on(key, kind);
+    }
+    return m;
   }
 
   /// Arrive at a collective; the last rank computes the result and wakes
@@ -573,7 +613,6 @@ class EventCtx final : public RankCtx {
   }
 
   void block_on(std::uint64_t key, EventState::St wait_state) {
-    st_->recv_waiters[key] = rank_;
     auto& v = st_->vr[static_cast<std::size_t>(rank_)];
     v.state = wait_state;
     v.wait_key = key;
@@ -649,7 +688,7 @@ void EventState::resume_shared(int r) {
     // it. The slice buffer is recycled immediately — it is read before any
     // other rank can allocate from the arena.
     std::memcpy(v.sp, v.slice, v.slice_len);
-    arena.release(v.slice, v.slice_class);
+    arena.release(v.slice, v.slice_len);
     v.slice = nullptr;
     amrio_event_fctx_switch(&sched_sp, v.sp);
   }
@@ -661,7 +700,7 @@ void EventState::resume_shared(int r) {
   check_canary();
   const auto len =
       static_cast<std::size_t>(stack_top - static_cast<std::byte*>(v.sp));
-  v.slice = arena.alloc(len, &v.slice_class);
+  v.slice = arena.alloc(len);
   v.slice_len = static_cast<std::uint32_t>(len);
   std::memcpy(v.slice, v.sp, len);
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "codec/codec.hpp"
 #include "macsio/interfaces.hpp"
@@ -26,36 +27,53 @@ int file_group(const Params& p, int rank) {
   return static_cast<int>((static_cast<std::int64_t>(rank) * nfiles) / p.nprocs);
 }
 
+/// "<output_dir>/<dir>/macsio_<tag>_<kind>[<group:5>_]<dump:3>.<ext>", built
+/// in one string reserved up front; a negative `group` leaves its field out.
+std::string dump_path(const Params& p, const IoInterface& iface,
+                      std::string_view dir, std::string_view kind, int group,
+                      int dump, std::string_view ext) {
+  const std::string_view tag = iface.file_tag();
+  std::string out;
+  // + the separators and two numeric fields of at most 20 digits each
+  out.reserve(p.output_dir.size() + dir.size() + tag.size() + kind.size() +
+              ext.size() + 64);
+  out += p.output_dir;
+  out += '/';
+  out += dir;
+  out += "/macsio_";
+  out += tag;
+  out += '_';
+  out += kind;
+  if (group >= 0) {
+    util::append_zero_pad(out, static_cast<std::uint64_t>(group), 5);
+    out += '_';
+  }
+  util::append_zero_pad(out, static_cast<std::uint64_t>(dump), 3);
+  out += '.';
+  out += ext;
+  return out;
+}
+
 /// dump_file_path against an already-constructed interface — the dump body
 /// calls this once per rank per dump (and rank 0 once per file); allocating
 /// a fresh interface each time (as the public overload must) would dominate
 /// calibration replays.
 std::string dump_file_path_for(const Params& p, const IoInterface& iface,
                                int rank, int dump) {
-  if (p.file_mode == FileMode::kSif) {
-    return p.output_dir + "/data/macsio_" + iface.file_tag() + "_shared_" +
-           util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-           iface.extension();
-  }
-  const int group = file_group(p, rank);
-  return p.output_dir + "/data/macsio_" + iface.file_tag() + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(group), 5) + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-         iface.extension();
+  if (p.file_mode == FileMode::kSif)
+    return dump_path(p, iface, "data", "shared_", -1, dump, iface.extension());
+  return dump_path(p, iface, "data", "", file_group(p, rank), dump,
+                   iface.extension());
 }
 
 std::string aggregated_file_path_for(const Params& p, const IoInterface& iface,
                                      int group, int dump) {
-  return p.output_dir + "/data/macsio_" + iface.file_tag() + "_agg_" +
-         util::zero_pad(static_cast<std::uint64_t>(group), 5) + "_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + "." +
-         iface.extension();
+  return dump_path(p, iface, "data", "agg_", group, dump, iface.extension());
 }
 
 std::string aggregated_index_path_for(const Params& p, const IoInterface& iface,
                                       int dump) {
-  return p.output_dir + "/metadata/macsio_" + iface.file_tag() + "_index_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + ".txt";
+  return dump_path(p, iface, "metadata", "index_", -1, dump, "txt");
 }
 
 // Fixed-width index layout: 55-byte header + one 58-byte line per task
@@ -65,21 +83,27 @@ std::string aggregated_index_path_for(const Params& p, const IoInterface& iface,
 std::string agg_index_text(const Params& p, const staging::AggTopology& topo,
                            int dump,
                            const std::vector<std::uint64_t>& task_bytes) {
-  std::string out = "macsio-agg-index dump " +
-                    util::zero_pad(static_cast<std::uint64_t>(dump), 3) +
-                    " groups " +
-                    util::zero_pad(static_cast<std::uint64_t>(topo.ngroups()), 7) +
-                    " ranks " +
-                    util::zero_pad(static_cast<std::uint64_t>(p.nprocs), 7) +
-                    "\n";
-  out.reserve(out.size() + 58 * static_cast<std::size_t>(p.nprocs));
+  std::string out;
+  out.reserve(aggregated_index_bytes(p));
+  out += "macsio-agg-index dump ";
+  util::append_zero_pad(out, static_cast<std::uint64_t>(dump), 3);
+  out += " groups ";
+  util::append_zero_pad(out, static_cast<std::uint64_t>(topo.ngroups()), 7);
+  out += " ranks ";
+  util::append_zero_pad(out, static_cast<std::uint64_t>(p.nprocs), 7);
+  out += '\n';
   for (int g = 0; g < topo.ngroups(); ++g) {
     std::uint64_t offset = 0;
     for (int r : topo.members_of(g)) {
       const std::uint64_t b = task_bytes[static_cast<std::size_t>(r)];
-      out += util::zero_pad(static_cast<std::uint64_t>(g), 7) + " " +
-             util::zero_pad(static_cast<std::uint64_t>(r), 7) + " " +
-             util::zero_pad(offset, 20) + " " + util::zero_pad(b, 20) + "\n";
+      util::append_zero_pad(out, static_cast<std::uint64_t>(g), 7);
+      out += ' ';
+      util::append_zero_pad(out, static_cast<std::uint64_t>(r), 7);
+      out += ' ';
+      util::append_zero_pad(out, offset, 20);
+      out += ' ';
+      util::append_zero_pad(out, b, 20);
+      out += '\n';
       offset += b;
     }
   }
@@ -119,9 +143,8 @@ std::string dump_file_path(const Params& p, int rank, int dump) {
 }
 
 std::string root_file_path(const Params& p, int dump) {
-  const auto iface = make_interface(p.interface);
-  return p.output_dir + "/metadata/macsio_" + iface->file_tag() + "_root_" +
-         util::zero_pad(static_cast<std::uint64_t>(dump), 3) + ".json";
+  return dump_path(p, *make_interface(p.interface), "metadata", "root_", -1,
+                   dump, "json");
 }
 
 std::string aggregated_file_path(const Params& p, int group, int dump) {

@@ -1,5 +1,7 @@
 #include "macsio/interfaces.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -25,6 +27,33 @@ std::uint64_t IoInterface::task_doc_bytes(const PartSpec& spec, int rank,
 
 namespace {
 
+/// A short header rendered on the stack: literal text and integers
+/// (std::to_chars, the digits std::to_string gives), with no heap string.
+/// The longest miftmpl header, a part's, is 45 literal bytes and four ints of
+/// at most 11 characters each.
+class HeaderText {
+ public:
+  HeaderText& operator<<(std::string_view text) {
+    AMRIO_EXPECTS(text.size() <= static_cast<std::size_t>(end() - pos_));
+    pos_ = std::copy(text.begin(), text.end(), pos_);
+    return *this;
+  }
+  HeaderText& operator<<(int v) {
+    const auto res = std::to_chars(pos_, end(), v);
+    AMRIO_ENSURES(res.ec == std::errc());
+    pos_ = res.ptr;
+    return *this;
+  }
+  std::string_view view() const {
+    return {buf_, static_cast<std::size_t>(pos_ - buf_)};
+  }
+
+ private:
+  char* end() { return buf_ + sizeof buf_; }
+  char buf_[96];
+  char* pos_ = buf_;
+};
+
 /// Fixed-width (23 char) rendering of a value in [0, 1): "1.23456789012345678e-01".
 void format_value(char* buf, double v) {
   std::snprintf(buf, kJsonValueWidth + 1, "%.17e", v);
@@ -34,12 +63,13 @@ void format_value(char* buf, double v) {
 
 class MiftmplInterface final : public IoInterface {
  public:
-  std::string file_tag() const override { return "json"; }
-  std::string extension() const override { return "json"; }
+  std::string_view file_tag() const override { return "json"; }
+  std::string_view extension() const override { return "json"; }
 
   void begin_task_doc(Sink& sink, int rank, int dump) const override {
-    sink.write("{\"task\":" + std::to_string(rank) +
-               ",\"dump\":" + std::to_string(dump) + ",\"parts\":[");
+    HeaderText h;
+    h << "{\"task\":" << rank << ",\"dump\":" << dump << ",\"parts\":[";
+    sink.write(h.view());
   }
 
   void part_separator(Sink& sink) const override { sink.write(","); }
@@ -59,10 +89,11 @@ class MiftmplInterface final : public IoInterface {
 
   void write_part(Sink& sink, const PartSpec& spec, int part_id, FillMode fill,
                   util::Xoshiro256& rng) const override {
-    sink.write("{\"part\":{\"id\":" + std::to_string(part_id) +
-               ",\"nx\":" + std::to_string(spec.nx) +
-               ",\"ny\":" + std::to_string(spec.ny) +
-               ",\"nvars\":" + std::to_string(spec.nvars) + "},\"vars\":{");
+    HeaderText h;
+    h << "{\"part\":{\"id\":" << part_id << ",\"nx\":" << spec.nx
+      << ",\"ny\":" << spec.ny << ",\"nvars\":" << spec.nvars
+      << "},\"vars\":{";
+    sink.write(h.view());
     const std::uint64_t n = spec.values_per_var();
     char value_buf[kJsonValueWidth + 1];
     // In sized mode all values are the same token, so one pre-built chunk is
@@ -79,8 +110,9 @@ class MiftmplInterface final : public IoInterface {
     }();
     for (int v = 0; v < spec.nvars; ++v) {
       if (v > 0) sink.write(",");
-      char name[32];
-      std::snprintf(name, sizeof(name), "\"var%04d\":[", v);
+      std::string name = "\"var";  // "var0000" fits the string's own buffer
+      util::append_zero_pad(name, static_cast<std::uint64_t>(v), 4);
+      name += "\":[";
       sink.write(name);
       if (fill == FillMode::kSized) {
         // n values, each 24 bytes including its trailing comma; the final
@@ -120,8 +152,8 @@ class MiftmplInterface final : public IoInterface {
 
 class H5LiteInterface : public IoInterface {
  public:
-  std::string file_tag() const override { return "h5"; }
-  std::string extension() const override { return "h5"; }
+  std::string_view file_tag() const override { return "h5"; }
+  std::string_view extension() const override { return "h5"; }
 
   void begin_task_doc(Sink& sink, int rank, int dump) const override {
     char header[32];
@@ -193,8 +225,8 @@ class H5LiteInterface : public IoInterface {
 
 class RawInterface final : public H5LiteInterface {
  public:
-  std::string file_tag() const override { return "raw"; }
-  std::string extension() const override { return "bin"; }
+  std::string_view file_tag() const override { return "raw"; }
+  std::string_view extension() const override { return "bin"; }
 
   void begin_task_doc(Sink&, int, int) const override {}
 

@@ -76,8 +76,8 @@ class IoInterface {
   virtual ~IoInterface() = default;
   /// Short name used in output file names ("json", "h5", "raw"), matching the
   /// paper's `macsio_json_{task}_{step}.json` pattern for the json interface.
-  virtual std::string file_tag() const = 0;
-  virtual std::string extension() const = 0;
+  virtual std::string_view file_tag() const = 0;
+  virtual std::string_view extension() const = 0;
 
   /// Serialize one part. Values are deterministic pseudo-data (kReal) or
   /// zeros (kSized) — byte counts are identical either way.

@@ -62,8 +62,6 @@ Span get_span(std::istream& is) {
   return s;
 }
 
-constexpr std::size_t kRefillBatch = 256;  // spans read per spill-run refill
-
 /// The synthetic track of envelope spans, just above the real ranks.
 int envelope_rank(const TraceSample& sample) {
   return std::max(sample.nranks, 0);
@@ -251,8 +249,12 @@ void TraceStream::finish() {
     std::size_t idx = 0;
     std::uint64_t remaining = 0;  // spans still in the file beyond `buf`
     std::uint64_t offset = 0;     // next byte to read from the spill file
+    bool spilled = false;         // `buf` is a window of a spill run
   };
   std::vector<Cursor> cursors;
+  // Once anything has spilled, the remainder spills too, so the merge holds
+  // nothing but the runs' refill windows.
+  if (!runs_.empty() && !buf_.empty()) spill();
   std::sort(buf_.begin(), buf_.end(), span_less);
   if (!buf_.empty()) cursors.push_back(Cursor{std::move(buf_)});
   std::sort(edges_.begin(), edges_.end(), edge_less);
@@ -273,15 +275,22 @@ void TraceStream::finish() {
       Cursor c;
       c.remaining = run.count;
       c.offset = run.offset;
+      c.spilled = true;
       cursors.push_back(std::move(c));
     }
   }
 
+  // The runs share the capacity: a window of max(1, capacity / runs) spans
+  // each, so the merge holds at most max(capacity, runs) spans at once (the
+  // merge order, and so the output, does not depend on the window).
+  const std::uint64_t window = std::max<std::uint64_t>(
+      1, opt_.capacity / std::max<std::size_t>(runs_.size(), 1));
+  std::size_t resident = 0;  // spans in the windows right now
   auto refill = [&](Cursor& c) {
+    if (c.spilled) resident -= c.buf.size();
     c.buf.clear();
     c.idx = 0;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(c.remaining, kRefillBatch);
+    const std::uint64_t n = std::min<std::uint64_t>(c.remaining, window);
     if (n == 0) return;
     spill.seekg(static_cast<std::streamoff>(c.offset));
     c.buf.reserve(static_cast<std::size_t>(n));
@@ -289,6 +298,8 @@ void TraceStream::finish() {
     if (!spill) throw std::runtime_error("obs: short read from " + spill_path_);
     c.offset = static_cast<std::uint64_t>(spill.tellg());
     c.remaining -= n;
+    resident += c.buf.size();
+    peak_ = std::max(peak_, resident);
   };
   for (Cursor& c : cursors)
     if (c.buf.empty()) refill(c);

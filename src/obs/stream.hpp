@@ -10,8 +10,9 @@
 ///    run of the same workload);
 ///  * a full buffer is sorted by the global `span_less` order and spilled
 ///    to a binary side file as a sorted run;
-///  * `finish()` k-way-merges the spilled runs with the still-buffered
-///    remainder and emits the final Chrome-trace JSON through the same
+///  * `finish()` spills the still-buffered remainder too (when anything
+///    spilled) and k-way-merges the runs through refill windows that share
+///    the capacity, then emits the final Chrome-trace JSON through the same
 ///    `ChromeTraceEmitter` the buffered exporter uses — an unsampled
 ///    streamed file is byte-identical to `write_chrome_trace` on the same
 ///    span stream (pinned by tests/test_obs.cpp), however the runs split.
@@ -77,9 +78,11 @@ class TraceStream : public SpanSink {
   /// Merge spilled runs + the in-memory remainder and write the final JSON.
   void finish();
 
-  /// High-water mark of the recording buffer. Never exceeds `capacity`,
-  /// however many spans the run records (the boundedness the 131k test
-  /// pins).
+  /// High-water mark of the spans held in memory: the recording buffer,
+  /// and during `finish()` the spill runs' refill windows, which share the
+  /// capacity (max(1, capacity / runs) spans each). Never exceeds
+  /// `capacity` unless the run spills more runs than that (more than
+  /// capacity² kept spans); then it is the run count, one span per run.
   std::size_t peak_buffered_spans() const;
 
   /// Spans recorded (pre-sampling) / kept verbatim (post-sampling).

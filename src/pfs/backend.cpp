@@ -45,7 +45,6 @@ FileHandle MemoryBackend::create(const std::string& path) {
     rec = &shard.files[path];
     // truncate semantics
     rec->bytes.store(0, std::memory_order_relaxed);
-    rec->nwrites.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> content_lock(rec->content_mu);
     rec->contents.clear();
   }
@@ -68,7 +67,6 @@ void MemoryBackend::write(FileHandle handle, std::span<const std::byte> data) {
   if (rec == nullptr)
     throw std::runtime_error("MemoryBackend::write: bad handle");
   rec->bytes.fetch_add(data.size(), std::memory_order_relaxed);
-  rec->nwrites.fetch_add(1, std::memory_order_relaxed);
   if (store_contents_) {
     std::lock_guard<std::mutex> lock(rec->content_mu);
     rec->contents.insert(rec->contents.end(), data.begin(), data.end());

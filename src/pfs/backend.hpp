@@ -195,7 +195,6 @@ class MemoryBackend final : public StorageBackend {
   /// pointer and writes never re-walk the path table.
   struct FileRecord {
     std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::uint64_t> nwrites{0};
     mutable std::mutex content_mu;
     std::vector<std::byte> contents;
   };
@@ -249,23 +248,21 @@ class PosixBackend final : public StorageBackend {
 enum class OpenMode { kTruncate, kAppend };
 
 /// RAII writer over a backend file; closes on destruction. Movable: the
-/// moved-from object is left closed with an empty path and zero bytes
-/// written, so destroying or re-assigning it is always safe.
+/// moved-from object is left closed with zero bytes written, so destroying,
+/// closing or re-assigning it is always safe.
 class OutFile {
  public:
   OutFile(StorageBackend& backend, const std::string& path,
           OpenMode mode = OpenMode::kTruncate)
       : backend_(&backend),
         handle_(mode == OpenMode::kTruncate ? backend.create(path)
-                                            : backend.open_append(path)),
-        path_(path) {}
+                                            : backend.open_append(path)) {}
   ~OutFile() { close_quietly(); }
   OutFile(const OutFile&) = delete;
   OutFile& operator=(const OutFile&) = delete;
   OutFile(OutFile&& other) noexcept
       : backend_(other.backend_), handle_(other.handle_),
-        path_(std::move(other.path_)), written_(other.written_),
-        open_(other.open_) {
+        written_(other.written_), open_(other.open_) {
     other.reset_moved_from();
   }
   OutFile& operator=(OutFile&& other) noexcept {
@@ -273,7 +270,6 @@ class OutFile {
       close_quietly();
       backend_ = other.backend_;
       handle_ = other.handle_;
-      path_ = std::move(other.path_);
       written_ = other.written_;
       open_ = other.open_;
       other.reset_moved_from();
@@ -298,7 +294,6 @@ class OutFile {
     }
   }
   std::uint64_t bytes_written() const { return written_; }
-  const std::string& path() const { return path_; }
 
  private:
   void close_quietly() noexcept {
@@ -314,12 +309,10 @@ class OutFile {
   void reset_moved_from() {
     open_ = false;
     written_ = 0;
-    path_.clear();
   }
 
   StorageBackend* backend_;
   FileHandle handle_;
-  std::string path_;
   std::uint64_t written_ = 0;
   bool open_ = true;
 };

@@ -113,11 +113,20 @@ std::uint64_t parse_bytes(std::string_view raw) {
   return static_cast<std::uint64_t>(bytes);
 }
 
+void append_zero_pad(std::string& out, std::uint64_t value, int width) {
+  AMRIO_EXPECTS(width >= 0);
+  char digits[20];  // UINT64_MAX has 20
+  const auto res = std::to_chars(digits, digits + sizeof digits, value);
+  const auto len = static_cast<std::size_t>(res.ptr - digits);
+  if (static_cast<std::size_t>(width) > len)
+    out.append(static_cast<std::size_t>(width) - len, '0');
+  out.append(digits, len);
+}
+
 std::string zero_pad(std::uint64_t value, int width) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%0*llu", width,
-                static_cast<unsigned long long>(value));
-  return buf;
+  std::string out;
+  append_zero_pad(out, value, width);
+  return out;
 }
 
 std::string_view format_g_to(char (&buf)[kFormatGMax], double v,

@@ -31,8 +31,12 @@ std::string human_bytes(std::uint64_t bytes);
 /// Throws std::invalid_argument on malformed input.
 std::uint64_t parse_bytes(std::string_view s);
 
-/// Fixed-width zero-padded integer, e.g. zero_pad(7, 5) == "00007".
+/// Fixed-width zero-padded integer, e.g. zero_pad(7, 5) == "00007". `width`
+/// is a minimum: wider values keep every digit. Requires width >= 0.
 std::string zero_pad(std::uint64_t value, int width);
+
+/// `zero_pad` appended to `out`, with no string of its own.
+void append_zero_pad(std::string& out, std::uint64_t value, int width);
 
 /// printf-style %g formatting with `digits` significant digits. Rendered by
 /// std::to_chars(general, digits), whose output is byte-identical to

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "exec/engine.hpp"
 #include "macsio/driver.hpp"
@@ -343,6 +346,63 @@ TEST(Driver, MetaSizeAddsPerTaskBytes) {
       *ex::make_engine(ex::EngineKind::kSerial, base.nprocs), base, be2);
   EXPECT_NEAR(static_cast<double>(with.total_bytes - without.total_bytes),
               2 * 10000.0, 64.0);
+}
+
+// ------------------------------------------------------- golden documents
+
+namespace {
+
+enum class Layout { kMif, kSif, kAgg };
+
+/// FNV-1a-64 (restart_hash) over every file of a store-mode dump, path and
+/// contents, in path order: pins the document bytes, the file names and the
+/// metadata (root documents, aggregation index) at once.
+std::uint64_t dump_tree_digest(Layout layout, mc::FillMode fill) {
+  mc::Params params;
+  params.nprocs = 12;
+  params.num_dumps = 11;  // two-digit dump numbers in names and headers
+  params.part_size = 600;
+  params.avg_num_parts = 2.0;
+  params.vars_per_part = 3;
+  params.meta_size = 5;
+  params.fill = fill;
+  switch (layout) {
+    case Layout::kMif: params.mif_files = 5; break;
+    case Layout::kSif: params.file_mode = mc::FileMode::kSif; break;
+    case Layout::kAgg: params.aggregators = 3; break;
+  }
+  params.validate();
+  p::MemoryBackend be(true);
+  mc::run_macsio(*ex::make_engine(ex::EngineKind::kSerial, params.nprocs),
+                 params, be);
+  std::vector<std::byte> all;
+  for (const std::string& path : be.list("")) {
+    const auto name = std::as_bytes(std::span(path.data(), path.size() + 1));
+    all.insert(all.end(), name.begin(), name.end());
+    const auto bytes = be.read(path);
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  }
+  return mc::restart_hash(all);
+}
+
+}  // namespace
+
+TEST(Driver, DumpTreeBytesArePinned) {
+  // The document headers, var names, file names and index lines are
+  // rendered with std::to_chars into reserved or stack buffers; these
+  // digests pin every byte of the tree they produce.
+  EXPECT_EQ(dump_tree_digest(Layout::kMif, mc::FillMode::kSized),
+            0xf566b67e48b04e8dull);
+  EXPECT_EQ(dump_tree_digest(Layout::kMif, mc::FillMode::kReal),
+            0xb2ef2d358011f696ull);
+  EXPECT_EQ(dump_tree_digest(Layout::kSif, mc::FillMode::kSized),
+            0x0c3da2b0a8f4338cull);
+  EXPECT_EQ(dump_tree_digest(Layout::kSif, mc::FillMode::kReal),
+            0x018fe26efd3b2885ull);
+  EXPECT_EQ(dump_tree_digest(Layout::kAgg, mc::FillMode::kSized),
+            0xae87a6278c491daeull);
+  EXPECT_EQ(dump_tree_digest(Layout::kAgg, mc::FillMode::kReal),
+            0x8672e77ad3182057ull);
 }
 
 // ------------------------------------------------------------------ SPMD

@@ -35,6 +35,7 @@
 #include "obs/whatif.hpp"
 #include "pfs/backend.hpp"
 #include "pfs/simfs.hpp"
+#include "util/rng.hpp"
 
 namespace obs = amrio::obs;
 namespace mc = amrio::macsio;
@@ -862,6 +863,43 @@ TEST(TraceStream, UnsampledStreamMatchesBufferedExportByteForByte) {
   std::remove(path.c_str());
   EXPECT_FALSE(std::ifstream(path + ".spill").is_open())
       << "spill file survived finish()";
+}
+
+TEST(TraceStream, MergeWindowsShareTheCapacity) {
+  // Many spill runs against a small capacity: finish() spills the remainder
+  // and reads each run through a window of max(1, capacity / runs) spans,
+  // so the spans held at once stay within max(capacity, runs) through the
+  // merge — within capacity while runs <= capacity — and the bytes still
+  // match the buffered export.
+  constexpr std::size_t kSpans = 400;
+  for (const std::size_t capacity : {std::size_t{64}, std::size_t{4}}) {
+    obs::Tracer tracer;
+    obs::TraceStream::Options opt;
+    opt.path = testing::TempDir() + "obs_stream_windows.json";
+    opt.capacity = capacity;
+    obs::TraceStream stream(opt);
+    amrio::util::Xoshiro256 rng(11);
+    for (std::size_t i = 0; i < kSpans; ++i) {
+      obs::Span s;
+      s.rank = static_cast<int>(i % 7);
+      s.stage = i % 3 == 0 ? "write" : "encode";
+      s.start = rng.uniform();
+      s.end = s.start + 0.25 * rng.uniform();
+      (void)tracer.record(s);
+      (void)stream.record(s);
+    }
+    stream.finish();
+    const std::size_t runs = (kSpans + capacity - 1) / capacity;
+    EXPECT_LE(stream.peak_buffered_spans(), std::max(capacity, runs))
+        << "capacity " << capacity;
+    if (runs <= capacity) {
+      EXPECT_LE(stream.peak_buffered_spans(), capacity);
+    }
+    std::ostringstream expect;
+    obs::write_chrome_trace(expect, tracer.spans(), tracer.edges());
+    EXPECT_EQ(read_file(opt.path), expect.str()) << "capacity " << capacity;
+    std::remove(opt.path.c_str());
+  }
 }
 
 TEST(TraceStream, SampledStreamIsDeterministicAcrossEnginesAndRuns) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "util/ascii_plot.hpp"
@@ -84,6 +85,25 @@ TEST(Format, ZeroPad) {
   EXPECT_EQ(u::zero_pad(7, 5), "00007");
   EXPECT_EQ(u::zero_pad(12345, 5), "12345");
   EXPECT_EQ(u::zero_pad(123456, 5), "123456");  // does not truncate
+}
+
+TEST(Format, ZeroPadMatchesSnprintf) {
+  // snprintf("%0*llu") is the oracle for both the returning and the
+  // appending form.
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{10},
+        std::uint64_t{99999}, std::uint64_t{123456},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    for (int width = 0; width <= 20; ++width) {
+      char want[32];
+      std::snprintf(want, sizeof want, "%0*llu", width,
+                    static_cast<unsigned long long>(v));
+      EXPECT_EQ(u::zero_pad(v, width), want) << v << " width " << width;
+      std::string out = "ab";
+      u::append_zero_pad(out, v, width);
+      EXPECT_EQ(out, std::string("ab") + want) << v << " width " << width;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ rng
