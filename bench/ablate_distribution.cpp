@@ -44,7 +44,9 @@ int main(int argc, char** argv) {
         if (b > 0) ++with_data;
       }
       const double imb = util::imbalance_factor(v);
-      table.add_row({mesh::to_string(strategy), "L" + std::to_string(level),
+      std::string level_name = "L";
+      level_name += std::to_string(level);
+      table.add_row({mesh::to_string(strategy), level_name,
                      util::format_g(imb, 4), util::format_g(util::gini(v), 4),
                      std::to_string(with_data)});
       csv.field(mesh::to_string(strategy))

@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
 
         std::uint64_t encoded_bytes = 0;  // what travels/lands (data files)
         for (const auto& req : stats.requests) {
-          if (req.file.find("/data/") == std::string::npos) continue;
+          if (stats.requests.path(req).find("/data/") == std::string::npos)
+            continue;
           encoded_bytes += req.bytes;
         }
         const std::uint64_t raw_bytes = stats.codec.total.raw_bytes;

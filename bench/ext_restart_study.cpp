@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
         // Restart timeline: prefetches go out when the restart is submitted
         // (t = 0); the solver resumes — and reads issue — at kResumeDelay.
         auto requests = restart.requests;
-        for (auto& req : requests)
+        for (auto& req : requests.requests)
           if (req.op == pfs::kOpRead) req.submit_time = kResumeDelay;
         pfs::SimFsConfig cfg =
             campaign::reference_fs_config(ranks, mode.prefetch);

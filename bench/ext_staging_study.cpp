@@ -44,11 +44,10 @@ struct Config {
 /// Remap the data-request clients so every aggregator lands on the first
 /// burst-buffer node: aggregator of group g becomes client g, and with
 /// ngroups <= ranks_per_node SimFs::node_of maps them all to node 0.
-std::vector<amrio::pfs::IoRequest> cluster_aggregators(
-    std::vector<amrio::pfs::IoRequest> requests,
-    const amrio::staging::AggTopology& topo) {
-  for (auto& req : requests) {
-    if (req.file.find("_agg_") == std::string::npos) continue;
+amrio::pfs::IoBatch cluster_aggregators(
+    amrio::pfs::IoBatch requests, const amrio::staging::AggTopology& topo) {
+  for (auto& req : requests.requests) {
+    if (requests.path(req).find("_agg_") == std::string::npos) continue;
     req.client = topo.group_of(req.client);
   }
   return requests;
@@ -56,10 +55,10 @@ std::vector<amrio::pfs::IoRequest> cluster_aggregators(
 
 /// Distinct staging nodes the data-file clients map to.
 int data_nodes(const amrio::pfs::SimFs& fs,
-               const std::vector<amrio::pfs::IoRequest>& requests) {
+               const amrio::pfs::IoBatch& requests) {
   std::set<int> nodes;
   for (const auto& req : requests) {
-    if (req.file.find("/data/") == std::string::npos) continue;
+    if (requests.path(req).find("/data/") == std::string::npos) continue;
     nodes.insert(fs.node_of(req.client));
   }
   return static_cast<int>(nodes.size());
@@ -121,7 +120,8 @@ int main(int argc, char** argv) {
       std::uint64_t data_files = 0;
       std::uint64_t data_bytes = 0;
       for (const auto& req : stats.requests) {
-        if (req.file.find("/data/") == std::string::npos) continue;
+        if (stats.requests.path(req).find("/data/") == std::string::npos)
+          continue;
         ++data_files;
         data_bytes += req.bytes;
       }
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
       for (const char* placement :
            sweep_placement ? std::vector<const char*>{"spread", "clustered"}
                            : std::vector<const char*>{"spread"}) {
-        std::vector<pfs::IoRequest> requests = stats.requests;
+        pfs::IoBatch requests = stats.requests;
         if (std::string(placement) == "clustered") {
           const auto topo =
               staging::AggTopology::make(ranks, params.aggregators);

@@ -85,7 +85,9 @@ int main(int argc, char** argv) {
     const auto& lev = core.level(l);
     const double frac = static_cast<double>(lev.state.num_pts()) /
                         static_cast<double>(lev.geom.domain().num_pts());
-    table.add_row({"L" + std::to_string(l), std::to_string(lev.state.nfabs()),
+    std::string level_name = "L";
+    level_name += std::to_string(l);
+    table.add_row({level_name, std::to_string(lev.state.nfabs()),
                    std::to_string(lev.state.num_pts()),
                    util::format_g(frac, 4)});
     csv.field(static_cast<std::int64_t>(l))

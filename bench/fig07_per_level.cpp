@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
       series.push_back(util::Series{
           "cfl" + util::format_g(cfl, 2) + "_L" + std::to_string(l), s.x, s.y});
       const auto power = model::fit_power(s.x, s.y);
-      table.add_row({util::format_g(cfl, 2), "L" + std::to_string(l),
+      std::string level_name = "L";
+      level_name += std::to_string(l);
+      table.add_row({util::format_g(cfl, 2), level_name,
                      util::format_g(power.b, 4), util::format_g(s.y.back(), 5)});
       for (std::size_t i = 0; i < s.x.size(); ++i) {
         csv.field(cfl)

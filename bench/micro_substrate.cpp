@@ -106,9 +106,13 @@ static void BM_SimFsEventLoop(benchmark::State& state) {
   amrio::pfs::SimFsConfig cfg;
   cfg.n_ost = 32;
   cfg.variability_sigma = 0.2;
-  std::vector<amrio::pfs::IoRequest> reqs;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i)
-    reqs.push_back({i % 64, 0.01 * i, "f" + std::to_string(i), 16 << 20});
+  amrio::pfs::IoBatch reqs;
+  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
+    std::string file = "f";
+    file += std::to_string(i);
+    reqs.requests.push_back(
+        {i % 64, reqs.add_file(std::move(file)), 0.01 * i, 16 << 20});
+  }
   for (auto _ : state) {
     amrio::pfs::SimFs fs(cfg);
     benchmark::DoNotOptimize(fs.run(reqs));

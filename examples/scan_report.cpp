@@ -102,8 +102,9 @@ int main(int argc, char** argv) {
   for (int l : levels) {
     const auto s = iostats::cumulative_series_level(scan.table, ncells, l);
     if (s.y.empty()) continue;
-    series.push_back(
-        util::Series{"L" + std::to_string(l), s.x, s.y});
+    std::string level_name = "L";
+    level_name += std::to_string(l);
+    series.push_back(util::Series{level_name, s.x, s.y});
     std::string slope = "-";
     std::string verdict = "single point";
     if (s.x.size() >= 2) {
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
       slope = util::format_g(power.b, 4);
       verdict = power.b > 1.02 ? "super-linear (AMR growth)" : "linear";
     }
-    lvl.add_row({"L" + std::to_string(l), util::format_g(s.y.back(), 5),
+    lvl.add_row({level_name, util::format_g(s.y.back(), 5),
                  util::format_g(s.y.back() / total.y.back(), 3), slope,
                  verdict});
   }

@@ -55,10 +55,12 @@ CellResult run_cell(const CellConfig& cell) {
   r.total_bytes = stats.total_bytes;
   r.nfiles = stats.nfiles;
   r.encode_seconds = stats.codec.total.encode_seconds;
-  for (const pfs::IoRequest& req : stats.requests) {
-    if (req.file.find("/data/") == std::string::npos) continue;
-    r.encoded_bytes += req.bytes;
-  }
+  // Task data is what lands under data/: classify each path once.
+  std::vector<char> is_data(stats.requests.files.size());
+  for (std::size_t f = 0; f < is_data.size(); ++f)
+    is_data[f] = stats.requests.files[f].find("/data/") != std::string::npos;
+  for (const pfs::IoRequest& req : stats.requests)
+    if (is_data[req.file]) r.encoded_bytes += req.bytes;
 
   pfs::SimFs fs(reference_fs_config(params.nprocs, params.stage_to_bb));
   const staging::StagingReport report =

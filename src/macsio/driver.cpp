@@ -332,9 +332,10 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
   // byte counts (plan is a pure function of size) — one chunk per doc.
   std::vector<codec::CompressResult> encs(
       static_cast<std::size_t>(params.nprocs));
-  // Ranks of one file are contiguous: format each data path once and copy
-  // it into that file's requests.
-  std::string path;
+  // Ranks of one file are contiguous: each data path enters the batch's
+  // path table once and that file's requests carry its index.
+  pfs::IoBatch& batch = stats.requests;
+  std::uint32_t path = 0;
   int path_file = -1;
   auto& task_bytes = stats.task_bytes[static_cast<std::size_t>(dump)];
   for (int r = 0; r < params.nprocs; ++r) {
@@ -345,14 +346,14 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
     stats.codec.add(dump, -1, encs[static_cast<std::size_t>(r)]);
     if (!aggregated) {
       if (const int file = file_index(params, r); file != path_file) {
-        path = dump_file_path_for(params, iface, r, dump);
+        path = batch.add_file(dump_file_path_for(params, iface, r, dump));
         path_file = file;
         ++stats.nfiles;
       }
       // Encoded bytes hit the filesystem; the encode cpu delays submit.
       const auto& enc = encs[static_cast<std::size_t>(r)];
-      stats.requests.push_back(pfs::IoRequest{
-          r, submit_time + enc.cpu_seconds, path, enc.out_bytes, tier});
+      batch.requests.push_back(pfs::IoRequest{
+          r, path, submit_time + enc.cpu_seconds, enc.out_bytes, tier});
     }
   }
   // Each group's ship window, shared by its request, its ship span and its
@@ -389,42 +390,41 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
       const double start = submit_time + encode_gate;
       const double cost = staging::ship_cost(agg_cfg, shipped, nmessages);
       ships.push_back(GroupShip{agg, shipped, start, cost, start + cost});
-      stats.requests.push_back(pfs::IoRequest{
-          agg, ships.back().ready,
-          aggregated_file_path_for(params, iface, g, dump), subfile_encoded,
-          tier});
+      batch.requests.push_back(pfs::IoRequest{
+          agg, batch.add_file(aggregated_file_path_for(params, iface, g, dump)),
+          ships.back().ready, subfile_encoded, tier});
     }
     stats.nfiles += static_cast<std::uint64_t>(topo.ngroups());
   }
   // The root document reports the dump's task-data total, aggregated or
   // not — the index (written below) is bookkeeping on top of it.
-  const std::string root_path = root_file_path(params, dump);
+  const std::uint32_t root_path = batch.add_file(root_file_path(params, dump));
   const std::string root = root_meta_text(params, dump, spec, dump_bytes);
   {
-    pfs::OutFile root_out(backend, root_path);
+    pfs::OutFile root_out(backend, batch.files[root_path]);
     root_out.write(root);
     root_out.close();
   }
   if (aggregated) {
     // Rank 0 writes the per-dump index locating every task document.
-    const std::string index_path =
-        aggregated_index_path_for(params, iface, dump);
+    const std::uint32_t index_path =
+        batch.add_file(aggregated_index_path_for(params, iface, dump));
     const std::string index =
         agg_index_text(params, *run.topo, dump, all_bytes);
     AMRIO_ENSURES(index.size() == aggregated_index_bytes(params));
     {
-      pfs::OutFile index_out(backend, index_path);
+      pfs::OutFile index_out(backend, batch.files[index_path]);
       index_out.write(index);
       index_out.close();
     }
     dump_bytes += index.size();
-    stats.requests.push_back(
-        pfs::IoRequest{0, submit_time, index_path, index.size(), tier});
+    batch.requests.push_back(
+        pfs::IoRequest{0, index_path, submit_time, index.size(), tier});
     ++stats.nfiles;
   }
   dump_bytes += root.size();
-  stats.requests.push_back(
-      pfs::IoRequest{0, submit_time, root_path, root.size(), tier});
+  batch.requests.push_back(
+      pfs::IoRequest{0, root_path, submit_time, root.size(), tier});
   ++stats.nfiles;
   stats.bytes_per_dump.push_back(dump_bytes);
   stats.total_bytes += dump_bytes;
@@ -441,8 +441,8 @@ void serialize_task_doc(const RankSetup& run, Sink& sink, int rank, int dump,
     // serial/spmd/event engines.
     const std::string label = "dump " + std::to_string(dump);
     double phase_end = submit_time;
-    for (std::size_t i = req_begin; i < stats.requests.size(); ++i)
-      phase_end = std::max(phase_end, stats.requests[i].submit_time);
+    for (std::size_t i = req_begin; i < batch.size(); ++i)
+      phase_end = std::max(phase_end, batch[i].submit_time);
     obs::Span ph;
     ph.stage = "dump";
     ph.detail = label;
@@ -712,9 +712,11 @@ struct RecoveredDoc {
   // Metadata read-back: the root document, and under aggregation the index
   // locating every task document — always cold PFS reads (metadata never
   // stages).
-  auto read_meta = [&](const std::string& path) {
-    stats.requests.push_back(pfs::IoRequest{0, 0.0, path, backend.size(path),
-                                            pfs::kTierPfs, pfs::kOpRead});
+  auto read_meta = [&](std::string path) {
+    const std::uint64_t bytes = backend.size(path);
+    stats.requests.requests.push_back(
+        pfs::IoRequest{0, stats.requests.add_file(std::move(path)), 0.0, bytes,
+                       pfs::kTierPfs, pfs::kOpRead});
   };
   read_meta(root_file_path(params, dump));
   if (aggregated)
@@ -899,8 +901,8 @@ DumpStats run_macsio(exec::Engine& engine, const Params& params,
   // plus the index) and the root per dump.
   const int per_dump =
       run.topo ? run.topo->ngroups() + 2 : params.nprocs + 1;
-  result.requests.reserve(static_cast<std::size_t>(params.num_dumps) *
-                          static_cast<std::size_t>(per_dump));
+  result.requests.requests.reserve(static_cast<std::size_t>(params.num_dumps) *
+                                   static_cast<std::size_t>(per_dump));
   engine.run([&](exec::RankCtx& ctx) {
     run_macsio_rank(ctx, run, backend, probe,
                     ctx.rank() == 0 ? &result : nullptr);

@@ -51,13 +51,16 @@ struct DumpStats {
   std::vector<std::vector<std::uint64_t>> task_bytes;
   std::uint64_t total_bytes = 0;
   std::uint64_t nfiles = 0;
-  /// One I/O request per (rank, dump) data write, timed on the logical
-  /// compute clock; feed to pfs::SimFs for burst/bandwidth studies. With a
+  /// One I/O request per (rank, dump) data write (per subfile when
+  /// aggregated), plus the index and root metadata writes, timed on the
+  /// logical compute clock; feed to pfs::SimFs for burst/bandwidth studies.
+  /// Each file the dumps write is one entry of the batch's path table, in
+  /// write order, and its requests carry that entry's index. With a
   /// non-identity --codec the data requests carry *encoded* sizes and their
   /// submit times include the modeled encode cpu (compression happens on the
   /// writer before anything is shipped or submitted); everything above
   /// (task_bytes, bytes_per_dump, total_bytes) stays raw.
-  std::vector<pfs::IoRequest> requests;
+  pfs::IoBatch requests;
   /// Codec accounting: raw vs encoded bytes and modeled encode cpu, per dump
   /// (one chunk per task document; metadata is never compressed). Identity
   /// codec: encoded == raw, zero cpu.
@@ -114,8 +117,9 @@ struct RestartStats {
   /// Restart read requests on the logical clock (submit 0): data fetches per
   /// `staging::RestagePlan::read_requests` (cold PFS reads, or prefetch +
   /// BB-read pairs under `--read_staging bb`), plus root/index metadata
-  /// reads. Feed to pfs::SimFs to time the restart.
-  std::vector<pfs::IoRequest> requests;
+  /// reads. The path table holds one entry per extent, then the root and
+  /// (aggregated) the index. Feed to pfs::SimFs to time the restart.
+  pfs::IoBatch requests;
   /// Decode-side codec ledger (encode_seconds stays 0 — the split that keeps
   /// write-side reports honest).
   codec::CodecStats codec;

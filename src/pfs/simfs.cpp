@@ -27,6 +27,12 @@ std::uint64_t fnv1a(const std::string& s) {
 }
 }  // namespace
 
+std::uint32_t IoBatch::add_file(std::string path) {
+  AMRIO_EXPECTS_MSG(files.size() < UINT32_MAX, "IoBatch: path table is full");
+  files.push_back(std::move(path));
+  return static_cast<std::uint32_t>(files.size() - 1);
+}
+
 SimFs::SimFs(SimFsConfig cfg) : cfg_(cfg) {
   AMRIO_EXPECTS(cfg_.n_ost >= 1);
   AMRIO_EXPECTS(cfg_.stripe_count >= 1 && cfg_.stripe_count <= cfg_.n_ost);
@@ -55,12 +61,39 @@ int SimFs::node_of(int client) const {
          std::max(cfg_.bb.nodes, 1);
 }
 
-std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests) {
-  return run(requests, obs::Probe{});
+std::vector<IoResult> SimFs::run(const IoBatch& batch) {
+  return run(batch, obs::Probe{});
 }
 
-std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
-                                 obs::Probe probe) {
+std::vector<IoResult> SimFs::run(const IoBatch& batch, obs::Probe probe) {
+  const std::vector<IoRequest>& requests = batch.requests;
+  const std::vector<std::string>& files = batch.files;
+  for (const IoRequest& req : requests)
+    AMRIO_EXPECTS_MSG(req.file < files.size(),
+                      "SimFs: request names no entry of the path table");
+
+  // Per-file identity, computed once per table entry: a rank by path text
+  // (equal text, equal rank — one file however many entries name it) and
+  // the first OST of its stripe set, by path hash.
+  std::vector<std::uint32_t> file_rank(files.size());
+  std::vector<int> file_ost(files.size());
+  {
+    std::vector<std::uint32_t> by_text(files.size());
+    for (std::uint32_t f = 0; f < by_text.size(); ++f) by_text[f] = f;
+    std::sort(by_text.begin(), by_text.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return files[a] < files[b];
+              });
+    for (std::size_t k = 0; k < by_text.size(); ++k) {
+      const std::uint32_t f = by_text[k];
+      file_rank[f] = k > 0 && files[f] == files[by_text[k - 1]]
+                         ? file_rank[by_text[k - 1]]
+                         : static_cast<std::uint32_t>(k);
+      file_ost[f] = static_cast<int>(fnv1a(files[f]) %
+                                     static_cast<std::uint64_t>(cfg_.n_ost));
+    }
+  }
+
   // Request state while streaming chunks over the OST layer. Direct writes,
   // direct reads, burst-buffer drains, and prefetches all become flights;
   // they differ only in the client-side rate cap and in what happens at
@@ -115,10 +148,10 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   };
 
   // Phase 1: metadata. The MDS services creates FIFO by submit time; ties are
-  // broken by (client, file) then request index, so the service order — and
-  // with it every downstream time — is independent of request-list order for
-  // distinct (client, file) pairs (documented guarantee; drain replays rely
-  // on it).
+  // broken by (client, path text) then request index, so the service order —
+  // and with it every downstream time — is independent of request-list and
+  // path-table order for distinct (client, file) pairs (documented
+  // guarantee; drain replays rely on it).
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -128,7 +161,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
                      if (ra.submit_time != rb.submit_time)
                        return ra.submit_time < rb.submit_time;
                      if (ra.client != rb.client) return ra.client < rb.client;
-                     return ra.file < rb.file;
+                     return file_rank[ra.file] < file_rank[rb.file];
                    });
 
   const bool bb_on = cfg_.bb.enabled;
@@ -221,18 +254,19 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   // evicts) its own size from the staged pool in FIFO order — so reads
   // interleave with prefetch waves instead of deadlocking when the staging
   // area cannot hold the whole image at once. Keys are deterministic (node
-  // id + file name); per-key state counts outstanding prefetches and tracks
-  // the staged-byte pool with the time it last grew.
-  auto bb_key = [this](const IoRequest& req) {
-    return std::to_string(node_of(req.client)) + '|' + req.file;
+  // id, path-text rank); per-key state counts outstanding prefetches and
+  // tracks the staged-byte pool with the time it last grew.
+  auto bb_key = [&](const IoRequest& req) {
+    const auto node = static_cast<std::uint64_t>(node_of(req.client));
+    return (node << 32) | file_rank[req.file];
   };
   struct PrefetchState {
     int pending = 0;             // prefetches of this key not yet complete
     std::uint64_t resident = 0;  // staged bytes not yet consumed by reads
     double resident_time = 0.0;  // latest completion that grew `resident`
   };
-  std::map<std::string, PrefetchState> prefetch_state;
-  std::map<std::string, std::vector<std::size_t>> read_waiters;
+  std::map<std::uint64_t, PrefetchState> prefetch_state;
+  std::map<std::uint64_t, std::vector<std::size_t>> read_waiters;
   if (bb_on) {
     for (const auto& req : requests)
       if (req.op == kOpPrefetch && req.bytes > 0)
@@ -240,8 +274,6 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
   }
 
   double mds_free = 0.0;
-  const std::string* hashed_file = nullptr;  // consecutive opens share paths
-  std::uint64_t file_hash = 0;
   for (std::size_t idx : order) {
     const IoRequest& req = requests[idx];
     AMRIO_EXPECTS(req.client >= 0);
@@ -271,12 +303,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     res.bytes = req.bytes;
     res.op = req.op;
     res.tier = (staged || prefetch || bb_read) ? kTierBurstBuffer : kTierPfs;
-    if (hashed_file == nullptr || *hashed_file != req.file) {
-      file_hash = fnv1a(req.file);
-      hashed_file = &req.file;
-    }
-    res.first_ost =
-        static_cast<int>(file_hash % static_cast<std::uint64_t>(cfg_.n_ost));
+    res.first_ost = file_ost[req.file];
   }
 
   // Opens enter the queue lazily: before each pop, every open due no later
@@ -352,7 +379,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     if (ev.kind == kBbRead) {
       const std::size_t idx = ev.id;
       const IoRequest& req = requests[idx];
-      const std::string key = bb_key(req);
+      const std::uint64_t key = bb_key(req);
       const auto pf = prefetch_state.find(key);
       double start = ev.time;
       if (pf != prefetch_state.end()) {
@@ -489,7 +516,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
         --nd.idle_prefetch_streams;
         pq.push({end, kChunk, seq++, start_flight(next, end)});
       }
-      const std::string key = bb_key(requests[done.index]);
+      const std::uint64_t key = bb_key(requests[done.index]);
       PrefetchState& st = prefetch_state[key];
       --st.pending;
       st.resident += res.bytes;
@@ -578,7 +605,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           obs::Span s;
           s.rank = req.client;
           s.stage = is_write ? "pfs_write" : "pfs_read";
-          s.detail = req.file;
+          s.detail = files[req.file];
           s.start = res.open_start;
           s.end = res.end;
           s.wait = queue_wait;
@@ -606,7 +633,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           obs::Span absorb;
           absorb.rank = req.client;
           absorb.stage = "bb_absorb";
-          absorb.detail = req.file;
+          absorb.detail = files[req.file];
           absorb.start = res.open_start;
           absorb.end = res.end;
           absorb.wait = stall;
@@ -620,7 +647,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
             st.parent = absorb_id;
             st.rank = req.client;
             st.stage = "bb_stall";
-            st.detail = req.file;
+            st.detail = files[req.file];
             st.start = res.open_end;
             st.end = a.absorb_start;
             st.wait = stall;
@@ -630,7 +657,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           obs::Span drain;
           drain.rank = req.client;
           drain.stage = "bb_drain";
-          drain.detail = req.file;
+          drain.detail = files[req.file];
           drain.start = res.end;
           drain.end = res.pfs_end;
           drain.wait = slot_wait;
@@ -655,7 +682,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           obs::Span s;
           s.rank = req.client;
           s.stage = "bb_prefetch";
-          s.detail = req.file;
+          s.detail = files[req.file];
           s.start = res.open_start;
           s.end = res.end;
           s.wait = wait;
@@ -678,7 +705,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
           obs::Span s;
           s.rank = req.client;
           s.stage = "bb_read";
-          s.detail = req.file;
+          s.detail = files[req.file];
           s.start = res.open_start;
           s.end = res.end;
           s.wait = wait;
@@ -701,7 +728,7 @@ std::vector<IoResult> SimFs::run(const std::vector<IoRequest>& requests,
     // key's prefetches are indexed once, sorted by (end, request index).
     if (tr != nullptr && bb_on) {
       using Wave = std::pair<double, std::size_t>;  // (end, request index)
-      std::map<std::string, std::vector<Wave>> waves;
+      std::map<std::uint64_t, std::vector<Wave>> waves;
       for (std::size_t j = 0; j < requests.size(); ++j)
         if (requests[j].op == kOpPrefetch && span_of[j] != 0)
           waves[bb_key(requests[j])].emplace_back(results[j].end, j);

@@ -10,9 +10,9 @@
 /// Model:
 ///  * a single metadata server serializes file creates (`mds_latency` each);
 ///    requests are serviced in submit-time order, with submit-time ties
-///    broken deterministically by (client, file) — so staged drain replays
-///    are reproducible no matter which engine (or request-list order)
-///    produced them;
+///    broken deterministically by (client, path text) — so staged drain
+///    replays are reproducible no matter which engine (or request-list or
+///    path-table order) produced them;
 ///  * each file is striped over `stripe_count` object storage targets (OSTs)
 ///    selected by file-name hash;
 ///  * writes are split into `stripe_size` chunks issued round-robin over the
@@ -36,7 +36,7 @@
 ///  * `kOpRead` + `kTierPfs`: a cold fetch off the OSTs. Chunks stream over
 ///    the file's stripe set through the same contention timeline writes use
 ///    (reads and writes share the OST FIFOs), capped by the client NIC;
-///    submit-time ties obey the same documented (client, file) order.
+///    submit-time ties obey the same documented (client, path text) order.
 ///  * `kOpPrefetch` (+ BB tier enabled): the drain in reverse — an OST→node
 ///    transfer at `drain_bandwidth` per stream, bounded by
 ///    `prefetch_concurrency` streams per node, reserving staging `capacity`
@@ -61,9 +61,12 @@
 ///
 /// Memory: beyond the batch and its results, a replay holds only what is
 /// live — opens enter the event queue as the clock reaches them and a
-/// flight exists from its first chunk to its last. Per-request
-/// observability bookkeeping exists only when the run carries a probe.
+/// flight exists from its first chunk to its last. Per-file work (hashing a
+/// path to its stripe set, ranking it by text) is done once per table
+/// entry, not per request. Per-request observability bookkeeping exists
+/// only when the run carries a probe.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -120,10 +123,13 @@ struct SimFsConfig {
   TierConfig bb;                    ///< optional burst-buffer staging tier
 };
 
+/// One I/O request of a batch. It names its file by index into the batch's
+/// path table (IoBatch::files), so a request is 32 bytes and holds no heap
+/// memory however many requests share a path.
 struct IoRequest {
   int client = 0;
+  std::uint32_t file = 0;  ///< index into IoBatch::files
   double submit_time = 0.0;
-  std::string file;
   /// Bytes to serve. Workloads with an in-situ codec stage (amrio::codec)
   /// submit *encoded* sizes here — what actually crosses the NIC and lands
   /// on the OSTs/tier — with the modeled encode cpu already folded into
@@ -137,6 +143,31 @@ struct IoRequest {
   /// with a codec stage, decode cpu accounted upstream), or kOpPrefetch
   /// (OST→BB staging of `bytes` ahead of BB-tier reads).
   int op = kOpWrite;
+};
+static_assert(sizeof(IoRequest) == 32, "IoRequest is four 8-byte words");
+
+/// A batch SimFs replays: each path stored once in `files`, and requests
+/// that name theirs by index. A file's identity is its path text, not its
+/// index — two entries with equal text are one file (one stripe set, one
+/// burst-buffer prefetch key), and ties follow the text, so reordering the
+/// table changes no result.
+struct IoBatch {
+  std::vector<std::string> files;  ///< path table
+  std::vector<IoRequest> requests;
+
+  /// Append `path` to the table and return its index for IoRequest::file.
+  std::uint32_t add_file(std::string path);
+  const std::string& path(const IoRequest& req) const {
+    return files[req.file];
+  }
+
+  std::size_t size() const { return requests.size(); }
+  bool empty() const { return requests.empty(); }
+  const IoRequest& operator[](std::size_t i) const { return requests[i]; }
+  std::vector<IoRequest>::const_iterator begin() const {
+    return requests.begin();
+  }
+  std::vector<IoRequest>::const_iterator end() const { return requests.end(); }
 };
 
 struct IoResult {
@@ -162,11 +193,11 @@ class SimFs {
  public:
   explicit SimFs(SimFsConfig cfg);
 
-  /// Simulate the batch; result[i] corresponds to request[i]. The simulation
+  /// Simulate the batch; result[i] corresponds to batch[i]. The simulation
   /// is deterministic for a given config (including seed) and request *set*:
-  /// submit-time ties are served in (client, file) order regardless of the
-  /// order requests appear in the list.
-  std::vector<IoResult> run(const std::vector<IoRequest>& requests);
+  /// submit-time ties are served in (client, path text) order regardless of
+  /// the order requests appear in the list or paths in the table.
+  std::vector<IoResult> run(const IoBatch& batch);
 
   /// Instrumented run: identical timeline, plus per-request spans and tier
   /// metrics on `probe`. Spans land on the client's rank track —
@@ -179,8 +210,7 @@ class SimFs {
   /// bb.drain_streams_busy virtual-time series. Emission happens after the
   /// event loop in request-index order, so the spans are as deterministic as
   /// the results.
-  std::vector<IoResult> run(const std::vector<IoRequest>& requests,
-                            obs::Probe probe);
+  std::vector<IoResult> run(const IoBatch& batch, obs::Probe probe);
 
   /// Staging node of a client ((client / bb.ranks_per_node) % bb.nodes),
   /// exposed for tests.

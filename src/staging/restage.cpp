@@ -26,36 +26,40 @@ double RestagePlan::decode_gate() const {
   return gate;
 }
 
-std::vector<pfs::IoRequest> RestagePlan::read_requests(double clock,
-                                                       bool prefetch) const {
-  std::vector<pfs::IoRequest> reqs;
+pfs::IoBatch RestagePlan::read_requests(double clock, bool prefetch) const {
+  pfs::IoBatch batch;
+  batch.files.reserve(extents.size());
+  for (const auto& e : extents) batch.files.push_back(e.file);
   // Fetch units: whole extents when an aggregator pulls for its group, the
-  // rank's own slice otherwise.
+  // rank's own slice otherwise. Extent e is path-table entry e.
   struct Fetch {
     int client;
-    const std::string* file;
+    std::uint32_t file;
     std::uint64_t bytes;
   };
   std::vector<Fetch> fetches;
   if (aggregated_) {
     fetches.reserve(extents.size());
-    for (const auto& e : extents)
-      fetches.push_back({e.reader, &e.file, e.encoded_bytes});
+    for (std::size_t e = 0; e < extents.size(); ++e)
+      fetches.push_back({extents[e].reader, static_cast<std::uint32_t>(e),
+                         extents[e].encoded_bytes});
   } else {
     fetches.reserve(slices.size());
     for (const auto& s : slices)
-      fetches.push_back({s.rank, &s.file, s.encoded_bytes});
+      fetches.push_back({s.rank, static_cast<std::uint32_t>(s.extent),
+                         s.encoded_bytes});
   }
-  reqs.reserve(fetches.size() * (prefetch ? 2 : 1));
+  batch.requests.reserve(fetches.size() * (prefetch ? 2 : 1));
   for (const auto& f : fetches) {
     if (prefetch)
-      reqs.push_back(pfs::IoRequest{f.client, clock, *f.file, f.bytes,
-                                    pfs::kTierBurstBuffer, pfs::kOpPrefetch});
-    reqs.push_back(pfs::IoRequest{
-        f.client, clock, *f.file, f.bytes,
+      batch.requests.push_back(pfs::IoRequest{f.client, f.file, clock, f.bytes,
+                                              pfs::kTierBurstBuffer,
+                                              pfs::kOpPrefetch});
+    batch.requests.push_back(pfs::IoRequest{
+        f.client, f.file, clock, f.bytes,
         prefetch ? pfs::kTierBurstBuffer : pfs::kTierPfs, pfs::kOpRead});
   }
-  return reqs;
+  return batch;
 }
 
 RestagePlan make_restage_plan(const std::vector<std::string>& files,

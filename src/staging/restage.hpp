@@ -82,8 +82,9 @@ class RestagePlan {
   ///    drain bandwidth, bounded streams) plus a BB-tier `kOpRead` of the
   ///    same (client, file) — SimFs gates the read on the prefetch landing.
   /// Request sizes are encoded bytes; decode cpu is NOT folded in (it is
-  /// paid after the fetch — read it off `decode_gate()` / the slices).
-  std::vector<pfs::IoRequest> read_requests(double clock, bool prefetch) const;
+  /// paid after the fetch — read it off `decode_gate()` / the slices). The
+  /// batch's path table holds one entry per extent, in extent order.
+  pfs::IoBatch read_requests(double clock, bool prefetch) const;
 
  private:
   friend RestagePlan make_restage_plan(const std::vector<std::string>&,

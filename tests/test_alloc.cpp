@@ -3,9 +3,10 @@
 /// the nothrow forms forward to it), so only the code under test runs with
 /// the counter.
 ///
-/// A MIF rank-dump on the event engine allocates its file path and, on rank
-/// 0, the copy of that path in its pfs::IoRequest — nothing else once the
-/// engine's message pool and slice arena have grown in the first dump.
+/// A MIF rank-dump on the event engine allocates its file path — nothing else
+/// once the engine's message pool and slice arena have grown in the first
+/// dump. Rank 0 records each request with an index into the dump's path
+/// table, so a request copies no path.
 
 #include <gtest/gtest.h>
 
@@ -70,13 +71,14 @@ TEST(Allocations, MifRankDumpAllocatesItsPathOnly) {
   const std::uint64_t one = allocations_of_dump(1);
   const std::uint64_t two = allocations_of_dump(2);
   ASSERT_GT(two, one);
-  // The second dump's allocations: two per rank (the path and its request
-  // copy) plus a per-dump allowance that does not grow with the rank count —
-  // each file's path-table node and key (16 data files and the root file),
-  // one handle-table block per 1,024 opens, the gathered byte counts, the
-  // codec plans, the root document and the request vector's growth.
+  // The second dump's allocations: one per rank (its path) plus a per-dump
+  // allowance that does not grow with the rank count — each file's backend
+  // path-table node and key and its entry in the request batch's path table
+  // (16 data files and the root file), one handle-table block per 1,024
+  // opens, the gathered byte counts, the codec plans, the root document and
+  // the growth of the request vector and the path table.
   constexpr std::uint64_t kPerDump = 128;
-  EXPECT_LE(two - one, 2u * kRanks + kPerDump)
+  EXPECT_LE(two - one, 1u * kRanks + kPerDump)
       << (static_cast<double>(two - one) / kRanks)
       << " allocations per rank-dump";
 }

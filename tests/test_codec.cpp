@@ -299,7 +299,7 @@ TEST_P(CodecMacsio, IdentityIsByteIdenticalToUncodedStaging) {
   const st::AggregationConfig agg_cfg{params.aggregators,
                                       params.agg_link_bandwidth, 1.0e-6};
   for (const auto& req : stats.requests) {
-    if (req.file.find("_agg_") == std::string::npos) continue;
+    if (stats.requests.path(req).find("_agg_") == std::string::npos) continue;
     const int g = topo.group_of(req.client);
     std::uint64_t subfile = 0;
     std::uint64_t shipped = 0;
@@ -359,7 +359,7 @@ TEST_P(CodecMacsio, RawAccountingConservedWhileWireAndTierShrink) {
       const auto path = mc::aggregated_file_path(params, g, dump);
       bool found = false;
       for (const auto& req : stats.requests) {
-        if (req.file != path) continue;
+        if (stats.requests.path(req) != path) continue;
         found = true;
         EXPECT_EQ(req.bytes, group_encoded[g]) << path;
         EXPECT_GT(req.submit_time, dump * params.compute_time) << path;
@@ -393,7 +393,8 @@ TEST_P(CodecMacsio, UnaggregatedRequestsCarryEncodedSizesAndCpuDelay) {
   const auto stats = mc::run_macsio(*engine, params, be);
   const auto codec = cd::make_codec(params.codec_spec());
   for (const auto& req : stats.requests) {
-    if (req.file.find("/data/") == std::string::npos) continue;
+    if (stats.requests.path(req).find("/data/") == std::string::npos)
+      continue;
     const int dump = static_cast<int>(
         (req.submit_time + 1e-12) / params.compute_time);
     const std::uint64_t raw =

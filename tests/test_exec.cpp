@@ -364,7 +364,7 @@ TEST(EngineParity, RequestStreamsIdenticalAcrossEngines) {
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].client, rb[i].client) << i;
     EXPECT_DOUBLE_EQ(ra[i].submit_time, rb[i].submit_time) << i;
-    EXPECT_EQ(ra[i].file, rb[i].file) << i;
+    EXPECT_EQ(ra.path(ra[i]), rb.path(rb[i])) << i;  // text, not index
     EXPECT_EQ(ra[i].bytes, rb[i].bytes) << i;
   }
 }

@@ -319,7 +319,7 @@ TEST(Driver, RequestsCarryPerTaskBytes) {
       const std::string path = mc::dump_file_path(params, r, dump);
       int matches = 0;
       for (const auto& req : stats.requests) {
-        if (req.file != path) continue;
+        if (stats.requests.path(req) != path) continue;
         ++matches;
         EXPECT_EQ(req.client, r) << path;
         EXPECT_EQ(req.bytes, stats.task_bytes[static_cast<std::size_t>(dump)]

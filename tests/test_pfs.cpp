@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -18,17 +19,26 @@
 #include "pfs/timeline.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "named_requests.hpp"
 
 namespace p = amrio::pfs;
+using amrio_test::make_batch;
+using amrio_test::NamedRequest;
 
 namespace {
 std::span<const std::byte> as_bytes(const std::string& s) {
   return std::as_bytes(std::span<const char>(s.data(), s.size()));
 }
 
+/// `prefix` followed by `i` in decimal.
+std::string numbered(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 /// The first OST SimFs stripes `file` over, as a one-byte write reports it.
 int first_ost(const p::SimFsConfig& cfg, const std::string& file) {
-  return p::SimFs(cfg).run({{0, 0.0, file, 1}})[0].first_ost;
+  return p::SimFs(cfg).run(make_batch({{0, 0.0, file, 1}}))[0].first_ost;
 }
 }  // namespace
 
@@ -103,7 +113,7 @@ TEST(MemoryBackend, ConcurrentWritersSafe) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&be, t] {
       for (int i = 0; i < 50; ++i) {
-        p::OutFile f(be, "t" + std::to_string(t) + "_" + std::to_string(i));
+        p::OutFile f(be, numbered(numbered("t", t) + "_", i));
         f.write("data");
       }
     });
@@ -172,7 +182,7 @@ TEST(SimFs, SingleWriteTakesBytesOverBandwidth) {
   cfg.client_bandwidth = 1e9;
   cfg.mds_latency = 0.0;
   p::SimFs fs(cfg);
-  const auto res = fs.run({p::IoRequest{0, 0.0, "f", 1'000'000'000}});
+  const auto res = fs.run(make_batch({{0, 0.0, "f", 1'000'000'000}}));
   ASSERT_EQ(res.size(), 1u);
   EXPECT_NEAR(res[0].end - res[0].open_end, 1.0, 1e-9);
 }
@@ -181,9 +191,9 @@ TEST(SimFs, MdsSerializesCreates) {
   p::SimFsConfig cfg;
   cfg.mds_latency = 0.01;
   p::SimFs fs(cfg);
-  std::vector<p::IoRequest> reqs;
-  for (int i = 0; i < 10; ++i) reqs.push_back({i, 0.0, "f" + std::to_string(i), 0});
-  const auto res = fs.run(reqs);
+  std::vector<NamedRequest> reqs;
+  for (int i = 0; i < 10; ++i) reqs.push_back({i, 0.0, numbered("f", i), 0});
+  const auto res = fs.run(make_batch(reqs));
   // zero-byte creates: total makespan = 10 * mds_latency, strictly serialized
   double max_end = 0.0;
   for (const auto& r : res) max_end = std::max(max_end, r.end);
@@ -198,7 +208,8 @@ TEST(SimFs, ContentionDoublesTimeOnSharedOst) {
   cfg.mds_latency = 0.0;
   p::SimFs fs(cfg);
   const std::uint64_t bytes = 500'000'000;
-  const auto res = fs.run({{0, 0.0, "a", bytes}, {1, 0.0, "b", bytes}});
+  const auto res =
+      fs.run(make_batch({{0, 0.0, "a", bytes}, {1, 0.0, "b", bytes}}));
   double makespan = 0.0;
   for (const auto& r : res) makespan = std::max(makespan, r.end);
   EXPECT_NEAR(makespan, 1.0, 1e-6);  // 1 GB through 1 GB/s OST
@@ -220,7 +231,8 @@ TEST(SimFs, DisjointOstsRunInParallel) {
   }
   ASSERT_NE(first_ost(cfg, f1), first_ost(cfg, f2));
   const std::uint64_t bytes = 500'000'000;
-  const auto res = fs.run({{0, 0.0, f1, bytes}, {1, 0.0, f2, bytes}});
+  const auto res =
+      fs.run(make_batch({{0, 0.0, f1, bytes}, {1, 0.0, f2, bytes}}));
   double makespan = 0.0;
   for (const auto& r : res) makespan = std::max(makespan, r.end);
   EXPECT_NEAR(makespan, 0.5, 1e-6);
@@ -233,7 +245,7 @@ TEST(SimFs, ClientBandwidthCaps) {
   cfg.client_bandwidth = 1e9;  // NIC is the bottleneck
   cfg.mds_latency = 0.0;
   p::SimFs fs(cfg);
-  const auto res = fs.run({{0, 0.0, "f", 2'000'000'000}});
+  const auto res = fs.run(make_batch({{0, 0.0, "f", 2'000'000'000}}));
   EXPECT_NEAR(res[0].end, 2.0, 1e-6);
 }
 
@@ -241,16 +253,16 @@ TEST(SimFs, DeterministicForSeed) {
   p::SimFsConfig cfg;
   cfg.variability_sigma = 0.3;
   cfg.seed = 42;
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 20; ++i)
-    reqs.push_back({i % 4, 0.1 * i, "f" + std::to_string(i), 1'000'000});
-  const auto a = p::SimFs(cfg).run(reqs);
-  const auto b = p::SimFs(cfg).run(reqs);
+    reqs.push_back({i % 4, 0.1 * i, numbered("f", i), 1'000'000});
+  const auto a = p::SimFs(cfg).run(make_batch(reqs));
+  const auto b = p::SimFs(cfg).run(make_batch(reqs));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_DOUBLE_EQ(a[i].end, b[i].end);
   cfg.seed = 43;
-  const auto c = p::SimFs(cfg).run(reqs);
+  const auto c = p::SimFs(cfg).run(make_batch(reqs));
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i)
     if (a[i].end != c[i].end) any_diff = true;
@@ -261,12 +273,12 @@ TEST(SimFs, VariabilityPreservesMeanRoughly) {
   p::SimFsConfig base;
   base.n_ost = 16;
   base.mds_latency = 0.0;
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 200; ++i)
-    reqs.push_back({i % 8, 0.0, "f" + std::to_string(i), 4'000'000});
-  const auto clean = p::SimFs(base).run(reqs);
+    reqs.push_back({i % 8, 0.0, numbered("f", i), 4'000'000});
+  const auto clean = p::SimFs(base).run(make_batch(reqs));
   base.variability_sigma = 0.2;
-  const auto noisy = p::SimFs(base).run(reqs);
+  const auto noisy = p::SimFs(base).run(make_batch(reqs));
   double clean_total = 0.0;
   double noisy_total = 0.0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -282,14 +294,14 @@ TEST(SimFs, SubmitTimeTiesServedInClientFileOrder) {
   // order they appear in the request list.
   p::SimFsConfig cfg;
   cfg.mds_latency = 0.01;
-  std::vector<p::IoRequest> forward;
+  std::vector<NamedRequest> forward;
   for (int c = 0; c < 3; ++c)
     for (const char* f : {"alpha", "beta"})
       forward.push_back({c, 1.0, std::string("dir/") + f, 1000});
-  std::vector<p::IoRequest> reversed(forward.rbegin(), forward.rend());
+  std::vector<NamedRequest> reversed(forward.rbegin(), forward.rend());
 
-  const auto res_fwd = p::SimFs(cfg).run(forward);
-  const auto res_rev = p::SimFs(cfg).run(reversed);
+  const auto res_fwd = p::SimFs(cfg).run(make_batch(forward));
+  const auto res_rev = p::SimFs(cfg).run(make_batch(reversed));
 
   // same (client, file) pair gets the same service times either way
   for (std::size_t i = 0; i < forward.size(); ++i) {
@@ -310,14 +322,14 @@ TEST(SimFs, ReadTiesOnASharedExtentSerializeInClientFileOrder) {
   // pinned by tests/test_restart.cpp over SerialEngine and SpmdEngine).
   p::SimFsConfig cfg;
   cfg.mds_latency = 0.01;
-  std::vector<p::IoRequest> forward;
+  std::vector<NamedRequest> forward;
   for (int c = 0; c < 2; ++c)
     forward.push_back(
         {c, 1.0, "data/shared_restart", 4'000'000, p::kTierPfs, p::kOpRead});
-  std::vector<p::IoRequest> reversed(forward.rbegin(), forward.rend());
+  std::vector<NamedRequest> reversed(forward.rbegin(), forward.rend());
 
-  const auto res_fwd = p::SimFs(cfg).run(forward);
-  const auto res_rev = p::SimFs(cfg).run(reversed);
+  const auto res_fwd = p::SimFs(cfg).run(make_batch(forward));
+  const auto res_rev = p::SimFs(cfg).run(make_batch(reversed));
 
   // client 0 opens first; both reads hit the same stripe set, so the later
   // client queues behind the earlier one's chunks on the OST FIFO
@@ -340,13 +352,13 @@ TEST(SimFs, ReadsAndWritesShareTheOstFifos) {
   // set: the second request's chunks queue behind the first's.
   p::SimFsConfig cfg;
   cfg.mds_latency = 0.0;
-  std::vector<p::IoRequest> alone = {
+  std::vector<NamedRequest> alone = {
       {0, 0.0, "data/ckpt", 8'000'000, p::kTierPfs, p::kOpRead}};
-  const auto solo = p::SimFs(cfg).run(alone);
-  std::vector<p::IoRequest> contended = {
+  const auto solo = p::SimFs(cfg).run(make_batch(alone));
+  std::vector<NamedRequest> contended = {
       {0, 0.0, "data/ckpt", 8'000'000, p::kTierPfs, p::kOpRead},
       {1, 0.0, "data/ckpt", 8'000'000, p::kTierPfs, p::kOpWrite}};
-  const auto both = p::SimFs(cfg).run(contended);
+  const auto both = p::SimFs(cfg).run(make_batch(contended));
   EXPECT_GT(both[0].end, solo[0].end);  // the write stole OST service time
 }
 
@@ -361,10 +373,10 @@ TEST(SimFs, PrefetchGatesTheBbReadAndBbOffCollapsesToDirect) {
   cfg.bb.drain_bandwidth = 0.5e9;
   cfg.bb.read_bandwidth = 10.0e9;
   const std::uint64_t bytes = 1'000'000'000;
-  std::vector<p::IoRequest> reqs = {
+  std::vector<NamedRequest> reqs = {
       {0, 0.0, "data/ckpt", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {0, 0.0, "data/ckpt", bytes, p::kTierBurstBuffer, p::kOpRead}};
-  const auto res = p::SimFs(cfg).run(reqs);
+  const auto res = p::SimFs(cfg).run(make_batch(reqs));
   // prefetch: OST→node at min(drain_bw, ost_bw) = 0.5e9 → 2s; the read
   // waits for it, then takes bytes/read_bw = 0.1s node-locally
   EXPECT_NEAR(res[0].end, 2.0, 1e-9);
@@ -375,11 +387,11 @@ TEST(SimFs, PrefetchGatesTheBbReadAndBbOffCollapsesToDirect) {
   // exactly like the write path's tier-tag contract
   p::SimFsConfig off = cfg;
   off.bb.enabled = false;
-  const auto collapsed = p::SimFs(off).run(reqs);
-  std::vector<p::IoRequest> direct = {
+  const auto collapsed = p::SimFs(off).run(make_batch(reqs));
+  std::vector<NamedRequest> direct = {
       {0, 0.0, "data/ckpt", bytes, p::kTierPfs, p::kOpRead},
       {0, 0.0, "data/ckpt", bytes, p::kTierPfs, p::kOpRead}};
-  const auto reference = p::SimFs(off).run(direct);
+  const auto reference = p::SimFs(off).run(make_batch(direct));
   for (std::size_t i = 0; i < collapsed.size(); ++i) {
     EXPECT_EQ(collapsed[i].tier, p::kTierPfs);
     EXPECT_DOUBLE_EQ(collapsed[i].end, reference[i].end);
@@ -402,12 +414,12 @@ TEST(SimFs, SharedFileReadsConsumeTheStagedPoolInFifoOrder) {
   cfg.bb.prefetch_concurrency = 1;
   cfg.bb.read_bandwidth = 10.0e9;
   const std::uint64_t bytes = 1'000'000'000;
-  std::vector<p::IoRequest> reqs = {
+  std::vector<NamedRequest> reqs = {
       {0, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {0, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpRead},
       {1, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {1, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpRead}};
-  const auto res = p::SimFs(cfg).run(reqs);
+  const auto res = p::SimFs(cfg).run(make_batch(reqs));
   EXPECT_NEAR(res[0].end, 2.0, 1e-6);  // slices serialize on the one stream
   EXPECT_NEAR(res[2].end, 4.0, 1e-6);
   EXPECT_NEAR(res[1].end, 2.1, 1e-6);  // first read: first slice + 0.1s
@@ -425,12 +437,12 @@ TEST(SimFs, ReadsInterleaveWithPrefetchWavesUnderTightCapacity) {
   cfg.bb.ranks_per_node = 8;
   cfg.bb.capacity = 1'000'000'000;
   const std::uint64_t bytes = 600'000'000;
-  std::vector<p::IoRequest> reqs = {
+  std::vector<NamedRequest> reqs = {
       {0, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {0, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpRead},
       {1, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {1, 0.0, "data/shared", bytes, p::kTierBurstBuffer, p::kOpRead}};
-  const auto res = p::SimFs(cfg).run(reqs);
+  const auto res = p::SimFs(cfg).run(make_batch(reqs));
   for (const auto& r : res) {
     EXPECT_GT(r.end, 0.0);  // everything was actually served
     EXPECT_GT(r.bandwidth(), 0.0);
@@ -441,10 +453,10 @@ TEST(SimFs, ReadsInterleaveWithPrefetchWavesUnderTightCapacity) {
 
   // prefetch reservations over capacity with nothing to evict between
   // waves can never drain — that must fail loudly, not return zeros
-  std::vector<p::IoRequest> stuck = {
+  std::vector<NamedRequest> stuck = {
       {0, 0.0, "data/e0", bytes, p::kTierBurstBuffer, p::kOpPrefetch},
       {1, 0.0, "data/e1", bytes, p::kTierBurstBuffer, p::kOpPrefetch}};
-  EXPECT_THROW(p::SimFs(cfg).run(stuck), amrio::ContractViolation);
+  EXPECT_THROW(p::SimFs(cfg).run(make_batch(stuck)), amrio::ContractViolation);
 }
 
 TEST(SimFs, UnmatchedBbReadNeverStealsReservedCapacity) {
@@ -458,12 +470,12 @@ TEST(SimFs, UnmatchedBbReadNeverStealsReservedCapacity) {
   cfg.bb.nodes = 1;
   cfg.bb.ranks_per_node = 8;
   cfg.bb.capacity = 1'000'000'000;
-  std::vector<p::IoRequest> reqs = {
+  std::vector<NamedRequest> reqs = {
       {0, 0.0, "data/w0", 600'000'000, p::kTierBurstBuffer, p::kOpWrite},
       {1, 0.0, "data/never_prefetched", 600'000'000, p::kTierBurstBuffer,
        p::kOpRead},
       {2, 5.0, "data/w1", 500'000'000, p::kTierBurstBuffer, p::kOpWrite}};
-  const auto res = p::SimFs(cfg).run(reqs);
+  const auto res = p::SimFs(cfg).run(make_batch(reqs));
   // the late write absorbs normally once the first drain freed its space
   EXPECT_GT(res[2].end, res[2].open_end);  // it actually transferred
   EXPECT_NEAR(res[2].end, 5.0 + 500'000'000 / cfg.bb.write_bandwidth, 1e-6);
@@ -495,17 +507,17 @@ TEST(SimFs, PrefetchStreamsAreBoundedPerNode) {
       osts.push_back(ost);
     }
   }
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 3; ++i)
     reqs.push_back({i, 0.0, names[static_cast<std::size_t>(i)], 1'000'000'000,
                     p::kTierBurstBuffer, p::kOpPrefetch});
-  const auto res = p::SimFs(cfg).run(reqs);
+  const auto res = p::SimFs(cfg).run(make_batch(reqs));
   double last = 0.0;
   for (const auto& r : res) last = std::max(last, r.end);
   EXPECT_NEAR(last, 3.0, 1e-6);  // 1s each, strictly serialized
 
   cfg.bb.prefetch_concurrency = 3;
-  const auto wide = p::SimFs(cfg).run(reqs);
+  const auto wide = p::SimFs(cfg).run(make_batch(reqs));
   double wide_last = 0.0;
   for (const auto& r : wide) wide_last = std::max(wide_last, r.end);
   EXPECT_LT(wide_last, 1.5);  // distinct files hash over 8 OSTs: parallel
@@ -535,14 +547,13 @@ std::uint64_t results_digest(const std::vector<p::IoResult>& results) {
   }
   return h;
 }
-}  // namespace
 
-TEST(SimFs, MixedTieredBatchIsPinned) {
-  // Direct writes, staged writes, cold reads, and prefetch + BB-read waves
-  // of one shared restart file per node, on a tight staging tier with
-  // service noise. mds_latency = 0 makes the opens of every kind tie at
-  // each submit time, so the pinned digest fixes the event order across
-  // kinds, the RNG draw order and the capacity/stream hand-offs.
+/// Direct writes, staged writes, cold reads, and prefetch + BB-read waves
+/// of one shared restart file per node, on a tight staging tier with
+/// service noise. mds_latency = 0 makes the opens of every kind tie at
+/// each submit time, so a digest of its results fixes the event order
+/// across kinds, the RNG draw order and the capacity/stream hand-offs.
+p::SimFsConfig mixed_tiered_config() {
   p::SimFsConfig cfg;
   cfg.n_ost = 4;
   cfg.stripe_count = 2;
@@ -559,8 +570,12 @@ TEST(SimFs, MixedTieredBatchIsPinned) {
   cfg.bb.capacity = 9'000'000;
   cfg.bb.drain_concurrency = 2;
   cfg.bb.prefetch_concurrency = 1;
+  return cfg;
+}
+
+std::vector<NamedRequest> mixed_tiered_requests() {
   const std::uint64_t mb = 1'000'000;
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int c = 0; c < 8; ++c) {
     const double t = 0.01 * (c % 3);
     const auto u = static_cast<std::uint64_t>(c);
@@ -574,7 +589,14 @@ TEST(SimFs, MixedTieredBatchIsPinned) {
         {c, t, shared, 4 * mb, p::kTierBurstBuffer, p::kOpPrefetch});
     reqs.push_back({c, t, shared, 4 * mb, p::kTierBurstBuffer, p::kOpRead});
   }
-  const auto plain = p::SimFs(cfg).run(reqs);
+  return reqs;
+}
+}  // namespace
+
+TEST(SimFs, MixedTieredBatchIsPinned) {
+  const p::SimFsConfig cfg = mixed_tiered_config();
+  const p::IoBatch batch = make_batch(mixed_tiered_requests());
+  const auto plain = p::SimFs(cfg).run(batch);
   EXPECT_EQ(results_digest(plain), 0xbc0b1310587c556cull);
 
   // Observability never perturbs the timeline.
@@ -582,7 +604,7 @@ TEST(SimFs, MixedTieredBatchIsPinned) {
   amrio::obs::MetricsRegistry metrics;
   amrio::obs::ResourceLedger ledger;
   const auto probed =
-      p::SimFs(cfg).run(reqs, amrio::obs::Probe{&tracer, &metrics, &ledger});
+      p::SimFs(cfg).run(batch, amrio::obs::Probe{&tracer, &metrics, &ledger});
   EXPECT_EQ(results_digest(probed), results_digest(plain));
   // The batch exercises what it is meant to pin.
   EXPECT_GT(metrics.snapshot().counters.at("simfs.bb.capacity_stalls"), 0);
@@ -590,6 +612,80 @@ TEST(SimFs, MixedTieredBatchIsPinned) {
   for (const auto& s : tracer.spans())
     gated += s.resource == "prefetch_gate" ? 1 : 0;
   EXPECT_GT(gated, 0u);
+}
+
+TEST(SimFs, PathTableOrderDoesNotChangeResults) {
+  // A file is its path text, not its table index: MDS ties, stripe sets and
+  // prefetch keys all follow the text, so the mixed batch over a table in
+  // reverse path order replays to the results of its string-named requests
+  // (digests pinned from a replay that named files by string).
+  const p::IoBatch forward = make_batch(mixed_tiered_requests());
+  std::vector<std::uint32_t> by_text(forward.files.size());
+  std::iota(by_text.begin(), by_text.end(), 0u);
+  std::sort(by_text.begin(), by_text.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return forward.files[a] > forward.files[b];
+            });
+  p::IoBatch reversed;
+  std::vector<std::uint32_t> moved_to(forward.files.size());
+  for (std::uint32_t f : by_text)
+    moved_to[f] = reversed.add_file(forward.files[f]);
+  reversed.requests = forward.requests;
+  for (auto& req : reversed.requests) req.file = moved_to[req.file];
+
+  p::SimFsConfig cfg = mixed_tiered_config();
+  for (const auto& [mds, digest] :
+       {std::pair{0.0, 0xbc0b1310587c556cull},
+        std::pair{1.0e-3, 0x626c891488542086ull}}) {
+    cfg.mds_latency = mds;
+    const auto a = p::SimFs(cfg).run(forward);
+    const auto b = p::SimFs(cfg).run(reversed);
+    EXPECT_EQ(results_digest(a), digest) << "mds_latency " << mds;
+    EXPECT_EQ(results_digest(b), digest) << "mds_latency " << mds;
+  }
+}
+
+TEST(SimFs, EqualPathTextInTwoTableSlotsIsOneFile) {
+  // The shared-file restart of SharedFileReadsConsumeTheStagedPoolInFifoOrder
+  // with its requests split across two table entries of the same text: one
+  // stripe set, and one prefetch key, so each read still waits for a slice
+  // staged through the other slot.
+  p::SimFsConfig cfg;
+  cfg.mds_latency = 0.0;
+  cfg.n_ost = 64;
+  cfg.bb.enabled = true;
+  cfg.bb.nodes = 1;
+  cfg.bb.ranks_per_node = 8;
+  cfg.bb.drain_bandwidth = 0.5e9;
+  cfg.bb.prefetch_concurrency = 1;
+  cfg.bb.read_bandwidth = 10.0e9;
+  const std::uint64_t bytes = 1'000'000'000;
+  p::IoBatch split;
+  const std::uint32_t a = split.add_file("data/shared");
+  const std::uint32_t b = split.add_file("data/shared");
+  split.requests = {
+      {0, a, 0.0, bytes, p::kTierBurstBuffer, p::kOpPrefetch},
+      {0, b, 0.0, bytes, p::kTierBurstBuffer, p::kOpRead},
+      {1, b, 0.0, bytes, p::kTierBurstBuffer, p::kOpPrefetch},
+      {1, a, 0.0, bytes, p::kTierBurstBuffer, p::kOpRead}};
+  const auto res = p::SimFs(cfg).run(split);
+  for (const auto& r : res) EXPECT_EQ(r.first_ost, res[0].first_ost);
+  EXPECT_NEAR(res[0].end, 2.0, 1e-6);
+  EXPECT_NEAR(res[1].end, 2.1, 1e-6);
+  EXPECT_NEAR(res[2].end, 4.0, 1e-6);
+  EXPECT_NEAR(res[3].end, 4.1, 1e-6);
+
+  p::IoBatch one = split;
+  one.files.pop_back();
+  for (auto& req : one.requests) req.file = a;
+  EXPECT_EQ(results_digest(p::SimFs(cfg).run(one)), results_digest(res));
+}
+
+TEST(SimFs, RequestOutsideThePathTableIsRejected) {
+  p::IoBatch batch;
+  batch.requests.push_back({0, 0, 0.0, 1});
+  EXPECT_THROW(p::SimFs(p::SimFsConfig{}).run(batch),
+               amrio::ContractViolation);
 }
 
 TEST(SimFs, PrefetchToBbReadEdgesMatchBruteForce) {
@@ -611,7 +707,7 @@ TEST(SimFs, PrefetchToBbReadEdgesMatchBruteForce) {
     cfg.bb.prefetch_concurrency = 1 + static_cast<int>(pick(2));
     const std::uint64_t slice[] = {1'000'000, 2'000'000, 3'000'000};
     cfg.bb.capacity = 2 * slice[2];
-    std::vector<p::IoRequest> reqs;
+    std::vector<NamedRequest> reqs;
     // One prefetch + read per client (so (rank, stage, file) names a
     // request's span), a few unmatched BB reads, and direct writes.
     for (int c = 0; c < 24; ++c) {
@@ -633,7 +729,7 @@ TEST(SimFs, PrefetchToBbReadEdgesMatchBruteForce) {
 
     amrio::obs::Tracer tracer;
     p::SimFs fs(cfg);
-    const auto res = fs.run(reqs, amrio::obs::Probe{&tracer});
+    const auto res = fs.run(make_batch(reqs), amrio::obs::Probe{&tracer});
     std::map<std::tuple<int, std::string, std::string>, amrio::obs::Span>
         by_name;
     for (const auto& s : tracer.spans())
@@ -681,13 +777,14 @@ TEST(SimFs, PrefetchEdgeTieGoesToTheLowestRequestIndex) {
   cfg.bb.drain_bandwidth = 1.0e9;
   cfg.bb.prefetch_concurrency = 2;
   const std::string file = "ckpt/f";
-  const std::vector<p::IoRequest> reqs = {
+  const std::vector<NamedRequest> reqs = {
       {0, 0.0, file, 2'000'000, p::kTierBurstBuffer, p::kOpPrefetch},
       {1, 0.0, file, 1'000'000, p::kTierBurstBuffer, p::kOpPrefetch},
       {2, 0.01, file, 1'000'000, p::kTierBurstBuffer, p::kOpRead},
       {3, 0.01, file, 2'000'000, p::kTierBurstBuffer, p::kOpRead}};
   amrio::obs::Tracer tracer;
-  const auto res = p::SimFs(cfg).run(reqs, amrio::obs::Probe{&tracer});
+  const auto res =
+      p::SimFs(cfg).run(make_batch(reqs), amrio::obs::Probe{&tracer});
   ASSERT_EQ(res[0].end, res[1].end);
 
   std::map<int, std::uint64_t> span_of_rank;

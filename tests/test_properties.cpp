@@ -266,12 +266,12 @@ TEST_P(SimFsProperty, PhysicalSanity) {
   cfg.variability_sigma = rng.uniform() * 0.3;
   cfg.seed = rng.next();
 
-  std::vector<p::IoRequest> reqs;
+  p::IoBatch reqs;
   const int n = 1 + static_cast<int>(rng.uniform_int(50));
   for (int i = 0; i < n; ++i) {
-    reqs.push_back({static_cast<int>(rng.uniform_int(8)),
-                    rng.uniform() * 5.0, "file_" + std::to_string(i),
-                    rng.uniform_int(64 << 20)});
+    reqs.requests.push_back({static_cast<int>(rng.uniform_int(8)),
+                             reqs.add_file("file_" + std::to_string(i)),
+                             rng.uniform() * 5.0, rng.uniform_int(64 << 20)});
   }
   p::SimFs fs(cfg);
   const auto results = fs.run(reqs);

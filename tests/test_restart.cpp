@@ -151,8 +151,12 @@ TEST(RestagePlan, ColdRequestsAreDirectPfsReads) {
   const auto plan = st::make_restage_plan({"f0", "f0", "f1"}, {10, 20, 30},
                                           *codec);
   const auto reqs = plan.read_requests(3.5, /*prefetch=*/false);
-  // flat plan: one read per slice (every rank fetches its own byte range)
+  // flat plan: one read per slice (every rank fetches its own byte range),
+  // one path-table entry per distinct file
   ASSERT_EQ(reqs.size(), 3u);
+  EXPECT_EQ(reqs.files, (std::vector<std::string>{"f0", "f1"}));
+  EXPECT_EQ(reqs.path(reqs[1]), "f0");
+  EXPECT_EQ(reqs.path(reqs[2]), "f1");
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(reqs[i].op, p::kOpRead);
@@ -180,7 +184,7 @@ TEST(RestagePlan, PrefetchedRequestsPairPrefetchWithBbRead) {
     EXPECT_EQ(reqs[i + 1].op, p::kOpRead);
     EXPECT_EQ(reqs[i].tier, p::kTierBurstBuffer);
     EXPECT_EQ(reqs[i + 1].tier, p::kTierBurstBuffer);
-    EXPECT_EQ(reqs[i].file, reqs[i + 1].file);
+    EXPECT_EQ(reqs.path(reqs[i]), reqs.path(reqs[i + 1]));
     EXPECT_EQ(reqs[i].client, reqs[i + 1].client);
     EXPECT_EQ(reqs[i].bytes, reqs[i + 1].bytes);
   }
@@ -360,7 +364,7 @@ TEST_P(MacsioRestart, AggregatedRestartIsByteIdenticalAt32Ranks) {
   std::uint64_t data_bytes = 0;
   for (const auto& req : restart.requests) {
     ASSERT_EQ(req.op, p::kOpRead);
-    if (req.file.find("/metadata/") != std::string::npos)
+    if (restart.requests.path(req).find("/metadata/") != std::string::npos)
       ++meta_reads;
     else
       data_bytes += req.bytes;
@@ -390,7 +394,8 @@ TEST_P(MacsioRestart, UnaggregatedRestartReadsOwnByteRanges) {
   // flat plan: one data read per rank
   int data_reads = 0;
   for (const auto& req : restart.requests)
-    if (req.op == p::kOpRead && req.file.find("/data/") != std::string::npos)
+    if (req.op == p::kOpRead &&
+        restart.requests.path(req).find("/data/") != std::string::npos)
       ++data_reads;
   EXPECT_EQ(data_reads, 16);
 }
@@ -430,11 +435,13 @@ TEST_P(MacsioRestart, PrefetchedRestartEmitsPrefetchReadPairs) {
   std::map<std::string, double> prefetch_end;
   for (std::size_t i = 0; i < results.size(); ++i)
     if (restart.requests[i].op == p::kOpPrefetch)
-      prefetch_end[restart.requests[i].file] = results[i].end;
+      prefetch_end[restart.requests.path(restart.requests[i])] =
+          results[i].end;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& req = restart.requests[i];
     if (req.op == p::kOpRead && req.tier == p::kTierBurstBuffer) {
-      EXPECT_GE(results[i].end, prefetch_end.at(req.file));
+      EXPECT_GE(results[i].end,
+                prefetch_end.at(restart.requests.path(req)));
     }
   }
 }
@@ -462,7 +469,8 @@ TEST_P(MacsioRestart, EnginesAgreeOnEveryRestartStatistic) {
   EXPECT_DOUBLE_EQ(serial.scatter_seconds, other.scatter_seconds);
   ASSERT_EQ(serial.requests.size(), other.requests.size());
   for (std::size_t i = 0; i < serial.requests.size(); ++i) {
-    EXPECT_EQ(serial.requests[i].file, other.requests[i].file);
+    EXPECT_EQ(serial.requests.path(serial.requests[i]),
+              other.requests.path(other.requests[i]));
     EXPECT_EQ(serial.requests[i].bytes, other.requests[i].bytes);
     EXPECT_EQ(serial.requests[i].client, other.requests[i].client);
     EXPECT_EQ(serial.requests[i].op, other.requests[i].op);

@@ -18,11 +18,14 @@
 #include "staging/aggregator.hpp"
 #include "staging/drain.hpp"
 #include "util/assert.hpp"
+#include "named_requests.hpp"
 
 namespace ex = amrio::exec;
 namespace mc = amrio::macsio;
 namespace p = amrio::pfs;
 namespace st = amrio::staging;
+using amrio_test::make_batch;
+using amrio_test::NamedRequest;
 
 // ------------------------------------------------------------ AggTopology
 
@@ -394,17 +397,17 @@ TEST(AggregatedMif, RequestsTargetAggregatorsAndCarryShipCost) {
   int data_requests = 0;
   for (const auto& req : stats.requests) {
     EXPECT_EQ(req.tier, p::kTierBurstBuffer);
-    if (req.file.find("_agg_") == std::string::npos) {
+    const std::string& file = stats.requests.path(req);
+    if (file.find("_agg_") == std::string::npos) {
       // metadata (root/index) submits on the compute boundary
       EXPECT_DOUBLE_EQ(std::fmod(req.submit_time, params.compute_time), 0.0);
       continue;
     }
     ++data_requests;
-    EXPECT_TRUE(topo.is_aggregator(req.client)) << req.file;
+    EXPECT_TRUE(topo.is_aggregator(req.client)) << file;
     // shipping the group's documents to the aggregator takes interconnect
     // time: the subfile request lands strictly after the compute boundary
-    EXPECT_GT(std::fmod(req.submit_time, params.compute_time), 0.0)
-        << req.file;
+    EXPECT_GT(std::fmod(req.submit_time, params.compute_time), 0.0) << file;
   }
   EXPECT_EQ(data_requests, params.aggregators * params.num_dumps);
 }
@@ -418,16 +421,17 @@ TEST(AggregatedMif, RequestsCarryTierAndAggregator) {
   const auto topo = st::AggTopology::make(params.nprocs, params.aggregators);
   int subfile_requests = 0;
   for (const auto& req : stats.requests) {
-    EXPECT_EQ(req.tier, p::kTierBurstBuffer) << req.file;
-    if (req.file.find("/data/") == std::string::npos) {
-      EXPECT_EQ(req.client, 0) << req.file;  // rank 0 writes the metadata
+    const std::string& file = stats.requests.path(req);
+    EXPECT_EQ(req.tier, p::kTierBurstBuffer) << file;
+    if (file.find("/data/") == std::string::npos) {
+      EXPECT_EQ(req.client, 0) << file;  // rank 0 writes the metadata
       continue;
     }
     ++subfile_requests;
     const int group = topo.group_of(req.client);
-    EXPECT_EQ(req.client, topo.aggregator_of_group(group)) << req.file;
+    EXPECT_EQ(req.client, topo.aggregator_of_group(group)) << file;
     const int dump = (subfile_requests - 1) / topo.ngroups();
-    EXPECT_EQ(req.file, mc::aggregated_file_path(params, group, dump));
+    EXPECT_EQ(file, mc::aggregated_file_path(params, group, dump));
   }
   EXPECT_EQ(subfile_requests, params.aggregators * params.num_dumps);
 }
@@ -460,13 +464,14 @@ TEST(StageToBb, MovesTiersNotBytes) {
     for (const auto& path : paths)
       EXPECT_EQ(bb_be.read(path), pfs_be.read(path)) << path;
 
-    const auto key = [](const p::IoRequest& r) {
-      return std::tuple(r.client, r.submit_time, r.file, r.bytes, r.op);
+    const auto key = [](const p::IoBatch& b, std::size_t i) {
+      const p::IoRequest& r = b[i];
+      return std::tuple(r.client, r.submit_time, b.path(r), r.bytes, r.op);
     };
     ASSERT_FALSE(direct.requests.empty());
     ASSERT_EQ(staged.requests.size(), direct.requests.size());
     for (std::size_t i = 0; i < direct.requests.size(); ++i) {
-      EXPECT_EQ(key(staged.requests[i]), key(direct.requests[i])) << i;
+      EXPECT_EQ(key(staged.requests, i), key(direct.requests, i)) << i;
       EXPECT_EQ(direct.requests[i].tier, p::kTierPfs) << i;
       EXPECT_EQ(staged.requests[i].tier, p::kTierBurstBuffer) << i;
     }
@@ -497,7 +502,7 @@ TEST(TwoTierSimFs, PerceivedCompletesBeforeDrain) {
   p::SimFs fs(bb_config());
   const std::uint64_t bytes = 1'000'000'000;
   const auto res =
-      fs.run({p::IoRequest{0, 0.0, "f", bytes, p::kTierBurstBuffer}});
+      fs.run(make_batch({{0, 0.0, "f", bytes, p::kTierBurstBuffer}}));
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].tier, p::kTierBurstBuffer);
   EXPECT_NEAR(res[0].end, 0.1, 1e-9);       // absorbed at 10 GB/s
@@ -509,7 +514,7 @@ TEST(TwoTierSimFs, DisabledTierServesTaggedRequestsDirectly) {
   cfg.bb.enabled = false;
   p::SimFs fs(cfg);
   const auto res =
-      fs.run({p::IoRequest{0, 0.0, "f", 1'000'000'000, p::kTierBurstBuffer}});
+      fs.run(make_batch({{0, 0.0, "f", 1'000'000'000, p::kTierBurstBuffer}}));
   EXPECT_EQ(res[0].tier, p::kTierPfs);
   EXPECT_DOUBLE_EQ(res[0].end, res[0].pfs_end);
   EXPECT_NEAR(res[0].end, 1.0, 1e-6);  // OST bandwidth, no absorb
@@ -518,17 +523,17 @@ TEST(TwoTierSimFs, DisabledTierServesTaggedRequestsDirectly) {
 TEST(TwoTierSimFs, CapacityBoundStallsAbsorbs) {
   auto cfg = bb_config();
   const std::uint64_t bytes = 500'000'000;
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 4; ++i)
     reqs.push_back({0, 0.0, "cap" + std::to_string(i), bytes,
                     p::kTierBurstBuffer});
 
   p::SimFs unlimited(cfg);
-  const auto fast = unlimited.run(reqs);
+  const auto fast = unlimited.run(make_batch(reqs));
 
   cfg.bb.capacity = bytes;  // room for exactly one staged request
   p::SimFs bounded(cfg);
-  const auto slow = bounded.run(reqs);
+  const auto slow = bounded.run(make_batch(reqs));
 
   auto last_end = [](const std::vector<p::IoResult>& rs) {
     double t = 0.0;
@@ -540,12 +545,12 @@ TEST(TwoTierSimFs, CapacityBoundStallsAbsorbs) {
   // a request that can never fit is rejected loudly
   cfg.bb.capacity = bytes - 1;
   p::SimFs tiny(cfg);
-  EXPECT_THROW(tiny.run(reqs), amrio::ContractViolation);
+  EXPECT_THROW(tiny.run(make_batch(reqs)), amrio::ContractViolation);
 }
 
 TEST(TwoTierSimFs, DrainConcurrencyShortensTheTail) {
   auto cfg = bb_config();
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 6; ++i)
     reqs.push_back({0, 0.0, "t" + std::to_string(i), 400'000'000,
                     p::kTierBurstBuffer});
@@ -555,9 +560,10 @@ TEST(TwoTierSimFs, DrainConcurrencyShortensTheTail) {
     return t;
   };
   cfg.bb.drain_concurrency = 1;
-  const double serial_tail = last_durable(p::SimFs(cfg).run(reqs));
+  const double serial_tail = last_durable(p::SimFs(cfg).run(make_batch(reqs)));
   cfg.bb.drain_concurrency = 6;
-  const double parallel_tail = last_durable(p::SimFs(cfg).run(reqs));
+  const double parallel_tail =
+      last_durable(p::SimFs(cfg).run(make_batch(reqs)));
   EXPECT_LT(parallel_tail, serial_tail);
 }
 
@@ -565,12 +571,15 @@ TEST(TwoTierSimFs, DeterministicAcrossRuns) {
   auto cfg = bb_config();
   cfg.variability_sigma = 0.3;
   cfg.mds_latency = 1e-4;
-  std::vector<p::IoRequest> reqs;
-  for (int i = 0; i < 12; ++i)
-    reqs.push_back({i % 3, 0.05 * (i / 3), "d" + std::to_string(i),
-                    3'000'000, i % 2 ? p::kTierBurstBuffer : p::kTierPfs});
-  const auto a = p::SimFs(cfg).run(reqs);
-  const auto b = p::SimFs(cfg).run(reqs);
+  std::vector<NamedRequest> reqs;
+  for (int i = 0; i < 12; ++i) {
+    std::string file = "d";
+    file += std::to_string(i);
+    reqs.push_back({i % 3, 0.05 * (i / 3), file, 3'000'000,
+                    i % 2 ? p::kTierBurstBuffer : p::kTierPfs});
+  }
+  const auto a = p::SimFs(cfg).run(make_batch(reqs));
+  const auto b = p::SimFs(cfg).run(make_batch(reqs));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].end, b[i].end);
@@ -580,12 +589,12 @@ TEST(TwoTierSimFs, DeterministicAcrossRuns) {
 
 TEST(StagingReport, SeparatesPerceivedFromSustained) {
   auto cfg = bb_config();
-  std::vector<p::IoRequest> reqs;
+  std::vector<NamedRequest> reqs;
   for (int i = 0; i < 4; ++i)
     reqs.push_back({i, 0.0, "r" + std::to_string(i), 250'000'000,
                     p::kTierBurstBuffer});
   reqs.push_back({0, 0.0, "direct", 100'000'000, p::kTierPfs});
-  const auto results = p::SimFs(cfg).run(reqs);
+  const auto results = p::SimFs(cfg).run(make_batch(reqs));
   const auto rep = st::staging_report(results);
   EXPECT_EQ(rep.staged_bytes, 4u * 250'000'000u);
   EXPECT_EQ(rep.direct_bytes, 100'000'000u);

@@ -233,7 +233,9 @@ TEST(Json, EscapesEveryAsciiByteLikeTheReference) {
           want = std::string(1, static_cast<char>(c));
         }
     }
-    const std::string in = "<" + std::string(1, static_cast<char>(c)) + ">";
+    std::string in = "<";
+    in += static_cast<char>(c);
+    in += '>';
     EXPECT_EQ(escaped(in), "<" + want + ">") << "byte " << c;
   }
   // Bytes >= 0x80 (UTF-8 sequences) pass through untouched.
